@@ -125,7 +125,6 @@ def _cmd_sweep(args) -> int:
     import os
     import time
 
-    from repro.experiments.engine import ResumeConflictError
     from repro.experiments.report import (
         render_outcome_summary, render_progress, render_series,
     )
@@ -136,10 +135,6 @@ def _cmd_sweep(args) -> int:
         # (workers inherit it through repro_env), so the flag is just
         # a spelling of the variable.
         os.environ["REPRO_STORE"] = args.store
-    if args.functional_mode:
-        # Same pattern: the functional layer reads the variable, and
-        # repro_env() forwards it into every worker fork.
-        os.environ["REPRO_FUNCTIONAL_MODE"] = args.functional_mode
     spec = sweep_spec(args)
     points = spec.points()
     if args.sample:
@@ -169,12 +164,9 @@ def _cmd_sweep(args) -> int:
     t0 = time.monotonic()
     try:
         outcomes = engine.run(
-            points, journal=args.journal, resume=args.resume,
+            points, resume=args.resume,
             progress=None if args.quiet else on_progress,
             metrics=metrics, ledger=ledger)
-    except ResumeConflictError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        return 2
     finally:
         if ledger is not None:
             ledger.close()
@@ -282,16 +274,12 @@ def register(sub) -> None:
                     help="parallel worker processes (default: serial)")
     sw.add_argument("--timeout", type=float, default=None,
                     metavar="SECS", help="per-point timeout")
-    sw.add_argument("--journal", metavar="PATH", default=None,
-                    help="append per-point results to a JSONL journal")
     sw.add_argument("--ledger", metavar="PATH", default=None,
                     help="append the run ledger (spans, rusage, cache "
-                         "hits) here; doubles as a resume journal")
+                         "hits) here; it is also what --resume reads")
     sw.add_argument("--resume", action="store_true",
-                    help="skip points already completed in --journal "
-                         "and/or --ledger (the journal takes "
-                         "precedence; conflicting completed payloads "
-                         "for one point are an error)")
+                    help="skip points already completed in --ledger "
+                         "(requires --ledger)")
     sw.add_argument("--no-cache", action="store_true",
                     help="ignore (and don't consult) the result cache")
     sw.add_argument("--store", metavar="PATH", default=None,
@@ -300,12 +288,6 @@ def register(sub) -> None:
                          "read-through fallback)")
     sw.add_argument("--csv", metavar="PATH", default=None,
                     help="write per-point outcomes as CSV")
-    sw.add_argument("--functional-mode",
-                    choices=["interp", "blocks", "batched"],
-                    default=None,
-                    help="functional engine for sampled points' "
-                         "profiling/fast-forward passes (sets "
-                         "REPRO_FUNCTIONAL_MODE; default: blocks)")
     sw.add_argument("--metrics", action="store_true",
                     help="print engine metrics (repro.obs registry)")
     sw.add_argument("--quiet", action="store_true",

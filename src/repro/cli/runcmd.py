@@ -30,16 +30,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    import os
-
     from repro.obs import JsonlSink, MetricsRegistry, build_tracer
     from repro.workloads.generator import benchmark_program
 
-    if args.functional_mode:
-        # The functional layer reads the variable at sim construction,
-        # so the flag covers the sampled profiling/fast-forward passes
-        # of this process.
-        os.environ["REPRO_FUNCTIONAL_MODE"] = args.functional_mode
     benches = args.bench_pos or args.bench
     abi = model_abi(args.model)
     programs = [benchmark_program(b, abi, thread=i, scale=args.scale,
@@ -346,12 +339,6 @@ def register(sub) -> None:
                      metavar="W",
                      help="weight of the memory-signature feature "
                           "block in bbv+mem clustering (0..1)")
-    run.add_argument("--functional-mode",
-                     choices=["interp", "blocks", "batched"],
-                     default=None,
-                     help="functional engine for --sample's profiling "
-                          "and fast-forward passes (sets "
-                          "REPRO_FUNCTIONAL_MODE; default: blocks)")
     run.set_defaults(fn=_cmd_run)
 
     prof = sub.add_parser(

@@ -47,8 +47,7 @@ def _cmd_serve(args) -> int:
         store = SqliteStore(args.store, actor="serve")
     sched = Scheduler(workers=args.workers, timeout=args.timeout,
                       quotas=quotas, default_quota=args.default_quota,
-                      state_dir=args.state_dir, store=store,
-                      functional_mode=args.functional_mode)
+                      state_dir=args.state_dir, store=store)
     server = ServiceServer(sched, host=args.host, port=args.port,
                            verbose=args.verbose)
     sched.start()
@@ -222,12 +221,6 @@ def register(sub) -> None:
                     metavar="N",
                     help="slot cap for tenants without an explicit "
                          "--quota (default: the pool size)")
-    sv.add_argument("--functional-mode",
-                    choices=["interp", "blocks", "batched"],
-                    default=None,
-                    help="functional engine for the worker pool's "
-                         "profiling/fast-forward passes (exported as "
-                         "REPRO_FUNCTIONAL_MODE; default: blocks)")
     sv.add_argument("--verbose", action="store_true",
                     help="log every HTTP request to stderr")
     sv.set_defaults(fn=_cmd_serve)

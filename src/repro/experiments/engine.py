@@ -2,7 +2,7 @@
 
 An engine runs the points of a sweep plan (``repro.experiments.plan``)
 and returns ``{Point: PointOutcome}``.  Both engines share the same
-front half — dedupe, journal-resume, cache-aware scheduling (points
+front half — dedupe, ledger resume, cache-aware scheduling (points
 whose result is already on disk are resolved in-process, before any
 worker is forked) — and differ only in how the residue executes:
 
@@ -17,11 +17,8 @@ worker is forked) — and differ only in how the residue executes:
   workers explicitly, so spawned workers never silently run at default
   scale or against the wrong cache directory.
 
-Every finished point is appended to an optional JSONL *journal*;
-re-running with ``resume=True`` replays completed points from the
-journal (failed and timed-out points are retried).  Progress flows
-through a callback as :class:`SweepProgress` snapshots, and per-point
-accounting can be aggregated into a
+Progress flows through a callback as :class:`SweepProgress`
+snapshots, and per-point accounting can be aggregated into a
 :class:`repro.obs.MetricsRegistry`.
 
 With a :class:`repro.obs.runlog.RunLedger` attached (``ledger=``),
@@ -32,9 +29,10 @@ the ``run_start``/``point``/``run_end`` records, collects per-point
 the parent's trace via a propagated span context and ship their
 finished spans back alongside the payload.  Points that never report
 (crash, timeout) get a terminated span synthesized parent-side, so the
-ledger always reassembles into exactly one tree per point.  A ledger
-doubles as a resume journal: its ``point`` records carry the same
-``key``/``status``/``payload`` fields.
+ledger always reassembles into exactly one tree per point.  The
+ledger is also the one resume source: re-running with ``resume=True``
+replays the points its ``point`` records mark completed (failed and
+timed-out points are retried).
 """
 
 from __future__ import annotations
@@ -66,20 +64,13 @@ class EngineError(RuntimeError):
     """Raised when a failed point's result is requested."""
 
 
-class ResumeConflictError(RuntimeError):
-    """Raised when ``--journal`` and ``--ledger`` disagree about a
-    completed point during resume (same key, both OK, different
-    payloads) — silently picking either would make the resumed sweep's
-    results depend on file order."""
-
-
 @dataclass
 class PointOutcome:
     """What happened to one point of a sweep.
 
     ``status`` is one of ``done`` (executed this run), ``cached``
     (resolved from the result cache without executing), ``resumed``
-    (replayed from the journal), ``failed`` (exception or worker
+    (replayed from the ledger), ``failed`` (exception or worker
     crash; see ``error``) or ``timeout``.
     """
 
@@ -133,7 +124,7 @@ class SweepProgress:
 
     @property
     def executed(self) -> int:
-        """Points that actually ran (did not come from cache/journal)."""
+        """Points that actually ran (did not come from cache/ledger)."""
         return self.done + self.failed + self.timeout
 
 
@@ -153,10 +144,10 @@ def apply_repro_env(env: Dict[str, str]) -> None:
 
 
 def load_journal(path: Path) -> Dict[str, dict]:
-    """Parse a sweep journal into ``{cache_key: record}``.
+    """Parse a run ledger's point records into ``{cache_key: record}``.
 
     Later records win (a resumed sweep appends), and a truncated final
-    line — the crash the journal exists to survive — is ignored.
+    line — the crash resume exists to survive — is ignored.
     """
     records: Dict[str, dict] = {}
     try:
@@ -173,35 +164,6 @@ def load_journal(path: Path) -> Dict[str, dict]:
         if isinstance(rec, dict) and "key" in rec:
             records[rec["key"]] = rec
     return records
-
-
-def merge_resume_records(journal: Dict[str, dict],
-                         ledger: Dict[str, dict]) -> Dict[str, dict]:
-    """Merge the two resume sources under one precedence rule.
-
-    The journal wins for any key both files carry.  But if both carry
-    a *completed* record (OK status, non-``None`` payload) for one key
-    and the payloads differ, resuming is ambiguous — the two files
-    describe different runs — and :class:`ResumeConflictError` is
-    raised naming the key, rather than silently preferring one.
-    """
-    merged = dict(ledger)
-    for key, jrec in journal.items():
-        lrec = merged.get(key)
-        if (lrec is not None
-                and jrec.get("status") in _OK_STATUSES
-                and lrec.get("status") in _OK_STATUSES
-                and jrec.get("payload") is not None
-                and lrec.get("payload") is not None
-                and jrec["payload"] != lrec["payload"]):
-            label = (jrec.get("point") or {}).get("kind", "?")
-            raise ResumeConflictError(
-                f"resume conflict for point {key[:12]}… (kind "
-                f"{label}): the journal and the ledger both hold a "
-                f"completed payload and they differ; re-run one file "
-                f"or drop --resume")
-        merged[key] = jrec
-    return merged
 
 
 def _rusage_snapshot() -> Optional[Dict[str, float]]:
@@ -236,17 +198,6 @@ _SPAN_STATUS = {"done": "ok", "cached": "cached", "resumed": "resumed",
                 "failed": "terminated", "timeout": "timeout"}
 
 
-def _journal_line(outcome: PointOutcome) -> str:
-    return json.dumps({
-        "key": outcome.point.cache_key(),
-        "status": outcome.status,
-        "point": outcome.point.to_dict(),
-        "payload": outcome.payload,
-        "error": outcome.error,
-        "elapsed": round(outcome.elapsed, 6),
-    })
-
-
 class _EngineBase:
     """Shared scheduling front half of every engine."""
 
@@ -257,7 +208,6 @@ class _EngineBase:
         self.use_cache = use_cache
 
     def run(self, points: Iterable[Point],
-            journal: Optional[os.PathLike] = None,
             resume: bool = False,
             progress: Optional[Callable[[SweepProgress], None]] = None,
             metrics: Optional[Any] = None,
@@ -271,8 +221,9 @@ class _EngineBase:
 
         ``ledger`` (a :class:`repro.obs.runlog.RunLedger`) enables the
         audit trail and span tracing: run/point records, per-point
-        rusage, and one span tree per point.  With ``resume`` and no
-        ``journal``, a ledger's own file is used as the resume journal.
+        rusage, and one span tree per point.  ``resume`` replays the
+        points the ledger's file already records as completed, so it
+        needs a ``ledger``.
         """
         pts = unique_points(points)
         prog = SweepProgress(total=len(pts))
@@ -280,19 +231,11 @@ class _EngineBase:
         elapsed_samples: List[float] = []
         outcomes: Dict[Point, PointOutcome] = {}
 
-        journal_path = Path(journal) if journal is not None else None
         prior: Dict[str, dict] = {}
         if resume:
-            # Both sources are consulted; the journal takes precedence
-            # per key, and two completed-but-different payloads for
-            # one point raise rather than racing (see
-            # merge_resume_records).
-            jrecs = (load_journal(journal_path)
-                     if journal_path is not None else {})
-            lrecs = (load_journal(Path(ledger.path))
-                     if ledger is not None else {})
-            prior = merge_resume_records(jrecs, lrecs)
-        jfh = None
+            if ledger is None:
+                raise ValueError("resume needs a ledger to resume from")
+            prior = load_journal(Path(ledger.path))
         if metrics is not None:
             metrics.set("sweep.points.total", len(pts))
 
@@ -305,9 +248,8 @@ class _EngineBase:
 
         def emit(outcome: PointOutcome) -> None:
             """Record one resolved point: outcome map, progress/ETA,
-            journal line, ledger record, metrics — the single
-            bookkeeping path every engine's ``_execute`` reports
-            through."""
+            ledger record, metrics — the single bookkeeping path
+            every engine's ``_execute`` reports through."""
             outcomes[outcome.point] = outcome
             setattr(prog, outcome.status,
                     getattr(prog, outcome.status) + 1)
@@ -327,9 +269,6 @@ class _EngineBase:
                     remaining / max(1, self.workers))
             elif not remaining:
                 prog.eta = 0.0
-            if jfh is not None:
-                jfh.write(_journal_line(outcome) + "\n")
-                jfh.flush()
             if ledger is not None:
                 if not outcome.spans:
                     # The worker never exported spans (cache hit,
@@ -362,10 +301,6 @@ class _EngineBase:
                 progress(prog)
 
         try:
-            # Opened inside the try so the finally below owns the
-            # handle on every path, exceptional ones included.
-            if journal_path is not None:
-                jfh = journal_path.open("a")
             to_run: List[Point] = []
             for pt in pts:
                 if pt.cacheable:
@@ -385,10 +320,6 @@ class _EngineBase:
                 to_run.append(pt)
             self._execute(to_run, emit, spans=spans, ledger=ledger)
         finally:
-            # The journal closes first: a raising ledger call must
-            # not leak the handle.
-            if jfh is not None:
-                jfh.close()
             if ledger is not None:
                 spans.end(sweep_span, **{
                     f"points.{k}": getattr(prog, k)

@@ -6,7 +6,7 @@ loops, a sweep is described by a :class:`SweepSpec` — named axes over
 a base parameter set, plus optional extra points and a reduction — and
 expands to hashable, serializable :class:`Point` values.  Because a
 plan is inert data, an execution engine (``repro.experiments.engine``)
-can dedupe, cache-resolve, parallelise, journal and resume it without
+can dedupe, cache-resolve, parallelise, record and resume it without
 knowing what the points compute.
 
 Point kinds:
@@ -96,7 +96,7 @@ class Point:
     # -- identity ----------------------------------------------------------
     @property
     def cacheable(self) -> bool:
-        """Whether the point's payload may be cache/journal-resolved."""
+        """Whether the point's payload may be cache/ledger-resolved."""
         return self.kind != PROBE
 
     def cache_key(self) -> str:
@@ -142,7 +142,7 @@ class Point:
         return f"probe/{self.bench}"
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON form for journals and worker pipes (round-trips
+        """JSON form for ledgers and worker pipes (round-trips
         through :meth:`from_dict`)."""
         return {"kind": self.kind, "model": self.model,
                 "benches": list(self.benches),
@@ -161,7 +161,7 @@ class Point:
     def from_dict(cls, d: Mapping[str, Any]) -> "Point":
         """Inverse of :meth:`to_dict`; equal parameters reconstruct
         an equal (and equally hashable) point.  The ``sample``
-        parameters default when absent so pre-sampling journals still
+        parameters default when absent so pre-sampling ledgers still
         replay."""
         return cls(kind=d["kind"], model=d["model"],
                    benches=tuple(d["benches"]),
@@ -194,7 +194,7 @@ class Point:
 
     def execute(self, use_cache: bool = True) -> dict:
         """Compute the point and return its JSON-serializable payload
-        (what the cache and the engine journal store)."""
+        (what the cache and the run ledger store)."""
         if self.kind == RUN:
             import json
             from dataclasses import asdict
@@ -216,7 +216,7 @@ class Point:
                 use_cache=use_cache, **sample_kwargs)
             # Canonical JSON form, so a payload compares equal no
             # matter whether it was executed, cache-loaded, piped from
-            # a worker, or replayed from a journal.
+            # a worker, or replayed from a ledger.
             return json.loads(json.dumps(asdict(result)))
         if self.kind == PATH_RATIO:
             return {"ratio": _runner.path_ratio(self.bench,

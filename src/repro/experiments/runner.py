@@ -112,7 +112,7 @@ class RunResult:
     stats_vector: Tuple[float, ...] = ()
     unrunnable: bool = False
     # Sampled-simulation metadata (``repro.sampling``); defaults keep
-    # pre-sampling cache entries and journals decodable.
+    # pre-sampling cache entries and ledgers decodable.
     sampled: bool = False
     sample_intervals: int = 0
     sample_detailed: int = 0

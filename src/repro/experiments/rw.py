@@ -12,7 +12,7 @@ normalisation.
 Each figure is a declarative :class:`~repro.experiments.plan.SweepSpec`
 (the (model × size × benchmark) grid, the normalisation-reference
 points, and the figure's reduction), so any execution engine — serial
-or parallel, journaled or not — can run it; the ``figN_*`` functions
+or parallel, with a ledger or not — can run it; the ``figN_*`` functions
 remain the one-call convenience wrappers.
 """
 

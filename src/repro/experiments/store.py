@@ -50,7 +50,7 @@ class ResultStore:
     """The repository interface every backend implements.
 
     Keys are the runner's content-addressed cache keys; payloads are
-    the JSON-serializable dicts the engine journals and pipes around.
+    the JSON-serializable dicts the engine records and pipes around.
     """
 
     #: Human-readable backend name (CLI/status surfaces).

@@ -2,18 +2,14 @@
 
 from .interp import (
     FUNCTIONAL_MODES, MASK64, FunctionalError, FunctionalSim,
-    FunctionalStats, default_functional_mode, resolve_functional_mode,
-    to_signed,
+    FunctionalStats, to_signed,
 )
-from .batch import BatchedRunner, run_batched
 from .blocks import BlockTable, advance_blocks, block_table, run_blocks
 from .pathlength import PathLengthResult, measure_path_length
 
 __all__ = [
     "FUNCTIONAL_MODES", "MASK64", "FunctionalError", "FunctionalSim",
-    "FunctionalStats", "default_functional_mode",
-    "resolve_functional_mode", "to_signed",
-    "BatchedRunner", "run_batched",
+    "FunctionalStats", "to_signed",
     "BlockTable", "advance_blocks", "block_table", "run_blocks",
     "PathLengthResult", "measure_path_length",
 ]

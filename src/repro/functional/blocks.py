@@ -19,7 +19,7 @@ time*:
   registers become ``regs[r]`` accesses, reads of the hardwired zero
   register fold to the literal ``0``, immediates are inlined, and the
   per-block-constant statistics (instruction count, loads, stores,
-  int/fp ops, ...) collapse into one batched update.  Only genuinely
+  int/fp ops, ...) collapse into one combined update.  Only genuinely
   dynamic statistics — ``taken_branches`` and ``max_call_depth`` — are
   computed at run time, in the block's terminator.
 * Every dynamic visit **replays** the cached block: one function call

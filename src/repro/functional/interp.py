@@ -16,7 +16,6 @@ in a single frame shared by all activations.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -29,34 +28,11 @@ MASK64 = (1 << 64) - 1
 SIGN64 = 1 << 63
 
 #: Execution modes of :class:`FunctionalSim`.  ``interp`` is the
-#: per-instruction ``step()`` loop; ``blocks`` replays decoded basic
-#: blocks (``repro.functional.blocks``); ``batched`` is ``blocks`` for
-#: a single simulator and additionally opts drivers into
-#: ``repro.functional.batch``'s many-sims-per-process scheduling.
-FUNCTIONAL_MODES = ("interp", "blocks", "batched")
-
-
-def default_functional_mode() -> str:
-    """Process-wide default mode, from ``REPRO_FUNCTIONAL_MODE``.
-
-    Defaults to ``blocks``: the decoded-block cache is bit-identical
-    to the interpreter (``tests/test_functional_blocks.py``), so the
-    fast path is safe to be the default.  The environment variable is
-    forwarded to sweep/service workers by ``repro_env()``.
-    """
-    return resolve_functional_mode(
-        os.environ.get("REPRO_FUNCTIONAL_MODE", "blocks"))
-
-
-def resolve_functional_mode(mode: Optional[str]) -> str:
-    """Validate ``mode`` (``None`` means the process default)."""
-    if mode is None:
-        return default_functional_mode()
-    if mode not in FUNCTIONAL_MODES:
-        raise ValueError(
-            f"unknown functional mode {mode!r} "
-            f"(expected one of {', '.join(FUNCTIONAL_MODES)})")
-    return mode
+#: per-instruction ``step()`` loop — the golden model, and the only
+#: path that records traces; ``blocks`` replays decoded basic blocks
+#: (``repro.functional.blocks``) and is the default, being
+#: bit-identical to ``interp`` (``tests/test_functional_blocks.py``).
+FUNCTIONAL_MODES = ("interp", "blocks")
 
 
 def to_signed(v: int) -> int:
@@ -104,9 +80,8 @@ class FunctionalSim:
         program: the assembled binary.
         trace: if true, record ``(pc, disassembly)`` tuples (slow; for
             debugging only — tracing always uses the interp path).
-        mode: execution mode (:data:`FUNCTIONAL_MODES`); ``None``
-            resolves :func:`default_functional_mode`.  All modes are
-            architecturally bit-identical; ``blocks``/``batched`` run
+        mode: execution mode (:data:`FUNCTIONAL_MODES`).  Both modes
+            are architecturally bit-identical; ``blocks`` runs
             :meth:`run` through the decoded basic-block cache.
     """
 
@@ -116,14 +91,18 @@ class FunctionalSim:
     _cap = False
 
     def __init__(self, program: Program, trace: bool = False,
-                 mode: Optional[str] = None) -> None:
+                 mode: str = "blocks") -> None:
+        if mode not in FUNCTIONAL_MODES:
+            raise ValueError(
+                f"unknown functional mode {mode!r} "
+                f"(expected one of {', '.join(FUNCTIONAL_MODES)})")
         self.program = program
         self.mem: Dict[int, float] = dict(program.data)
         self.stats = FunctionalStats()
         self.halted = False
         self.pc = program.entry
         self.trace: Optional[List[str]] = [] if trace else None
-        self.mode = resolve_functional_mode(mode)
+        self.mode = mode
         # Epoch of the mutable state objects below; load_state bumps
         # it so the block executor rebinds (repro.functional.blocks).
         self._epoch = 0

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.functional.interp import (FunctionalSim, FunctionalStats,
-                                     default_functional_mode)
+from repro.functional.interp import FunctionalSim, FunctionalStats
 
 
 @dataclass(frozen=True)
@@ -35,23 +34,11 @@ class PathLengthResult:
 def measure_path_length(builder_factory) -> PathLengthResult:
     """Assemble and functionally execute both ABIs of one benchmark.
 
-    The two lowerings run as one batch
-    (:class:`~repro.functional.batch.BatchedRunner`) unless the
-    process default mode is ``interp``, in which case each runs alone
-    through the interpreter.  Either way the measured path lengths are
-    identical.
-
     Args:
         builder_factory: zero-argument callable returning a fresh
             :class:`~repro.asm.builder.ProgramBuilder`; it is invoked
             twice because assembly consumes the builder's layout.
     """
-    flat_prog = builder_factory().assemble("flat")
-    windowed_prog = builder_factory().assemble("windowed")
-    if default_functional_mode() == "interp":
-        flat = FunctionalSim(flat_prog, mode="interp").run()
-        windowed = FunctionalSim(windowed_prog, mode="interp").run()
-    else:
-        from repro.functional.batch import run_batched
-        flat, windowed = run_batched([flat_prog, windowed_prog])
+    flat = FunctionalSim(builder_factory().assemble("flat")).run()
+    windowed = FunctionalSim(builder_factory().assemble("windowed")).run()
     return PathLengthResult(flat=flat, windowed=windowed)

@@ -163,8 +163,7 @@ class LintConfig:
     layer_default: int = SIM
     #: Modules where *every* class must declare ``__slots__``.
     slots_modules: Tuple[str, ...] = ("pipeline/dyninst.py",
-                                      "functional/blocks.py",
-                                      "functional/batch.py")
+                                      "functional/blocks.py")
     #: Method names that reset a pooled object for reuse.
     reset_methods: Tuple[str, ...] = ("reinit",)
     #: Modules whose dataclass fields the coverage rule audits.

@@ -2,7 +2,7 @@
 
 A reproduction service that leaks is a reproduction service that
 flakes: an unjoined pump thread keeps a dead scheduler half-alive, an
-unclosed sqlite handle keeps the WAL pinned, a journal file handle
+unclosed sqlite handle keeps the WAL pinned, a ledger file handle
 dropped on an exception path loses the tail of a run.  Three checks:
 
 * **X001** — every started thread has a join path: a thread-holding

@@ -10,12 +10,11 @@ worker, and the point's finished spans), and how it ended
 ``repro report`` renders one into a self-contained HTML report, and
 the audit trail is exactly what ROADMAP item 1's service would serve.
 
-The ledger *fronts the resume journal* rather than sitting beside it:
-``point`` records carry the same ``key``/``status``/``payload`` fields
-the engine's journal lines do, so
-:func:`repro.experiments.engine.load_journal` can resume a sweep
-directly from its ledger file — the non-point record kinds simply have
-no ``key`` and are skipped.  One file is both the audit trail and the
+The ledger is also the sweep's one resume source: ``point`` records
+carry ``key``/``status``/``payload`` fields, so
+:func:`repro.experiments.engine.load_journal` resumes a sweep directly
+from its ledger file — the non-point record kinds simply have no
+``key`` and are skipped.  One file is both the audit trail and the
 crash-recovery state.
 
 Records share three envelope fields: ``rec`` (the record kind), ``v``
@@ -48,7 +47,7 @@ class RunLedger:
     header record (the engine calls it once it knows the point count).
     Appending (``"a"``) is deliberate: a resumed sweep extends the
     same ledger, and readers resolve duplicate points by
-    last-record-wins, exactly like the resume journal.
+    last-record-wins, exactly as resume does.
     """
 
     def __init__(self, path, run_id: Optional[str] = None,
@@ -89,7 +88,7 @@ class RunLedger:
               elapsed: float = 0.0, cache: Optional[str] = None,
               rusage: Optional[dict] = None,
               spans: Optional[List[dict]] = None) -> None:
-        """One resolved point — the journal-compatible record."""
+        """One resolved point — the record resume replays."""
         self.write("point", key=key, status=status, point=point,
                    payload=payload, error=error,
                    elapsed=round(elapsed, 6), cache=cache,

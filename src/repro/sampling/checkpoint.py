@@ -14,8 +14,8 @@ values the full run would), while the warmup trace is *advisory* — it
 only reduces cold-start bias in the timing statistics.
 
 Checkpoints are JSON-serialisable (:meth:`Checkpoint.to_dict` /
-:meth:`Checkpoint.from_dict`) so they can be written next to sweep
-journals and reused across processes.
+:meth:`Checkpoint.from_dict`) so they can be written to disk and
+reused across processes.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def fast_forward(sim: FunctionalSim, n: int) -> int:
     :class:`CheckpointingSim` the conditional-branch outcomes and the
     call stack are recorded as a side effect.
 
-    In blocks/batched mode the bounded run goes through the decoded
+    In blocks mode the bounded run goes through the decoded
     basic-block cache (``repro.functional.blocks``): whole blocks are
     replayed and the final partial block is stepped per instruction,
     so the stop boundary — and the captured traces — are bit-identical

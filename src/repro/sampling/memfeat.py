@@ -36,7 +36,7 @@ block-mode profiling at full speed when the feature is off
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.asm.program import Program
 from repro.functional.interp import FunctionalSim
@@ -168,7 +168,7 @@ class MemCaptureSim(FunctionalSim):
     """
 
     def __init__(self, program: Program, collector: ReuseCollector,
-                 mode: Optional[str] = None) -> None:
+                 mode: str = "blocks") -> None:
         super().__init__(program, mode=mode)
         self.collector = collector
 

@@ -211,7 +211,7 @@ class SamplingMeta:
 # ======================================================================
 def profile_intervals(program: Program, interval_len: int,
                       bbv_bucket: int = 8,
-                      mode: Optional[str] = None,
+                      mode: str = "blocks",
                       collector: Optional[ReuseCollector] = None,
                       ) -> IntervalProfile:
     """Split a functional run into fixed-length intervals.
@@ -219,8 +219,8 @@ def profile_intervals(program: Program, interval_len: int,
     The final interval may be short (the run rarely divides evenly);
     it still gets a BBV and is a legitimate representative.
 
-    ``mode`` picks the functional engine (defaults to
-    ``REPRO_FUNCTIONAL_MODE``).  Blocks mode replays decoded basic
+    ``mode`` picks the functional engine (``blocks`` or the reference
+    ``interp``).  Blocks mode replays decoded basic
     blocks and accumulates their precomputed bucket run-lengths; the
     counts, BBVs (including dict insertion order) and totals are
     bit-identical to the per-instruction loop, which

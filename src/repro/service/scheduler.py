@@ -47,7 +47,6 @@ from repro.experiments.engine import (
 from repro.experiments.plan import Point, unique_points
 from repro.experiments.runner import source_hash
 from repro.experiments.store import SqliteStore
-from repro.functional.interp import resolve_functional_mode
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import RunLedger
 from repro.obs.spans import SpanTracer
@@ -123,14 +122,7 @@ class Scheduler:
                  default_quota: Optional[int] = None,
                  state_dir: Optional[os.PathLike] = None,
                  store: Optional[SqliteStore] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 functional_mode: Optional[str] = None) -> None:
-        # Functional engine for the pool's profiling/fast-forward
-        # passes: workers inherit REPRO_FUNCTIONAL_MODE through
-        # repro_env(), so exporting it here wires every forked point.
-        self.functional_mode = resolve_functional_mode(functional_mode)
-        if functional_mode is not None:
-            os.environ["REPRO_FUNCTIONAL_MODE"] = self.functional_mode
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self._pool = _WorkerPool(workers=workers, timeout=timeout)
         self.workers = self._pool.workers
         self.timeout = timeout

@@ -47,15 +47,6 @@ class TestCli:
         assert main(["store", "gc-claims", path, "--max-age", "0"]) == 0
         assert "removed 0 claims" in capsys.readouterr().out
 
-    def test_run_functional_mode_flag(self, capsys, monkeypatch):
-        import os
-        monkeypatch.delenv("REPRO_FUNCTIONAL_MODE", raising=False)
-        assert main(["run", "--model", "baseline", "--bench", "fib",
-                     "--scale", "0.2",
-                     "--functional-mode", "interp"]) == 0
-        assert os.environ["REPRO_FUNCTIONAL_MODE"] == "interp"
-        capsys.readouterr()
-
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -105,17 +96,17 @@ class TestSweepCommand:
     def test_sweep_runs_and_resumes(self, capsys, tmp_path,
                                     monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        journal = tmp_path / "sweep.jsonl"
+        ledger = tmp_path / "ledger.jsonl"
         csv_out = tmp_path / "out.csv"
-        args = self.ARGS + ["--journal", str(journal),
+        args = self.ARGS + ["--ledger", str(ledger),
                             "--csv", str(csv_out)]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "executed 1" in out
-        assert journal.exists() and csv_out.exists()
+        assert ledger.exists() and csv_out.exists()
         assert "status,kind,model" in csv_out.read_text()
 
-        # --resume replays the journal: zero points execute, even
+        # --resume replays the ledger: zero points execute, even
         # with the result cache disabled.
         assert main(args + ["--resume", "--no-cache"]) == 0
         out = capsys.readouterr().out
@@ -134,28 +125,19 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "rw", "--models", "nonexistent"])
 
-    def test_sweep_resume_conflict_exits_2(self, capsys, tmp_path,
-                                           monkeypatch):
-        import json
-
-        from repro.experiments.plan import Point
+    def test_sweep_resume_needs_ledger(self, capsys, tmp_path,
+                                       monkeypatch):
+        # Without a ledger there is nothing to resume from; this is a
+        # usage error rather than a silent re-run of every point.
+        import repro.experiments.runner as runner
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        pt = Point.run("baseline", ("gzip_graphic",), 256, scale=0.05)
-        journal = tmp_path / "sweep.jsonl"
-        journal.write_text(json.dumps(
-            {"key": pt.cache_key(), "status": "done",
-             "point": pt.to_dict(), "payload": {"cycles": 1},
-             "error": "", "elapsed": 0.1}) + "\n")
-        ledger = tmp_path / "ledger.jsonl"
-        ledger.write_text(json.dumps(
-            {"rec": "point", "key": pt.cache_key(), "status": "done",
-             "point": pt.to_dict(), "payload": {"cycles": 2},
-             "error": "", "elapsed": 0.1}) + "\n")
-        rc = main(self.ARGS + ["--resume",
-                               "--journal", str(journal),
-                               "--ledger", str(ledger)])
-        assert rc == 2
+        monkeypatch.setattr(runner, "run_point", lambda *a, **k:
+                            pytest.fail("resume without a ledger ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--resume", "--no-cache"])
+        assert exc.value.code == 2
+        assert "--resume needs --ledger" in capsys.readouterr().err
 
     def test_sweep_failure_sets_exit_code(self, capsys, tmp_path,
                                           monkeypatch):

@@ -1,10 +1,8 @@
 """Differential tests for the decoded basic-block cache.
 
 ``repro.functional.blocks`` replays whole decoded basic blocks
-instead of dispatching per instruction, and ``repro.functional.batch``
-advances many independent simulations through that cache in one
-process.  The contract is *bit identity* with the per-instruction
-interpreter: same :class:`FunctionalStats`, same architectural state
+instead of dispatching per instruction.  The contract is *bit
+identity* with the per-instruction interpreter: same :class:`FunctionalStats`, same architectural state
 at every instruction boundary the caller can observe, same captured
 warmup traces, same exceptions.  These tests check the contract on
 randomly generated programs (hypothesis) and on the cache's
@@ -19,8 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.functional import (
-    BatchedRunner, FunctionalError, FunctionalSim, advance_blocks,
-    block_table, resolve_functional_mode, run_batched,
+    FunctionalError, FunctionalSim, advance_blocks, block_table,
 )
 from repro.sampling.checkpoint import (
     Checkpoint, CheckpointingSim, fast_forward, take_checkpoint,
@@ -81,20 +78,6 @@ def test_stats_and_state_identical(abi, profile):
     sim = FunctionalSim(program, mode="blocks")
     stats = sim.run()
     assert stats == ref_stats
-    assert canon(sim.save_state()) == canon(ref.save_state())
-
-
-@given(profile=profile_strategy)
-@settings(max_examples=4, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_batched_mode_matches_interp(profile):
-    """``batched`` behaves exactly like ``blocks`` per simulation."""
-    program = build_program(profile, "windowed")
-    ref = FunctionalSim(program, mode="interp")
-    ref.run()
-    sim = FunctionalSim(program, mode="batched")
-    sim.run()
-    assert sim.stats == ref.stats
     assert canon(sim.save_state()) == canon(ref.save_state())
 
 
@@ -224,70 +207,16 @@ def test_profile_intervals_modes_agree(profile, interval_len):
 
 
 # ---------------------------------------------------------------------------
-# batched driver
-# ---------------------------------------------------------------------------
-
-def test_batched_runner_matches_sequential():
-    programs = [benchmark_program(b, abi="windowed", scale=1.0, seed=0)
-                for b in ("fib", "gzip_graphic", "twolf")]
-    expected = [FunctionalSim(p, mode="interp").run()
-                for p in programs]
-    # A small quantum forces many interleaved switches between the
-    # simulations; results must not depend on the schedule.
-    assert run_batched(programs, quantum=97) == expected
-
-    runner = BatchedRunner(quantum=97)
-    for p in programs:
-        runner.add(p)
-    runner.run()
-    assert all(s.halted for s in runner.sims)
-    matrix = runner.mix_matrix()
-    assert matrix.shape[0] == len(programs)
-    for row, stats in zip(matrix, expected):
-        assert row[0] == stats.instructions
-        assert row[1] == stats.loads
-
-
-def test_batched_runner_validates_quantum():
-    with pytest.raises(ValueError):
-        BatchedRunner(quantum=0)
-
-
-def test_batched_runaway_matches_run():
-    program = benchmark_program("fib", abi="windowed", scale=1.0,
-                                seed=0)
-    with pytest.raises(FunctionalError) as ref:
-        FunctionalSim(program, mode="interp").run(max_instructions=500)
-    with pytest.raises(FunctionalError) as exc:
-        run_batched([program], quantum=64, max_instructions=500)
-    assert str(exc.value) == str(ref.value)
-
-
-# ---------------------------------------------------------------------------
 # mode plumbing
 # ---------------------------------------------------------------------------
 
 def test_mode_validation():
-    assert resolve_functional_mode(None) in ("interp", "blocks",
-                                             "batched")
-    assert resolve_functional_mode("interp") == "interp"
-    with pytest.raises(ValueError):
-        resolve_functional_mode("nope")
     program = benchmark_program("fib", abi="windowed", scale=1.0,
                                 seed=0)
+    assert FunctionalSim(program).mode == "blocks"
+    assert FunctionalSim(program, mode="interp").mode == "interp"
     with pytest.raises(ValueError):
         FunctionalSim(program, mode="nope")
-
-
-def test_env_default(monkeypatch):
-    from repro.functional.interp import default_functional_mode
-    monkeypatch.setenv("REPRO_FUNCTIONAL_MODE", "interp")
-    assert default_functional_mode() == "interp"
-    monkeypatch.delenv("REPRO_FUNCTIONAL_MODE")
-    assert default_functional_mode() == "blocks"
-    monkeypatch.setenv("REPRO_FUNCTIONAL_MODE", "bogus")
-    with pytest.raises(ValueError):
-        default_functional_mode()
 
 
 def test_trace_forces_interp_path():

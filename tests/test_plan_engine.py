@@ -1,5 +1,5 @@
 """Tests for declarative sweep plans and the execution engine:
-expansion, cache-aware scheduling, fault isolation, journal/resume,
+expansion, cache-aware scheduling, fault isolation, ledger resume,
 worker environment propagation, and cache robustness."""
 
 import json
@@ -18,6 +18,7 @@ from repro.experiments.plan import (
     Point, SweepSpec, point_from_params, unique_points,
 )
 from repro.experiments.runner import RunResult
+from repro.obs.runlog import RunLedger
 
 SCALE = 0.05
 BENCH = "gzip_graphic"
@@ -253,55 +254,72 @@ class TestParallelEngine:
         assert repro_env() == {"REPRO_SCALE": "0.5"}
 
 
+def run_with_ledger(engine, points, path, **kwargs):
+    """One engine run appending to the run ledger at ``path``."""
+    ledger = RunLedger(path)
+    try:
+        return engine.run(points, ledger=ledger, **kwargs)
+    finally:
+        ledger.close()
+
+
 class TestJournalResume:
+    """Resume replays the run ledger's point records (read through
+    ``load_journal``)."""
+
     def test_resume_executes_zero_completed_points(
             self, cache, tmp_path, monkeypatch):
-        journal = tmp_path / "sweep.jsonl"
+        path = tmp_path / "ledger.jsonl"
         pts = [Point.run("baseline", (BENCH,), s, scale=SCALE)
                for s in (128, 256)]
-        first = SerialEngine().run(pts, journal=journal)
+        first = run_with_ledger(SerialEngine(), pts, path)
         assert all(o.status == "done" for o in first.values())
 
         def must_not_run(*args, **kwargs):
             raise AssertionError("resume executed a completed point")
 
         monkeypatch.setattr(runner, "run_point", must_not_run)
-        # No cache either, to prove the journal alone carries resume.
-        resumed = SerialEngine(use_cache=False).run(
-            pts, journal=journal, resume=True)
+        # No cache either, to prove the ledger alone carries resume.
+        resumed = run_with_ledger(SerialEngine(use_cache=False), pts,
+                                  path, resume=True)
         assert all(o.status == "resumed" for o in resumed.values())
         for pt in pts:
             assert resumed[pt].result() == first[pt].result()
 
     def test_resume_retries_failed_points(self, cache, tmp_path,
                                           monkeypatch):
-        journal = tmp_path / "sweep.jsonl"
+        path = tmp_path / "ledger.jsonl"
         pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
         monkeypatch.setattr(
             runner, "run_point",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("x")))
-        out = SerialEngine(use_cache=False).run([pt], journal=journal)
+        out = run_with_ledger(SerialEngine(use_cache=False), [pt], path)
         assert out[pt].status == "failed"
 
         calls = []
         monkeypatch.setattr(
             runner, "run_point",
             lambda *a, **k: calls.append(a) or fake_result(*a, **k))
-        out = SerialEngine(use_cache=False).run([pt], journal=journal,
-                                                resume=True)
+        out = run_with_ledger(SerialEngine(use_cache=False), [pt], path,
+                              resume=True)
         assert out[pt].status == "done" and len(calls) == 1
 
     def test_journal_tolerates_truncated_tail(self, cache, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
+        path = tmp_path / "ledger.jsonl"
         pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
-        SerialEngine().run([pt], journal=journal)
-        with journal.open("a") as fh:
+        run_with_ledger(SerialEngine(), [pt], path)
+        with path.open("a") as fh:
             fh.write('{"key": "half-written')  # simulated crash
-        records = load_journal(journal)
+        records = load_journal(path)
         assert pt.cache_key() in records
-        out = SerialEngine(use_cache=False).run([pt], journal=journal,
-                                                resume=True)
+        out = run_with_ledger(SerialEngine(use_cache=False), [pt], path,
+                              resume=True)
         assert out[pt].status == "resumed"
+
+    def test_resume_without_ledger_is_refused(self, cache):
+        pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
+        with pytest.raises(ValueError, match="ledger"):
+            SerialEngine().run([pt], resume=True)
 
 
 class TestCacheRobustness:
@@ -384,100 +402,3 @@ class TestSourceHash:
     def test_hash_is_stable(self):
         assert runner.source_hash() == runner.source_hash()
         assert len(runner.source_hash()) == 16
-
-
-class TestResumePrecedence:
-    """The --journal/--ledger dual-resume rule: both sources are
-    consulted, the journal wins per key, and two *different* completed
-    payloads for one point refuse to resume rather than racing."""
-
-    def test_journal_wins_per_key_ledger_fills_the_rest(self):
-        from repro.experiments.engine import merge_resume_records
-        journal = {"a": {"status": "failed", "payload": None},
-                   "b": {"status": "done", "payload": {"v": 1}}}
-        ledger = {"a": {"status": "done", "payload": {"v": 9}},
-                  "c": {"status": "done", "payload": {"v": 3}}}
-        merged = merge_resume_records(journal, ledger)
-        # The journal's failed verdict overrides the ledger (no
-        # payload conflict: the journal side has none) -> retried.
-        assert merged["a"]["status"] == "failed"
-        assert merged["b"]["payload"] == {"v": 1}
-        assert merged["c"]["payload"] == {"v": 3}  # ledger-only kept
-
-    def test_equal_completed_payloads_do_not_conflict(self):
-        from repro.experiments.engine import merge_resume_records
-        rec = {"status": "done", "payload": {"v": 1}}
-        merged = merge_resume_records({"a": dict(rec)},
-                                      {"a": dict(rec)})
-        assert merged["a"]["payload"] == {"v": 1}
-
-    def test_differing_completed_payloads_refuse(self):
-        from repro.experiments.engine import (
-            ResumeConflictError, merge_resume_records,
-        )
-        journal = {"abcdef123456xx": {
-            "status": "done", "payload": {"v": 1},
-            "point": {"kind": "run"}}}
-        ledger = {"abcdef123456xx": {
-            "status": "cached", "payload": {"v": 2}}}
-        with pytest.raises(ResumeConflictError) as exc:
-            merge_resume_records(journal, ledger)
-        assert "abcdef123456" in str(exc.value)
-        assert "conflict" in str(exc.value)
-
-    def test_engine_retries_when_journal_overrides_ledger(
-            self, cache, tmp_path, monkeypatch):
-        # The ledger claims the point completed; the fresher journal
-        # says it failed.  The journal wins, so the point re-executes.
-        from repro.obs.runlog import RunLedger
-
-        pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
-        ledger_file = tmp_path / "ledger.jsonl"
-        ledger_file.write_text(json.dumps(
-            {"rec": "point", "key": pt.cache_key(), "status": "done",
-             "point": pt.to_dict(), "payload": None, "error": "",
-             "elapsed": 0.1}) + "\n")
-        journal = tmp_path / "sweep.jsonl"
-        journal.write_text(json.dumps(
-            {"key": pt.cache_key(), "status": "failed",
-             "point": pt.to_dict(), "payload": None,
-             "error": "crashed", "elapsed": 0.1}) + "\n")
-
-        calls = []
-        monkeypatch.setattr(
-            runner, "run_point",
-            lambda *a, **k: calls.append(a) or fake_result(*a, **k))
-        ledger = RunLedger(ledger_file)
-        try:
-            out = SerialEngine(use_cache=False).run(
-                [pt], journal=journal, resume=True, ledger=ledger)
-        finally:
-            ledger.close()
-        assert out[pt].status == "done" and len(calls) == 1
-
-    def test_engine_raises_on_conflicting_sources(
-            self, cache, tmp_path, monkeypatch):
-        from repro.experiments.engine import ResumeConflictError
-        from repro.obs.runlog import RunLedger
-
-        pt = Point.ratio(BENCH)
-        ledger_file = tmp_path / "ledger.jsonl"
-        ledger_file.write_text(json.dumps(
-            {"rec": "point", "key": pt.cache_key(), "status": "done",
-             "point": pt.to_dict(), "payload": {"ratio": 1.0},
-             "error": "", "elapsed": 0.1}) + "\n")
-        journal = tmp_path / "sweep.jsonl"
-        journal.write_text(json.dumps(
-            {"key": pt.cache_key(), "status": "done",
-             "point": pt.to_dict(), "payload": {"ratio": 2.0},
-             "error": "", "elapsed": 0.1}) + "\n")
-        monkeypatch.setattr(
-            runner, "path_ratio", lambda *a, **k: pytest.fail(
-                "a conflicted resume must not execute anything"))
-        ledger = RunLedger(ledger_file)
-        try:
-            with pytest.raises(ResumeConflictError):
-                SerialEngine(use_cache=False).run(
-                    [pt], journal=journal, resume=True, ledger=ledger)
-        finally:
-            ledger.close()

@@ -150,19 +150,6 @@ class TestScheduler:
             assert rec["payload"] == {"ratio": 3.0}
         store.close()
 
-    def test_functional_mode_exported_to_workers(self, monkeypatch):
-        import os
-        monkeypatch.delenv("REPRO_FUNCTIONAL_MODE", raising=False)
-        with Scheduler(workers=1, functional_mode="interp") as sched:
-            assert sched.functional_mode == "interp"
-            # Workers inherit the mode through repro_env().
-            assert os.environ["REPRO_FUNCTIONAL_MODE"] == "interp"
-        monkeypatch.delenv("REPRO_FUNCTIONAL_MODE", raising=False)
-        with Scheduler(workers=1) as sched:
-            assert "REPRO_FUNCTIONAL_MODE" not in os.environ
-        with pytest.raises(ValueError):
-            Scheduler(workers=1, functional_mode="bogus")
-
     def test_cancel_queued_job(self, cache, tmp_path):
         store = SqliteStore(tmp_path / "store.sqlite", actor="test")
         sched = Scheduler(workers=1, store=store)
