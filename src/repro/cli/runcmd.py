@@ -50,6 +50,24 @@ def _cmd_run(args) -> int:
               "tracing is only meaningful on full runs",
               file=sys.stderr)
         return 2
+    if args.sample:
+        from repro.sampling import (DEFAULT_RSE_METRICS,
+                                    SamplingConfig, SamplingError)
+        rse_metrics = (tuple(args.sample_rse_metrics.split(","))
+                       if args.sample_rse_metrics
+                       else DEFAULT_RSE_METRICS)
+        try:
+            scfg = SamplingConfig(interval_len=args.sample_interval,
+                                  n_detailed=args.sample_count,
+                                  mode=args.sample_mode,
+                                  warmup_insns=args.sample_warmup,
+                                  mem_weight=args.sample_mem_weight,
+                                  rse_target=args.sample_rse,
+                                  rse_metrics=rse_metrics,
+                                  max_detailed=args.sample_max)
+        except SamplingError as exc:
+            print(f"repro run: {exc}", file=sys.stderr)
+            return 2
 
     ledger = spans = root = prev = ru0 = None
     run_key = f"run/{args.model}/{'+'.join(benches)}@{args.regs}"
@@ -70,19 +88,7 @@ def _cmd_run(args) -> int:
 
     try:
         if args.sample:
-            from repro.sampling import (DEFAULT_RSE_METRICS,
-                                        SamplingConfig, run_sampled)
-            rse_metrics = (tuple(args.sample_rse_metrics.split(","))
-                           if args.sample_rse_metrics
-                           else DEFAULT_RSE_METRICS)
-            scfg = SamplingConfig(interval_len=args.sample_interval,
-                                  n_detailed=args.sample_count,
-                                  mode=args.sample_mode,
-                                  warmup_insns=args.sample_warmup,
-                                  mem_weight=args.sample_mem_weight,
-                                  rse_target=args.sample_rse,
-                                  rse_metrics=rse_metrics,
-                                  max_detailed=args.sample_max)
+            from repro.sampling import run_sampled
             metrics = (MetricsRegistry(args.metrics_interval)
                        if args.metrics_interval is not None else None)
             stats, smeta = run_sampled(args.model,

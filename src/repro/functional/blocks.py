@@ -517,7 +517,7 @@ def advance_bbv(sim: FunctionalSim, limit: int, bucket: int,
     """Execute until ``stats.instructions == limit`` (or ``HALT``),
     accumulating bucketed-PC counts into ``bbv``.
 
-    The bounded-BBV primitive of the adaptive sampler's combined
+    The bounded-BBV primitive of the sampler's combined
     profile-and-checkpoint pass: :func:`run_intervals`' inner loop
     with an absolute stop, plus ``sim._cap``-gated branch/RAS capture
     in the per-instruction tail (replayed terminators already emit it)

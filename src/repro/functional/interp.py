@@ -85,9 +85,9 @@ class FunctionalSim:
             :meth:`run` through the decoded basic-block cache.
     """
 
-    #: Set by ``fast_forward`` while branch/RAS capture is wanted; the
-    #: compiled block terminators check it (interp mode captures
-    #: externally, per step, inside ``fast_forward`` itself).
+    #: Set by ``fast_forward`` and the sampler's pass while branch/RAS
+    #: capture is wanted; the compiled block terminators check it (interp
+    #: mode captures externally, per step, inside ``fast_forward``).
     _cap = False
 
     def __init__(self, program: Program, trace: bool = False,

@@ -117,10 +117,10 @@ SPANS: Tuple[str, ...] = (
     "job",                   # one service job (root; service layer)
     "point",                 # one experiment point
     "simulate",              # full-detail machine.run
-    "fast_forward",          # functional warmup to a checkpoint
+    "fast_forward",          # the sampler's combined functional pass
     "warmup",                # detailed (unmeasured) warmup interval
     "detailed",              # measured detailed interval
-    "rse_round",             # one adaptive-convergence round
+    "rse_round",             # one sampling round (fixed-count: one)
 )
 
 #: Distribution (histogram) names (``registry.dist``).

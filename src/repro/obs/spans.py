@@ -4,7 +4,8 @@ Where :mod:`repro.obs.trace` records *point* events inside one machine
 (cycle-granular, high volume), spans describe the *coarse phase
 structure* of a whole experiment run: a sweep is one trace, each point
 is a span beneath it, and the sampling pipeline hangs its phases
-(``fast_forward`` / ``warmup`` / ``detailed``) off the point span.
+(``fast_forward``, then ``rse_round`` rounds holding ``warmup`` /
+``detailed`` intervals) off the point span.
 Each span carries wall-clock and CPU time plus free-form attributes
 and counters (e.g. the stage-profile seconds attached to a detailed
 interval), so a completed trace renders directly as a waterfall.

@@ -101,8 +101,7 @@ class RenameEngine(abc.ABC):
     def arch_value(self, tid: int, reg: int) -> float:
         """Architectural register value with the machine drained."""
 
-    def load_arch_state(self, tid: int, state,
-                        warm_table: bool = False) -> None:
+    def load_arch_state(self, tid: int, state) -> None:
         """Seed thread ``tid``'s architectural state from a checkpoint.
 
         Called by the sampling layer (``repro.sampling``) on a freshly
@@ -112,9 +111,9 @@ class RenameEngine(abc.ABC):
         ``windowed``.  Engines must install the values wherever their
         committed state lives (map table, backing memory, register
         space) so that a detailed run entered mid-program computes
-        exactly what the full run would.  ``warm_table`` additionally
-        pre-populates lookup structures (the VCA rename table) to
-        shorten the cold-start transient.
+        exactly what the full run would, and may pre-populate lookup
+        structures (the VCA rename table) to shorten the cold-start
+        transient.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support checkpoint seeding")

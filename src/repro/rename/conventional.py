@@ -47,8 +47,7 @@ class ConventionalRename(RenameEngine):
             regs.append(p)
         self.maps[tid] = regs
 
-    def load_arch_state(self, tid: int, state,
-                        warm_table: bool = False) -> None:
+    def load_arch_state(self, tid: int, state) -> None:
         """Overwrite the committed map-table values with a checkpoint's.
 
         The flat model keeps all 64 architectural registers resident,

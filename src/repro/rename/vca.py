@@ -176,17 +176,16 @@ class VcaRename(RenameEngine):
         self.hierarchy.warm(ctx.window_base,
                             ctx.window_base + 8 * 512)
 
-    def load_arch_state(self, tid: int, state,
-                        warm_table: bool = False) -> None:
-        """Seed the register space (and optionally the rename table).
+    def load_arch_state(self, tid: int, state) -> None:
+        """Seed the register space and warm the rename table.
 
         VCA's committed state *is* the memory-mapped register space, so
         seeding writes every checkpointed register value there and — for
         the windowed ABI — moves the context's window pointer to the
-        checkpoint's call depth.  With ``warm_table`` the hot context
-        (globals plus the current window frame) is also pre-mapped into
-        the rename table as clean committed entries, removing the
-        cold-start fill burst a mid-program entry would otherwise pay.
+        checkpoint's call depth.  The hot context (globals plus the
+        current window frame) is then pre-mapped into the rename table
+        as clean committed entries, removing the cold-start fill burst
+        a mid-program entry would otherwise pay.
         """
         ctx = self.contexts[tid]
         write_word = self.hierarchy.write_word
@@ -204,8 +203,7 @@ class VcaRename(RenameEngine):
         for r in seed_regs:
             if r != 31:
                 write_word(ctx.laddr(r), state.reg_value(r))
-        if warm_table:
-            self._warm_table(ctx)
+        self._warm_table(ctx)
 
     def _warm_table(self, ctx: ThreadContext) -> None:
         """Pre-map the current context into the rename table (clean,

@@ -12,10 +12,7 @@ from .checkpoint import (
     Checkpoint, CheckpointingSim, WarmupTrace, fast_forward,
     take_checkpoint,
 )
-from .memfeat import (
-    MemCaptureCheckpointingSim, MemCaptureSim, MemSketch,
-    ReuseCollector,
-)
+from .memfeat import MemCaptureCheckpointingSim, MemSketch, ReuseCollector
 from .sampler import (
     DEFAULT_RSE_METRICS, SAMPLING_MODES, IntervalProfile,
     SamplingConfig, SamplingError, SamplingMeta, profile_intervals,
@@ -29,6 +26,6 @@ __all__ = [
     "SamplingError", "SamplingMeta", "profile_intervals",
     "profile_with_checkpoints", "run_sampled", "seed_machine",
     "select_intervals", "MemSketch", "ReuseCollector",
-    "MemCaptureSim", "MemCaptureCheckpointingSim", "SAMPLING_MODES",
+    "MemCaptureCheckpointingSim", "SAMPLING_MODES",
     "DEFAULT_RSE_METRICS",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.asm.program import Program
 from repro.functional.interp import FunctionalSim
@@ -30,8 +30,11 @@ from repro.isa.registers import is_windowed, window_slot
 
 __all__ = [
     "Checkpoint", "WarmupTrace", "CheckpointingSim", "fast_forward",
-    "take_checkpoint",
+    "take_checkpoint", "WARMUP_WINDOW",
 ]
+
+#: Bound of the captured memory-address and branch-outcome windows.
+WARMUP_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -173,16 +176,16 @@ class CheckpointingSim(FunctionalSim):
     Memory accesses are captured by overriding the interpreter's
     read/write hooks; branch outcomes and the return-address stack are
     derived by :func:`fast_forward`, which inspects each instruction
-    around :meth:`step`.  The capture windows are bounded deques so
-    arbitrarily long fast-forwards stay O(window).
+    around :meth:`step`.  The capture windows are deques bounded at
+    :data:`WARMUP_WINDOW` entries so arbitrarily long fast-forwards
+    stay O(window).
     """
 
-    def __init__(self, program: Program, mem_window: int = 4096,
-                 branch_window: int = 4096) -> None:
+    def __init__(self, program: Program) -> None:
         super().__init__(program)
-        self.mem_trace: Deque[int] = deque(maxlen=mem_window)
+        self.mem_trace: Deque[int] = deque(maxlen=WARMUP_WINDOW)
         self.branch_trace: Deque[Tuple[int, bool]] = deque(
-            maxlen=branch_window)
+            maxlen=WARMUP_WINDOW)
         self.ras_trace: List[int] = []
 
     def read_mem(self, addr: int) -> float:
@@ -242,17 +245,11 @@ def fast_forward(sim: FunctionalSim, n: int) -> int:
     return done
 
 
-def take_checkpoint(sim: FunctionalSim,
-                    base_data: Optional[Dict[int, float]] = None,
-                    ) -> Checkpoint:
-    """Snapshot ``sim`` at its current instruction boundary.
-
-    Args:
-        sim: a functional interpreter (checkpointing or plain).
-        base_data: reference memory image for delta compression;
-            defaults to the program's static data segment.
-    """
-    base = dict(sim.program.data) if base_data is None else base_data
+def take_checkpoint(sim: FunctionalSim) -> Checkpoint:
+    """Snapshot ``sim`` (checkpointing or plain) at its current
+    instruction boundary; memory is delta-compressed against the
+    program's static data segment."""
+    base = sim.program.data
     delta = {a: v for a, v in sim.mem.items() if base.get(a, 0) != v}
     warmup = (sim.warmup_trace() if isinstance(sim, CheckpointingSim)
               else WarmupTrace())

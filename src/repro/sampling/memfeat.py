@@ -28,9 +28,9 @@ Capture is strictly opt-in.  The decoded-block replay path
 (``repro.functional.blocks``) routes all memory traffic through the
 simulator's *bound* ``read_mem``/``write_mem`` methods, so installing
 a capturing subclass is enough to observe every access — and a plain
-:class:`~repro.functional.interp.FunctionalSim` pays nothing, keeping
-block-mode profiling at full speed when the feature is off
-(``benchmarks/test_perf_functional.py`` floors).
+:class:`~repro.sampling.checkpoint.CheckpointingSim` pays nothing,
+keeping the sampler's functional pass at full speed when the feature
+is off.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from repro.asm.program import Program
-from repro.functional.interp import FunctionalSim
 
 from .checkpoint import CheckpointingSim
 
-__all__ = ["MemSketch", "ReuseCollector", "MemCaptureSim",
-           "MemCaptureCheckpointingSim", "n_buckets"]
+__all__ = ["MemSketch", "ReuseCollector", "MemCaptureCheckpointingSim",
+           "n_buckets"]
 
 
 def n_buckets(cap: int) -> int:
@@ -160,37 +159,17 @@ class ReuseCollector:
         return sketch
 
 
-class MemCaptureSim(FunctionalSim):
-    """Profiling interpreter that feeds a :class:`ReuseCollector`.
+class MemCaptureCheckpointingSim(CheckpointingSim):
+    """Checkpointing interpreter that also feeds a collector — the
+    engine of the sampler's functional pass in ``bbv+mem`` mode.
 
     Blocks mode binds ``read_mem``/``write_mem`` once per epoch, so
     the override captures replayed blocks too.
     """
 
-    def __init__(self, program: Program, collector: ReuseCollector,
-                 mode: str = "blocks") -> None:
-        super().__init__(program, mode=mode)
-        self.collector = collector
-
-    def read_mem(self, addr: int) -> float:
-        self.collector.touch(addr)
-        return super().read_mem(addr)
-
-    def write_mem(self, addr: int, v: float) -> None:
-        self.collector.touch(addr)
-        super().write_mem(addr, v)
-
-
-class MemCaptureCheckpointingSim(CheckpointingSim):
-    """Checkpointing interpreter that also feeds a collector — the
-    engine of the adaptive sampler's single combined
-    profile-and-checkpoint pass."""
-
-    def __init__(self, program: Program, collector: ReuseCollector,
-                 mem_window: int = 4096,
-                 branch_window: int = 4096) -> None:
-        super().__init__(program, mem_window=mem_window,
-                         branch_window=branch_window)
+    def __init__(self, program: Program,
+                 collector: ReuseCollector) -> None:
+        super().__init__(program)
         self.collector = collector
 
     def read_mem(self, addr: int) -> float:

@@ -38,10 +38,8 @@ from repro.models.factory import build_machine
 from repro.pipeline.core import _ICACHE_BASE, Pipeline
 from repro.pipeline.stats import SimStats, ThreadStats
 
-from .checkpoint import Checkpoint, CheckpointingSim, fast_forward, \
-    take_checkpoint
-from .memfeat import (MemCaptureCheckpointingSim, MemCaptureSim,
-                      MemSketch, ReuseCollector)
+from .checkpoint import Checkpoint, CheckpointingSim, take_checkpoint
+from .memfeat import MemCaptureCheckpointingSim, MemSketch, ReuseCollector
 
 __all__ = ["SamplingConfig", "SamplingMeta", "SamplingError",
            "IntervalProfile", "profile_intervals",
@@ -57,34 +55,32 @@ SAMPLING_MODES = ("systematic", "bbv", "bbv+mem")
 #: default (overridable per run via ``rse_metrics``).
 DEFAULT_RSE_METRICS = ("ipc", "spills", "fills")
 
+#: Static-code granularity of the basic-block vector: instruction
+#: indices are bucketed by ``pc // BBV_BUCKET``.
+BBV_BUCKET = 8
+
 
 class SamplingError(ValueError):
-    """Raised for configurations sampling cannot serve (multi-thread
-    runs, zero-length intervals, unknown selection mode)."""
+    """Raised for configurations sampling cannot serve (invalid
+    :class:`SamplingConfig` knobs, multi-thread runs)."""
 
 
 @dataclass(frozen=True)
 class SamplingConfig:
     """Knobs of the sampled-simulation flow.
 
+    Validated at construction: an invalid combination raises
+    :class:`SamplingError` before any simulation runs.
+
     Attributes:
-        interval_len: instructions per interval.
+        interval_len: instructions per interval (positive).
         n_detailed: target number of detailed (representative)
             intervals; clamped to the interval count.
-        mode: ``"systematic"`` (strata midpoints) or ``"bbv"``
-            (SimPoint-like basic-block-vector clustering via
-            :func:`repro.workloads.clustering.cluster_and_select`).
-        warmup_mem: captured data addresses replayed into the caches
-            before each detailed interval.
-        warmup_branches: captured conditional-branch outcomes replayed
-            into the predictor.
-        warm_caches: install recently-touched blocks (plus the code
-            footprint and the register-space window stack) before
-            measuring.
-        warm_predictor: replay branch history and the return-address
-            stack before measuring.
-        warm_rename: pre-map the hot context into the VCA rename
-            table before measuring.
+        mode: one of :data:`SAMPLING_MODES` — ``"systematic"`` (strata
+            midpoints), ``"bbv"`` (SimPoint-like basic-block-vector
+            clustering via
+            :func:`repro.workloads.clustering.cluster_and_select`) or
+            ``"bbv+mem"`` (BBVs plus memory signatures).
         warmup_insns: detailed-warmup prefix — instructions simulated
             in the timing model *before* each measured interval and
             excluded from its statistics.  State seeding restores the
@@ -92,40 +88,51 @@ class SamplingConfig:
             but occupancy state — pipeline fill, register-file
             pressure, window residency, spill steady state — only
             builds up by running; the prefix absorbs that transient.
-        bbv_bucket: static-code granularity of the basic-block vector
-            (instruction indices are bucketed by ``pc // bbv_bucket``).
-        mem_weight: weight of the memory-signature feature block in
-            ``bbv+mem`` clustering (the BBV block gets
+        mem_weight: weight in [0, 1] of the memory-signature feature
+            block in ``bbv+mem`` clustering (the BBV block gets
             ``1 - mem_weight``).
-        sketch_cap: LRU-stack bound of the reuse-distance sketch
-            (``repro.sampling.memfeat``).
-        line_bytes: cache-line granularity of the sketch.
         rse_target: adaptive convergence mode when set — keep adding
             representative intervals until every metric in
             ``rse_metrics`` has relative standard error at or below
             this target, or ``max_detailed`` intervals have been
             simulated.  ``n_detailed`` becomes the *starting* budget.
         rse_metrics: metrics-of-interest for the adaptive loop (a
-            subset of the reported error fields).
+            non-empty subset of the reported error fields).
         max_detailed: hard cap on detailed intervals in adaptive mode.
     """
 
     interval_len: int = 2000
     n_detailed: int = 8
     mode: str = "systematic"
-    warmup_mem: int = 4096
-    warmup_branches: int = 4096
-    warm_caches: bool = True
-    warm_predictor: bool = True
-    warm_rename: bool = True
     warmup_insns: int = 500
-    bbv_bucket: int = 8
     mem_weight: float = 0.5
-    sketch_cap: int = 256
-    line_bytes: int = 64
     rse_target: Optional[float] = None
     rse_metrics: Tuple[str, ...] = DEFAULT_RSE_METRICS
     max_detailed: int = 64
+
+    def __post_init__(self) -> None:
+        if self.interval_len <= 0:
+            raise SamplingError(f"interval_len must be positive, "
+                                f"got {self.interval_len}")
+        if self.mode not in SAMPLING_MODES:
+            raise SamplingError(f"unknown sampling mode {self.mode!r} "
+                                f"(expected one of {SAMPLING_MODES})")
+        if not 0.0 <= self.mem_weight <= 1.0:
+            raise SamplingError(f"mem_weight must be in [0, 1], "
+                                f"got {self.mem_weight}")
+        if self.rse_target is None:
+            return
+        if self.rse_target <= 0:
+            raise SamplingError(f"rse_target must be positive, "
+                                f"got {self.rse_target}")
+        if not self.rse_metrics:
+            raise SamplingError("rse_metrics must name at least one "
+                                "metric")
+        bad = [name for name in self.rse_metrics
+               if name not in _ERROR_FIELDS]
+        if bad:
+            raise SamplingError(f"unknown rse metrics {bad} (expected a "
+                                f"subset of {list(_ERROR_FIELDS)})")
 
 
 @dataclass
@@ -135,8 +142,8 @@ class IntervalProfile:
     counts: List[int]                 # instructions per interval
     bbvs: List[Dict[int, int]]        # per-interval basic-block vectors
     total: FunctionalStats            # exact whole-run event counts
-    #: Per-interval memory signatures (``None`` unless the profiling
-    #: pass ran with a capture collector).
+    #: Per-interval memory signatures (``None`` unless
+    #: :func:`profile_with_checkpoints` ran with a capture collector).
     mem: Optional[List[MemSketch]] = None
 
     @property
@@ -210,10 +217,7 @@ class SamplingMeta:
 # profiling pass
 # ======================================================================
 def profile_intervals(program: Program, interval_len: int,
-                      bbv_bucket: int = 8,
-                      mode: str = "blocks",
-                      collector: Optional[ReuseCollector] = None,
-                      ) -> IntervalProfile:
+                      mode: str = "blocks") -> IntervalProfile:
     """Split a functional run into fixed-length intervals.
 
     The final interval may be short (the run rarely divides evenly);
@@ -224,114 +228,67 @@ def profile_intervals(program: Program, interval_len: int,
     blocks and accumulates their precomputed bucket run-lengths; the
     counts, BBVs (including dict insertion order) and totals are
     bit-identical to the per-instruction loop, which
-    ``tests/test_functional_blocks.py`` asserts.
-
-    With a ``collector`` the pass also captures per-interval memory
-    signatures (``profile.mem``) for ``bbv+mem`` selection; without
-    one the simulator's memory hot path is untouched.
+    ``tests/test_functional_blocks.py`` asserts.  The sampler itself
+    profiles with :func:`profile_with_checkpoints`, which this pass is
+    the reference for.
     """
     if interval_len <= 0:
         raise SamplingError(f"interval_len must be positive, "
                             f"got {interval_len}")
-    sim = (MemCaptureSim(program, collector, mode=mode)
-           if collector is not None
-           else FunctionalSim(program, mode=mode))
+    sim = FunctionalSim(program, mode=mode)
     counts: List[int] = []
     bbvs: List[Dict[int, int]] = []
-    mem: Optional[List[MemSketch]] = \
-        [] if collector is not None else None
     if sim.mode != "interp":
         from repro.functional.blocks import run_intervals
-        for count, bbv in run_intervals(sim, interval_len, bbv_bucket):
+        for count, bbv in run_intervals(sim, interval_len, BBV_BUCKET):
             counts.append(count)
             bbvs.append(bbv)
-            if collector is not None:
-                mem.append(collector.snapshot())
-        return IntervalProfile(counts=counts, bbvs=bbvs,
-                               total=sim.stats, mem=mem)
+        return IntervalProfile(counts=counts, bbvs=bbvs, total=sim.stats)
     while not sim.halted:
         start = sim.stats.instructions
         bbv: Dict[int, int] = {}
         while not sim.halted and \
                 sim.stats.instructions - start < interval_len:
-            bucket = sim.pc // bbv_bucket
+            bucket = sim.pc // BBV_BUCKET
             bbv[bucket] = bbv.get(bucket, 0) + 1
             sim.step()
         counts.append(sim.stats.instructions - start)
         bbvs.append(bbv)
-        if collector is not None:
-            mem.append(collector.snapshot())
-    return IntervalProfile(counts=counts, bbvs=bbvs, total=sim.stats,
-                           mem=mem)
-
-
-def _advance_profiling(sim: CheckpointingSim, n: int, bucket: int,
-                       bbv: Dict[int, int]) -> None:
-    """Advance ``sim`` up to ``n`` instructions with BBV capture *and*
-    fast-forward-equivalent branch/RAS capture.
-
-    The per-leg primitive of :func:`profile_with_checkpoints`; stops
-    early at ``HALT``.
-    """
-    if n <= 0 or sim.halted:
-        return
-    if sim.mode != "interp" and sim.trace is None:
-        from repro.functional.blocks import advance_bbv
-        sim._cap = True
-        try:
-            advance_bbv(sim, sim.stats.instructions + n, bucket, bbv)
-        finally:
-            sim._cap = False
-        return
-    code = sim.program.code
-    done = 0
-    while done < n and not sim.halted:
-        pc = sim.pc
-        b = pc // bucket
-        bbv[b] = bbv.get(b, 0) + 1
-        ins = code[pc]
-        sim.step()
-        done += 1
-        if ins.is_branch:
-            if ins.is_cond_branch:
-                sim.branch_trace.append((pc, sim.pc != pc + 1))
-            elif ins.is_call:
-                sim.ras_trace.append(pc + 1)
-            elif ins.is_ret and sim.ras_trace:
-                sim.ras_trace.pop()
+    return IntervalProfile(counts=counts, bbvs=bbvs, total=sim.stats)
 
 
 def profile_with_checkpoints(program: Program, scfg: SamplingConfig,
                              collector: Optional[ReuseCollector] = None,
                              ) -> Tuple[IntervalProfile,
                                         List[Checkpoint]]:
-    """One functional pass: the interval profile *and* a checkpoint at
-    every interval's warmup start (``max(0, start - warmup_insns)``).
+    """The sampler's one functional pass: the interval profile *and* a
+    checkpoint at every interval's warmup start
+    (``max(0, start - warmup_insns)``).
 
-    This is what lets the adaptive loop add representatives in later
-    rounds without ever re-running the functional pass: any interval's
-    checkpoint — warmup traces included — already exists.  Checkpoint
-    ``i`` is bit-identical to what the fixed-count flow's sequential
-    fast-forward would take for interval ``i``, because capture covers
-    the same contiguous prefix.
+    Any interval's checkpoint — warmup traces included — exists after
+    this pass, so every round of :func:`run_sampled` simulates its
+    representatives without re-running the functional tier.
+    Checkpoint ``i`` is bit-identical to what a sequential
+    :func:`~repro.sampling.checkpoint.fast_forward` to the same
+    boundary takes, because capture covers the same contiguous prefix.
 
     The profile (counts, BBVs including insertion order, totals) is
     bit-identical to :func:`profile_intervals`: the extra stops at
     checkpoint positions split BBV accumulation mid-interval, which is
-    associative over the split.
+    associative over the split.  With a ``collector`` the pass also
+    captures per-interval memory signatures (``profile.mem``) for
+    ``bbv+mem`` selection; without one the simulator's memory hot path
+    is untouched.
     """
+    from repro.functional.blocks import advance_bbv
+
     interval_len = scfg.interval_len
-    if interval_len <= 0:
-        raise SamplingError(f"interval_len must be positive, "
-                            f"got {interval_len}")
     warmup = scfg.warmup_insns
-    if collector is not None:
-        sim: CheckpointingSim = MemCaptureCheckpointingSim(
-            program, collector, mem_window=scfg.warmup_mem,
-            branch_window=scfg.warmup_branches)
-    else:
-        sim = CheckpointingSim(program, mem_window=scfg.warmup_mem,
-                               branch_window=scfg.warmup_branches)
+    sim = (MemCaptureCheckpointingSim(program, collector)
+           if collector is not None else CheckpointingSim(program))
+    # Branch/RAS capture for the checkpoints' warmup traces, for the
+    # whole pass (fast_forward scopes the same flag to its own run).
+    sim._cap = True
     counts: List[int] = []
     bbvs: List[Dict[int, int]] = []
     mem: Optional[List[MemSketch]] = \
@@ -345,8 +302,7 @@ def profile_with_checkpoints(program: Program, scfg: SamplingConfig,
             ckpts.append(take_checkpoint(sim))
             continue
         boundary = (len(counts) + 1) * interval_len
-        _advance_profiling(sim, min(ckpt_at, boundary) - pos,
-                           scfg.bbv_bucket, bbv)
+        advance_bbv(sim, min(ckpt_at, boundary), BBV_BUCKET, bbv)
         pos = sim.stats.instructions
         if sim.halted or pos == boundary:
             counts.append(pos - len(counts) * interval_len)
@@ -368,46 +324,17 @@ def select_intervals(profile: IntervalProfile, scfg: SamplingConfig,
 
     Returns ``(reps, weights)`` with ``reps`` sorted ascending and
     ``sum(weights) == n_intervals``: each weight is the number of
-    intervals the representative stands for.
+    intervals the representative stands for — the nearest-interval
+    rule for ``systematic`` strata midpoints, the cluster population
+    for the clustered modes.
     """
     n = profile.n_intervals
     k = max(1, min(scfg.n_detailed, n))
-    if scfg.mode == "systematic":
-        return _select_systematic(n, k)
-    if scfg.mode == "bbv":
-        return _select_bbv(profile.bbvs, k)
-    if scfg.mode == "bbv+mem":
-        if profile.mem is None:
-            raise SamplingError(
-                "'bbv+mem' selection needs memory signatures; profile "
-                "the workload with a ReuseCollector")
-        return _select_clustered(_combined_matrix(profile, scfg), k)
-    raise SamplingError(f"unknown sampling mode {scfg.mode!r} "
-                        f"(expected one of {SAMPLING_MODES})")
-
-
-def _select_systematic(n: int, k: int) -> Tuple[List[int], List[float]]:
-    """Midpoints of ``k`` equal strata; weights by nearest-rep rule."""
-    reps: List[int] = []
-    for i in range(k):
-        j = (2 * i + 1) * n // (2 * k)
-        if not reps or j > reps[-1]:
-            reps.append(j)
-    weights = [0.0] * len(reps)
-    for j in range(n):
-        best = 0
-        for i in range(1, len(reps)):
-            if abs(reps[i] - j) < abs(reps[best] - j):
-                best = i
-        weights[best] += 1.0
-    return reps, weights
-
-
-def _select_bbv(bbvs: Sequence[Dict[int, int]], k: int,
-                ) -> Tuple[List[int], List[float]]:
-    """SimPoint-like selection: cluster row-normalised BBVs and take
-    each cluster's medoid, weighted by cluster population."""
-    return _select_clustered(_bbv_matrix(bbvs), k)
+    if scfg.mode != "systematic" and k > 1:
+        return _select_clustered(_feature_matrix(profile, scfg), k)
+    # Strata midpoints, ascending and distinct because k <= n.
+    reps = [(2 * i + 1) * n // (2 * k) for i in range(k)]
+    return reps, _weights_for(profile, reps, scfg)
 
 
 def _bbv_matrix(bbvs: Sequence[Dict[int, int]]):
@@ -432,22 +359,29 @@ def _bbv_matrix(bbvs: Sequence[Dict[int, int]]):
     return matrix / norms
 
 
-def _combined_matrix(profile: IntervalProfile, scfg: SamplingConfig):
-    """BBV block scaled by ``1 - mem_weight`` hstacked with the
-    memory-signature block scaled by ``mem_weight``.
+def _feature_matrix(profile: IntervalProfile, scfg: SamplingConfig):
+    """Clustering features of a clustered mode, one row per interval.
 
-    Both blocks are per-row distributions (BBV rows sum to 1; sketch
-    features are bin fractions plus a per-instruction line rate), so
-    the weight split directly controls their influence on euclidean
-    clustering distance.
+    ``bbv`` uses the row-normalised BBVs.  ``bbv+mem`` scales that
+    block by ``1 - mem_weight`` and hstacks the memory-signature block
+    scaled by ``mem_weight``.  Both blocks are per-row distributions
+    (BBV rows sum to 1; sketch features are bin fractions plus a
+    per-instruction line rate), so the weight split directly controls
+    their influence on euclidean clustering distance.
     """
     import numpy as np
 
-    w = min(max(scfg.mem_weight, 0.0), 1.0)
-    bbv = _bbv_matrix(profile.bbvs) * (1.0 - w)
+    bbv = _bbv_matrix(profile.bbvs)
+    if scfg.mode == "bbv":
+        return bbv
+    if profile.mem is None:
+        raise SamplingError(
+            "'bbv+mem' selection needs memory signatures; profile "
+            "the workload with a ReuseCollector")
+    w = scfg.mem_weight
     mem = np.array([s.features(c) for s, c in
                     zip(profile.mem, profile.counts)]) * w
-    return np.hstack([bbv, mem])
+    return np.hstack([bbv * (1.0 - w), mem])
 
 
 def _select_clustered(matrix, k: int) -> Tuple[List[int], List[float]]:
@@ -455,105 +389,94 @@ def _select_clustered(matrix, k: int) -> Tuple[List[int], List[float]]:
     cluster population."""
     from repro.workloads.clustering import cluster_and_select
 
-    n = matrix.shape[0]
-    if n == 1 or k == 1:
-        return _select_systematic(n, k)
     result = cluster_and_select(matrix, k)
     labels = [int(x) for x in result.labels]
     reps = sorted(int(r) for r in result.representatives)
-    weights = []
-    for r in reps:
-        cluster = labels[r]
-        weights.append(float(sum(1 for lab in labels
-                                 if lab == cluster)))
-    return reps, weights
+    return reps, [float(labels.count(labels[r])) for r in reps]
 
 
 def _weights_for(profile: IntervalProfile, reps: Sequence[int],
                  scfg: SamplingConfig) -> List[float]:
-    """Weights for an *arbitrary* representative set.
+    """Nearest-representative weights for an arbitrary representative
+    set.
 
-    The adaptive loop accumulates representatives across rounds, so
-    the union no longer matches any single clustering's medoid set;
-    every interval is assigned to its nearest representative —
-    feature-space distance for the clustered modes, interval distance
-    for systematic — and each representative's weight is the number of
-    intervals it stands for (``sum(weights) == n_intervals``, the
-    invariant :func:`_extrapolate` relies on).
+    Every interval is assigned to its nearest representative —
+    interval distance for systematic, feature-space distance for the
+    clustered modes, the first on ties — and each representative's
+    weight is the number of intervals it stands for
+    (``sum(weights) == n_intervals``, the invariant
+    :func:`_extrapolate` relies on).  Adaptive rounds weight their
+    union this way, since it matches no single clustering's medoid
+    set.
     """
-    n = profile.n_intervals
     if scfg.mode == "systematic":
-        weights = [0.0] * len(reps)
-        for j in range(n):
-            best = 0
-            for i in range(1, len(reps)):
-                if abs(reps[i] - j) < abs(reps[best] - j):
-                    best = i
-            weights[best] += 1.0
-        return weights
-    import numpy as np
+        def nearest(j: int) -> int:
+            return min(range(len(reps)), key=lambda i: abs(reps[i] - j))
+    else:
+        import numpy as np
 
-    matrix = (_combined_matrix(profile, scfg)
-              if scfg.mode == "bbv+mem" else _bbv_matrix(profile.bbvs))
-    rep_rows = matrix[list(reps)]
+        matrix = _feature_matrix(profile, scfg)
+        rows = matrix[list(reps)]
+
+        def nearest(j: int) -> int:
+            return int(np.argmin(np.linalg.norm(rows - matrix[j],
+                                                axis=1)))
     weights = [0.0] * len(reps)
-    for j in range(n):
-        dist = np.linalg.norm(rep_rows - matrix[j], axis=1)
-        weights[int(np.argmin(dist))] += 1.0
+    for j in range(profile.n_intervals):
+        weights[nearest(j)] += 1.0
     return weights
 
 
 # ======================================================================
 # machine seeding + warmup
 # ======================================================================
-def seed_machine(machine: Pipeline, program: Program, ckpt: Checkpoint,
-                 scfg: SamplingConfig, tid: int = 0) -> None:
-    """Prepare a freshly built machine to run from ``ckpt``.
+def seed_machine(machine: Pipeline, program: Program,
+                 ckpt: Checkpoint) -> None:
+    """Prepare a freshly built single-thread machine to run from
+    ``ckpt``.
 
     Architectural state (required): memory image, rename-engine
     committed registers, fetch PC.  Microarchitectural state
-    (advisory, gated by the config): cache blocks, branch history,
-    return-address stack, VCA rename-table mappings.
+    (advisory): cache blocks, branch history, return-address stack,
+    VCA rename-table mappings.
     """
     hierarchy = machine.hierarchy
     hierarchy.memory.load_image(ckpt.memory_image(program))
-    machine.engine.load_arch_state(tid, ckpt,
-                                   warm_table=scfg.warm_rename)
-    machine.enter_at(tid, ckpt.pc)
+    machine.engine.load_arch_state(0, ckpt)
+    machine.enter_at(0, ckpt.pc)
     warm = ckpt.warmup
-    if scfg.warm_caches:
-        # The code footprint: by mid-run the full run's IL1 is warm.
-        il1 = hierarchy.il1
-        block = il1.cfg.block_bytes
-        code_bytes = len(program.code) * 8
-        for off in range(0, code_bytes, block):
-            il1.install(_ICACHE_BASE + off)
-        # The register-space window stack around the checkpoint depth
-        # (the full run warmed deeper frames as calls pushed them).
-        if program.windowed:
-            base = thread_window_base(tid)
-            lo = base + max(0, ckpt.depth - 8) * WINDOW_STRIDE_BYTES
-            hi = base + (ckpt.depth + 2) * WINDOW_STRIDE_BYTES
-            hierarchy.warm(lo, hi)
-        # Recently touched data, oldest first so the LRU order of the
-        # warmed sets matches recency (install never counts stats).
-        for addr in warm.mem[-scfg.warmup_mem:]:
-            hierarchy.l2.install(addr)
-            hierarchy.dl1.install(addr)
-    if scfg.warm_predictor:
-        predictor = machine.predictor
-        for pc, taken in warm.branches[-scfg.warmup_branches:]:
-            predicted, cp = predictor.predict(pc)
-            predictor.train(cp, taken, predicted)
-            if predicted != taken:
-                # Mirror misprediction recovery: the machine rewinds
-                # speculative history and re-applies the true
-                # direction, so its history always reflects the
-                # committed path.  Without this the replayed global
-                # history diverges and trains the wrong gshare rows.
-                predictor.recover(cp, taken, True)
-        for addr in warm.ras[-16:]:
-            predictor.ras.push(addr)
+    # The code footprint: by mid-run the full run's IL1 is warm.
+    il1 = hierarchy.il1
+    block = il1.cfg.block_bytes
+    code_bytes = len(program.code) * 8
+    for off in range(0, code_bytes, block):
+        il1.install(_ICACHE_BASE + off)
+    # The register-space window stack around the checkpoint depth
+    # (the full run warmed deeper frames as calls pushed them).
+    if program.windowed:
+        base = thread_window_base(0)
+        lo = base + max(0, ckpt.depth - 8) * WINDOW_STRIDE_BYTES
+        hi = base + (ckpt.depth + 2) * WINDOW_STRIDE_BYTES
+        hierarchy.warm(lo, hi)
+    # Recently touched data, oldest first so the LRU order of the
+    # warmed sets matches recency (install never counts stats).  The
+    # traces are bounded at capture (``WARMUP_WINDOW`` entries).
+    for addr in warm.mem:
+        hierarchy.l2.install(addr)
+        hierarchy.dl1.install(addr)
+    predictor = machine.predictor
+    for pc, taken in warm.branches:
+        predicted, cp = predictor.predict(pc)
+        predictor.train(cp, taken, predicted)
+        if predicted != taken:
+            # Mirror misprediction recovery: the machine rewinds
+            # speculative history and re-applies the true
+            # direction, so its history always reflects the
+            # committed path.  Without this the replayed global
+            # history diverges and trains the wrong gshare rows.
+            predictor.recover(cp, taken, True)
+    for addr in warm.ras[-16:]:
+        predictor.ras.push(addr)
 
 
 # ======================================================================
@@ -723,7 +646,7 @@ def _simulate_interval(model: str, cfg: MachineConfig,
     detailed cost of the sample.
     """
     machine = build_machine(model, cfg, [program])
-    seed_machine(machine, program, ckpt, scfg)
+    seed_machine(machine, program, ckpt)
     warm_n = start - ckpt.instructions
     before = None
     if warm_n:
@@ -769,9 +692,8 @@ def _emit_metrics(metrics, meta: SamplingMeta, program: Program,
     if meta.rse_target is not None:
         m.set("sampling.rse_rounds", len(meta.rounds))
         m.set("sampling.intervals_added", meta.intervals_added)
-    # Block-cache effectiveness over the profiling + fast-forward
-    # passes (the table is shared per program object; all zero in
-    # interp mode).
+    # Block-cache effectiveness over the functional pass (the table is
+    # shared per program object).
     table = getattr(program, "_block_table", None)
     m.set("functional.block_decodes",
           table.decoded if table else 0)
@@ -787,13 +709,28 @@ def run_sampled(model: str, cfg: MachineConfig, program: Program,
                 ) -> Tuple[SimStats, SamplingMeta]:
     """Sampled detailed simulation of one single-thread workload.
 
+    One functional pass (:func:`profile_with_checkpoints`) captures
+    the interval profile and a checkpoint per interval.  Rounds then
+    select representatives for the round's budget, detail-simulate
+    **only the delta set** — representatives not simulated in an
+    earlier round, so no interval is ever re-warmed or re-measured —
+    and extrapolate.
+
+    * **Fixed count** (``rse_target`` unset): exactly one round of
+      ``n_detailed`` representatives, weighted by
+      :func:`select_intervals`.
+    * **Adaptive** (``rse_target`` set): the budget starts at
+      ``n_detailed`` and grows geometrically (``k → k + max(1, k //
+      2)``, capped at ``max_detailed``); each round re-weights the
+      union of simulated representatives by :func:`_weights_for`.  The
+      loop stops when every watched metric's relative standard error
+      reaches ``rse_target``, or at the cap.
+
     Args:
         model: machine model name (``repro.models.factory.MODELS``).
         cfg: machine configuration (``n_threads`` must be 1).
         program: the assembled binary, in the model's ABI.
         scfg: sampling knobs; defaults to :class:`SamplingConfig`.
-            With ``rse_target`` set the adaptive convergence loop runs
-            instead of the fixed-count flow.
         metrics: optional :class:`repro.obs.metrics.MetricsRegistry`;
             receives the ``sampling.*`` counters and is attached to
             the returned stats.
@@ -807,158 +744,84 @@ def run_sampled(model: str, cfg: MachineConfig, program: Program,
     if cfg.n_threads != 1:
         raise SamplingError("sampled simulation is single-threaded; "
                             f"got n_threads={cfg.n_threads}")
-    if scfg.rse_target is not None:
-        return _run_adaptive(model, cfg, program, scfg, metrics)
-    collector = (ReuseCollector(scfg.sketch_cap, scfg.line_bytes)
-                 if scfg.mode == "bbv+mem" else None)
-    profile = profile_intervals(program, scfg.interval_len,
-                                scfg.bbv_bucket, collector=collector)
-    reps, weights = select_intervals(profile, scfg)
-
-    # One sequential fast-forward visits every representative's start.
-    boundaries = [0]
-    for count in profile.counts:
-        boundaries.append(boundaries[-1] + count)
-    ff_sim = CheckpointingSim(program, mem_window=scfg.warmup_mem,
-                              branch_window=scfg.warmup_branches)
-    samples: List[SimStats] = []
-    detailed_cycles = 0
-    detailed_instructions = 0
+    adaptive = scfg.rse_target is not None
     # Phase spans land under whatever span tracer the engine/CLI
     # activated (the inert NULL_SPANS otherwise); all clock reads stay
     # inside the tracer, keeping this module deterministic (D002).
     sp = current_spans()
-    for idx in reps:
-        start = boundaries[idx]
-        ckpt_at = max(0, start - scfg.warmup_insns)
-        with sp.span("fast_forward", interval=idx):
-            fast_forward(ff_sim, ckpt_at - ff_sim.stats.instructions)
-            ckpt = take_checkpoint(ff_sim)
-        stats, cycles, instructions = _simulate_interval(
-            model, cfg, program, scfg, profile, idx, start, ckpt, sp)
-        detailed_cycles += cycles
-        detailed_instructions += instructions
-        samples.append(stats)
-
-    est, errors = _extrapolate(samples, weights, profile)
-    meta = SamplingMeta(
-        mode=scfg.mode,
-        interval_len=scfg.interval_len,
-        n_intervals=profile.n_intervals,
-        n_detailed=len(reps),
-        total_instructions=profile.total.instructions,
-        detailed_instructions=detailed_instructions,
-        detailed_cycles=detailed_cycles,
-        est_cycles=est.cycles,
-        errors=errors,
-    )
-    _emit_metrics(metrics, meta, program, est)
-    return est, meta
-
-
-def _run_adaptive(model: str, cfg: MachineConfig, program: Program,
-                  scfg: SamplingConfig, metrics=None,
-                  ) -> Tuple[SimStats, SamplingMeta]:
-    """Convergence-driven sampled simulation.
-
-    One combined functional pass captures the interval profile *and* a
-    checkpoint per interval (:func:`profile_with_checkpoints`); the
-    loop then starts from the ``n_detailed`` budget and grows it
-    geometrically (``k → k + max(1, k // 2)``, capped at
-    ``max_detailed``), each round selecting representatives at the new
-    budget, detail-simulating **only the delta set** — representatives
-    not simulated in any earlier round, so no interval is ever
-    re-warmed or re-measured — and re-extrapolating over the union.
-    It stops when every watched metric's relative standard error
-    reaches ``rse_target``, or at the cap.
-    """
-    target = scfg.rse_target
-    if target is None or target <= 0:
-        raise SamplingError(f"rse_target must be positive, "
-                            f"got {target}")
-    if not scfg.rse_metrics:
-        raise SamplingError("rse_metrics must name at least one "
-                            "metric")
-    bad = [name for name in scfg.rse_metrics
-           if name not in _ERROR_FIELDS]
-    if bad:
-        raise SamplingError(f"unknown rse metrics {bad} (expected a "
-                            f"subset of {list(_ERROR_FIELDS)})")
-    collector = (ReuseCollector(scfg.sketch_cap, scfg.line_bytes)
-                 if scfg.mode == "bbv+mem" else None)
-    profile, ckpts = profile_with_checkpoints(program, scfg, collector)
+    collector = ReuseCollector() if scfg.mode == "bbv+mem" else None
+    with sp.span("fast_forward"):
+        profile, ckpts = profile_with_checkpoints(program, scfg,
+                                                  collector)
     n = profile.n_intervals
-    cap = max(1, min(scfg.max_detailed, n))
+    cap = max(1, min(scfg.max_detailed, n)) if adaptive else n
     k = max(1, min(scfg.n_detailed, cap))
-    boundaries = [0]
-    for count in profile.counts:
-        boundaries.append(boundaries[-1] + count)
-    sp = current_spans()
     simulated: Dict[int, SimStats] = {}
     detailed_cycles = 0
     detailed_instructions = 0
     rounds: List[Dict[str, object]] = []
-    converged = False
-    est: Optional[SimStats] = None
-    errors: Dict[str, float] = {}
-    start_budget: Optional[int] = None
+    converged = not adaptive
     while True:
-        reps, _ = select_intervals(profile,
-                                   replace(scfg, n_detailed=k))
-        new = [idx for idx in reps if idx not in simulated]
+        reps, weights = select_intervals(profile,
+                                         replace(scfg, n_detailed=k))
         # ``max_detailed`` caps the *total* detailed intervals, not
         # just the per-round budget: later clusterings need not reuse
         # earlier medoids, so the union could otherwise overshoot.
+        new = [idx for idx in reps if idx not in simulated]
         new = new[:cap - len(simulated)]
         with sp.span("rse_round", round=len(rounds) + 1, requested=k,
                      added=len(new)):
             for idx in new:
                 stats, cycles, instructions = _simulate_interval(
                     model, cfg, program, scfg, profile, idx,
-                    boundaries[idx], ckpts[idx], sp)
+                    idx * scfg.interval_len, ckpts[idx], sp)
                 simulated[idx] = stats
                 detailed_cycles += cycles
                 detailed_instructions += instructions
-            union = sorted(simulated)
-            weights = _weights_for(profile, union, scfg)
+            # Fixed-count keeps the selection's own weights.  The
+            # union of several rounds matches no single selection, so
+            # adaptive runs weight it by nearest representative.
+            if adaptive:
+                reps = sorted(simulated)
+                weights = _weights_for(profile, reps, scfg)
             est, errors = _extrapolate(
-                [simulated[idx] for idx in union], weights, profile)
+                [simulated[idx] for idx in reps], weights, profile)
+        if not adaptive:
+            break
         watched = {name: errors[name] for name in scfg.rse_metrics}
         max_rse = max(watched.values())
-        if start_budget is None:
-            start_budget = len(union)
         rounds.append({
             "round": len(rounds) + 1,
             "requested": k,
             "added": len(new),
-            "n_detailed": len(union),
+            "n_detailed": len(reps),
             "max_rse": max_rse,
             "errors": watched,
         })
         # A single sample has zero variance by construction; don't let
         # that count as convergence unless it IS the whole run.
-        if max_rse <= target and (len(union) >= 2 or len(union) == n):
+        if max_rse <= scfg.rse_target and (len(reps) >= 2 or len(reps) == n):
             converged = True
             break
         if k >= cap:
             break
         k = min(cap, k + max(1, k // 2))
 
-    union = sorted(simulated)
     meta = SamplingMeta(
         mode=scfg.mode,
         interval_len=scfg.interval_len,
         n_intervals=n,
-        n_detailed=len(union),
+        n_detailed=len(simulated),
         total_instructions=profile.total.instructions,
         detailed_instructions=detailed_instructions,
         detailed_cycles=detailed_cycles,
         est_cycles=est.cycles,
         errors=errors,
-        rse_target=target,
-        rse_metrics=tuple(scfg.rse_metrics),
+        rse_target=scfg.rse_target,
+        rse_metrics=tuple(scfg.rse_metrics) if adaptive else (),
         rounds=rounds,
-        intervals_added=len(union) - start_budget,
+        intervals_added=(len(simulated) - rounds[0]["n_detailed"]
+                         if adaptive else 0),
         converged=converged,
     )
     _emit_metrics(metrics, meta, program, est)

@@ -94,8 +94,7 @@ class ConventionalWindowRename(RenameEngine):
             self.map.append(p)
         self.map[global_slot(SP_REG)].value = program.stack_top
 
-    def load_arch_state(self, tid: int, state,
-                        warm_table: bool = False) -> None:
+    def load_arch_state(self, tid: int, state) -> None:
         """Seed mid-program state: resident windows plus backing store.
 
         Every checkpointed frame — including the resident ones — is

@@ -23,9 +23,11 @@ from repro.sampling.checkpoint import (
     Checkpoint, CheckpointingSim, fast_forward, take_checkpoint,
 )
 from repro.sampling.memfeat import (
-    MemCaptureSim, ReuseCollector, n_buckets,
+    MemCaptureCheckpointingSim, ReuseCollector, n_buckets,
 )
-from repro.sampling.sampler import profile_intervals
+from repro.sampling.sampler import (
+    SamplingConfig, profile_intervals, profile_with_checkpoints,
+)
 from repro.workloads.generator import BenchmarkBuilder, benchmark_program
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -301,24 +303,33 @@ def test_sketch_validation():
           suppress_health_check=[HealthCheck.too_slow])
 def test_mem_capture_off_vs_on_bit_identity(mode, profile):
     """Running with a capture collector changes *nothing* observable:
-    FunctionalStats, architectural state, interval counts and BBVs are
-    bit-identical to the capture-off run in both engine modes."""
+    FunctionalStats and architectural state are bit-identical to the
+    capture-off run in both engine modes, and the sampler's functional
+    pass keeps the reference profile's interval counts and BBVs and
+    the capture-off pass's checkpoints."""
     program = build_program(profile, "windowed")
     ref = FunctionalSim(program, mode=mode)
     ref_stats = ref.run()
-    sim = MemCaptureSim(program, ReuseCollector(64, 64), mode=mode)
+    sim = MemCaptureCheckpointingSim(program, ReuseCollector(64, 64))
+    sim.mode = mode
     stats = sim.run()
     assert stats == ref_stats
     assert canon(sim.save_state()) == canon(ref.save_state())
 
     p_ref = profile_intervals(program, 500, mode=mode)
-    col = ReuseCollector(64, 64)
-    p_cap = profile_intervals(program, 500, mode=mode, collector=col)
-    assert p_cap.counts == p_ref.counts
-    assert p_cap.bbvs == p_ref.bbvs
-    assert dataclasses.asdict(p_cap.total) \
-        == dataclasses.asdict(p_ref.total)
-    assert p_ref.mem is None
+    scfg = SamplingConfig(interval_len=500, warmup_insns=200)
+    p_off, c_off = profile_with_checkpoints(program, scfg)
+    p_cap, c_cap = profile_with_checkpoints(program, scfg,
+                                            ReuseCollector(64, 64))
+    for p in (p_off, p_cap):
+        assert p.counts == p_ref.counts
+        assert [list(b.items()) for b in p.bbvs] \
+            == [list(b.items()) for b in p_ref.bbvs]
+        assert dataclasses.asdict(p.total) \
+            == dataclasses.asdict(p_ref.total)
+    assert [canon(c.to_dict()) for c in c_cap] \
+        == [canon(c.to_dict()) for c in c_off]
+    assert p_off.mem is None
     assert len(p_cap.mem) == p_cap.n_intervals
 
 
@@ -328,11 +339,21 @@ def test_mem_capture_off_vs_on_bit_identity(mode, profile):
 def test_mem_capture_mode_agnostic(profile):
     """The block replay path routes all memory traffic through the
     bound read/write hooks, so the captured sketches are identical to
-    interp capture — access order included."""
+    interp capture — access order included — and to the sketches of
+    the sampler's functional pass, whose checkpoint stops split
+    intervals without changing them."""
     program = build_program(profile, "windowed")
     sketches = {}
     for mode in ("interp", "blocks"):
         col = ReuseCollector(64, 64)
-        sketches[mode] = profile_intervals(program, 500, mode=mode,
-                                           collector=col).mem
+        sim = MemCaptureCheckpointingSim(program, col)
+        sim.mode = mode
+        sketches[mode] = []
+        while not sim.halted:
+            fast_forward(sim, 500)
+            sketches[mode].append(col.snapshot())
     assert sketches["interp"] == sketches["blocks"]
+    scfg = SamplingConfig(interval_len=500, warmup_insns=200)
+    combined, _ = profile_with_checkpoints(program, scfg,
+                                           ReuseCollector(64, 64))
+    assert combined.mem == sketches["blocks"]

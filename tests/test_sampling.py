@@ -154,12 +154,11 @@ def test_json_roundtripped_checkpoint_seeds_identical_timing_run():
     ckpt = take_checkpoint(sim)
     back = Checkpoint.from_dict(json.loads(json.dumps(ckpt.to_dict())))
 
-    scfg = SamplingConfig()
     runs = []
     for c in (ckpt, back):
         cfg = MachineConfig.baseline(phys_regs=256)
         machine = build_machine("vca-rw", cfg, [program])
-        seed_machine(machine, program, c, scfg)
+        seed_machine(machine, program, c)
         runs.append(machine.run().to_dict())
     assert runs[0] == runs[1]
 
@@ -187,7 +186,7 @@ def test_seeded_run_completes_architecturally(model, phys_regs):
 
     cfg = MachineConfig.baseline(phys_regs=phys_regs)
     machine = build_machine(model, cfg, [program])
-    seed_machine(machine, program, ckpt, SamplingConfig())
+    seed_machine(machine, program, ckpt)
     stats = machine.run()
     assert machine.hierarchy.read_word(program.data_base) == expected
     assert stats.committed == golden.stats.instructions - 1000
@@ -365,9 +364,10 @@ def _stub_interval_sim(calls):
 
 
 def _adaptive_fixture(monkeypatch, n_intervals=32):
-    """Stub the detailed simulator and count functional passes; the
-    profiling pass itself runs for real on a tiny synthetic profile
-    via monkeypatched ``profile_with_checkpoints``."""
+    """Stub the detailed simulator and count functional passes: the
+    functional pass is a monkeypatched ``profile_with_checkpoints``
+    returning a tiny synthetic profile, and the plain profiling pass
+    fails the test if anything calls it."""
     from repro.functional.interp import FunctionalStats
     from repro.sampling import sampler
 
@@ -386,11 +386,28 @@ def _adaptive_fixture(monkeypatch, n_intervals=32):
     monkeypatch.setattr(sampler, "profile_with_checkpoints", fake_pwc)
     monkeypatch.setattr(
         sampler, "profile_intervals",
-        lambda *a, **k: pytest.fail("adaptive mode re-ran the "
+        lambda *a, **k: pytest.fail("run_sampled re-ran the "
                                     "functional profiling pass"))
     monkeypatch.setattr(sampler, "_simulate_interval",
                         _stub_interval_sim(calls))
     return passes, calls
+
+
+def test_fixed_count_is_one_round_of_one_pass(monkeypatch):
+    """Without ``rse_target`` the sampler runs one functional pass and
+    one round: every representative is simulated exactly once, and no
+    convergence trail is recorded."""
+    passes, calls = _adaptive_fixture(monkeypatch)
+    program = benchmark_program("fib", "flat", thread=0)
+    cfg = MachineConfig.baseline(phys_regs=256)
+    scfg = SamplingConfig(interval_len=100, n_detailed=8)
+    stats, meta = run_sampled("baseline", cfg, program, scfg)
+    assert passes["n"] == 1
+    assert all(v == 1 for v in calls.values())
+    assert len(calls) == min(scfg.n_detailed, meta.n_intervals) == 8
+    assert meta.rounds == []
+    assert meta.n_detailed == len(calls)
+    assert "rse" not in meta.to_dict()
 
 
 def test_adaptive_monotone_rse_and_delta_set(monkeypatch):
@@ -461,18 +478,52 @@ def test_adaptive_selection_is_deterministic(monkeypatch):
 
 
 def test_adaptive_validates_config():
-    program = benchmark_program("fib", "flat", thread=0)
-    cfg = MachineConfig.baseline(phys_regs=256)
+    """The RSE knobs are checked when the config is built."""
+    for kwargs in (dict(rse_target=-0.1), dict(rse_target=0.0),
+                   dict(rse_target=0.01, rse_metrics=("bogus",)),
+                   dict(rse_target=0.01, rse_metrics=())):
+        with pytest.raises(SamplingError):
+            SamplingConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(interval_len=0),
+    dict(interval_len=-5),
+    dict(mem_weight=2.0),
+    dict(mem_weight=-0.1),
+    dict(mem_weight=float("nan")),
+])
+def test_config_validated_at_construction(kwargs):
+    """Invalid knobs fail when the config is built, before any
+    functional pass; ``mem_weight`` outside [0, 1] is an error, not a
+    value to clamp."""
     with pytest.raises(SamplingError):
-        run_sampled("baseline", cfg, program,
-                    SamplingConfig(rse_target=-0.1))
-    with pytest.raises(SamplingError):
-        run_sampled("baseline", cfg, program,
-                    SamplingConfig(rse_target=0.01,
-                                   rse_metrics=("bogus",)))
-    with pytest.raises(SamplingError):
-        run_sampled("baseline", cfg, program,
-                    SamplingConfig(rse_target=0.01, rse_metrics=()))
+        SamplingConfig(**kwargs)
+
+
+def test_config_accepts_edges():
+    """The bounds are inclusive, and the RSE knobs are only checked
+    in adaptive mode, where they are used."""
+    SamplingConfig(interval_len=1, mem_weight=0.0)
+    SamplingConfig(mode="bbv+mem", mem_weight=1.0)
+    SamplingConfig(rse_metrics=())
+    SamplingConfig(rse_target=0.5, rse_metrics=("fills",))
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--sample-interval", "0"], "interval_len"),
+    (["--sample-mem-weight", "2"], "mem_weight"),
+    (["--sample-rse", "0.01", "--sample-rse-metrics", "bogus"],
+     "rse metrics"),
+])
+def test_run_cli_rejects_bad_sampling_config(capsys, flags, needle):
+    from repro.cli import main
+    assert main(["run", "fib", "--model", "baseline", "--sample",
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro run: ")
+    assert needle in err
+    assert "Traceback" not in err
 
 
 def test_adaptive_end_to_end_real_simulator():

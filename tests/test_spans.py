@@ -222,11 +222,12 @@ class TestSweepLedger:
         assert ru["maxrss_kb"] > 1024     # > 1 MiB: a real process
         assert ru["minflt"] >= 0 and ru["majflt"] >= 0
 
-        # Sampled point: interval phases hang off the point span.
+        # Sampled point: the functional pass and the round hang off
+        # the point span.
         sampled = points[sampled_pt.cache_key()]
         names = {c["name"]
                  for c in self._tree_of(sampled)["children"]}
-        assert {"fast_forward", "detailed"} <= names
+        assert {"fast_forward", "rse_round"} <= names
 
         # run_end carries the root sweep span with outcome counters.
         end = records[-1]
@@ -252,10 +253,15 @@ class TestSweepLedger:
             SerialEngine(use_cache=False).run([pt], ledger=ledger)
         (rec,) = ledger_points(read_ledger(path)).values()
         tree = self._tree_of(rec)
-        names = [c["name"] for c in tree["children"]]
-        assert names.count("fast_forward") == 2
+        # A fixed-count point is one functional pass and one round;
+        # the interval phases hang off the round.
+        assert [c["name"] for c in tree["children"]] \
+            == ["fast_forward", "rse_round"]
+        (rnd,) = [c for c in tree["children"]
+                  if c["name"] == "rse_round"]
+        names = [c["name"] for c in rnd["children"]]
         assert names.count("detailed") == 2
-        detailed = [c for c in tree["children"]
+        detailed = [c for c in rnd["children"]
                     if c["name"] == "detailed"]
         # The detailed interval carries per-stage attribution.
         for d in detailed:
