@@ -5,12 +5,16 @@ ledgers rendered by ``repro top`` / ``repro report``, and bit-exact
 parity between local and service execution."""
 
 import json
+import os
 import time
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.plan import Point
 from repro.experiments.store import SqliteStore
+from repro.obs.runlog import read_ledger
+from repro.obs.spans import assemble_trees
 from repro.service import Scheduler, ServiceClient, ServiceError
 from repro.service.server import ServiceServer
 
@@ -168,6 +172,57 @@ class TestScheduler:
         finally:
             sched.stop()
             store.close()
+
+
+class TestSchedulerFaultIsolation:
+    """A raising, a crashing and a hung point fail alone under the
+    scheduler, exactly as under ``ParallelEngine``, and each still
+    leaves one ledger record holding one span tree."""
+
+    def test_exception_crash_and_timeout_isolated(
+            self, cache, tmp_path, monkeypatch):
+        real = runner.run_point
+
+        def flaky(model, benches, *args, **kwargs):
+            if benches[0] == "crafty":
+                raise RuntimeError("boom")
+            if benches[0] == "twolf":
+                os._exit(11)
+            if benches[0] == "parser":
+                time.sleep(30)
+            return real(model, benches, *args, **kwargs)
+
+        # Workers fork, so they inherit the monkeypatch.
+        monkeypatch.setattr(runner, "run_point", flaky)
+        pts = [Point.run("baseline", (b,), 256, scale=SCALE)
+               for b in (BENCH, "crafty", "twolf", "parser")]
+        state = tmp_path / "state"
+        with Scheduler(workers=2, timeout=1.0, state_dir=state) as sched:
+            jid = sched.submit(pts, tenant="alice")
+            snap = wait_job(sched, jid)
+            recs = sched.results(jid)
+            assert sched._live == {}
+        assert snap["status"] == "failed"
+        assert [r["status"] for r in recs] == [
+            "done", "failed", "failed", "timeout"]
+        assert "boom" in recs[1]["error"]
+        assert "exitcode 11" in recs[2]["error"]
+
+        ledger = read_ledger(state / "ledgers" / f"job-{jid}.jsonl")
+        points = [r for r in ledger if r["rec"] == "point"]
+        assert sorted(r["key"] for r in points) \
+            == sorted(pt.cache_key() for pt in pts)
+        by_key = {r["key"]: r for r in points}
+        trees = []
+        for pt in pts:
+            rec = by_key[pt.cache_key()]
+            (tree,) = assemble_trees(rec["spans"])
+            assert tree["name"] == "point"
+            trees.append((rec["status"], rec["cache"], tree["status"]))
+        assert trees == [("done", "miss", "ok"),
+                         ("failed", None, "error"),
+                         ("failed", None, "terminated"),
+                         ("timeout", None, "timeout")]
 
 
 class _ReapLog:
