@@ -9,13 +9,19 @@ worker is forked) — and differ only in how the residue executes:
 * :class:`SerialEngine` runs points in-process, capturing exceptions
   into the point's outcome so one broken configuration cannot kill a
   sweep.
-* :class:`ParallelEngine` runs each point in its own worker process
-  (``fork`` where available, else ``spawn``), giving hard fault
-  isolation: an exception, a hard crash (``os._exit``, segfault) or a
-  per-point timeout marks only that point failed; every other point
-  completes.  The parent's ``REPRO_*`` environment is propagated to
-  workers explicitly, so spawned workers never silently run at default
-  scale or against the wrong cache directory.
+* :class:`ParallelEngine` runs each point in its own :class:`Worker`
+  process (``fork`` where available, else ``spawn``), giving hard
+  fault isolation: an exception, a hard crash (``os._exit``,
+  segfault) or a per-point timeout marks only that point failed;
+  every other point completes.  The parent's ``REPRO_*`` environment
+  is propagated to workers explicitly, so spawned workers never
+  silently run at default scale or against the wrong cache directory.
+
+Both run a point through :func:`execute_point` — in-process for the
+serial engine, inside the child for a :class:`Worker` — and the
+service scheduler (``repro.service.scheduler``) schedules the same
+:class:`Worker` and writes its ledger through the same
+:func:`ledger_point`.
 
 Progress flows through a callback as :class:`SweepProgress`
 snapshots, and per-point accounting can be aggregated into a
@@ -44,12 +50,10 @@ import os
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.hooks import set_current_spans
 from repro.obs.spans import SpanTracer
@@ -79,8 +83,8 @@ class PointOutcome:
     payload: Optional[dict] = None
     error: str = ""
     elapsed: float = 0.0
-    #: Worker-side resource usage delta (``getrusage``); ``None`` when
-    #: no ledger was attached or the worker never reported.
+    #: Resource usage delta (``getrusage``) of the process that ran the
+    #: point; ``None`` when it never ran or its worker never reported.
     rusage: Optional[dict] = None
     #: Finished span dicts for this point (worker-exported, or
     #: synthesized parent-side for cached/crashed/timed-out points).
@@ -198,6 +202,33 @@ _SPAN_STATUS = {"done": "ok", "cached": "cached", "resumed": "resumed",
                 "failed": "terminated", "timeout": "timeout"}
 
 
+def ledger_point(ledger: Any, spans: SpanTracer,
+                 outcome: PointOutcome) -> None:
+    """Write one resolved point's ``point`` record to ``ledger``.
+
+    A point that exported no spans (cache hit, resume replay, hard
+    crash, timeout, cancellation) gets a point span synthesized on
+    ``spans``, so the ledger still holds exactly one tree per point.
+    The record carries the outcome's spans plus everything ``spans``
+    finished since the previous record.
+    """
+    key = outcome.point.cache_key()
+    if not outcome.spans:
+        end_t = time.time()
+        spans.record("point", end_t - outcome.elapsed, end_t,
+                     status=_SPAN_STATUS.get(outcome.status,
+                                             outcome.status),
+                     key=key, label=outcome.point.label)
+    ledger.point(
+        key=key, status=outcome.status, point=outcome.point.to_dict(),
+        payload=outcome.payload, error=outcome.error,
+        elapsed=outcome.elapsed,
+        cache={"cached": "hit", "resumed": "hit",
+               "done": "miss"}.get(outcome.status),
+        rusage=outcome.rusage,
+        spans=(outcome.spans or []) + spans.drain())
+
+
 class _EngineBase:
     """Shared scheduling front half of every engine."""
 
@@ -270,28 +301,7 @@ class _EngineBase:
             elif not remaining:
                 prog.eta = 0.0
             if ledger is not None:
-                if not outcome.spans:
-                    # The worker never exported spans (cache hit,
-                    # resume replay, hard crash, timeout): synthesize
-                    # a terminated point span parent-side so the
-                    # ledger still holds one tree per point.
-                    end_t = time.time()
-                    spans.record(
-                        "point", end_t - outcome.elapsed, end_t,
-                        status=_SPAN_STATUS.get(outcome.status,
-                                                outcome.status),
-                        key=outcome.point.cache_key(),
-                        label=outcome.point.label)
-                cache = {"cached": "hit", "resumed": "hit",
-                         "done": "miss"}.get(outcome.status)
-                ledger.point(
-                    key=outcome.point.cache_key(),
-                    status=outcome.status,
-                    point=outcome.point.to_dict(),
-                    payload=outcome.payload, error=outcome.error,
-                    elapsed=outcome.elapsed, cache=cache,
-                    rusage=outcome.rusage,
-                    spans=(outcome.spans or []) + spans.drain())
+                ledger_point(ledger, spans, outcome)
             if metrics is not None:
                 metrics.inc(f"sweep.points.{outcome.status}")
                 if outcome.status in ("done", "failed", "timeout"):
@@ -342,6 +352,41 @@ class _EngineBase:
         raise NotImplementedError
 
 
+def execute_point(point: Point, use_cache: bool,
+                  tracer: Optional[SpanTracer] = None) -> PointOutcome:
+    """Run one point in this process; the path every point executes
+    through (directly in :class:`SerialEngine`, in the child of every
+    :class:`Worker`).
+
+    An exception becomes a ``failed`` outcome carrying the traceback.
+    With a ``tracer`` the point runs under a ``point`` span, with the
+    tracer installed as the current one so the sampling pipeline's
+    phase spans land beneath it, and the outcome carries its spans.
+    """
+    ru0 = _rusage_snapshot()
+    prev = psp = None
+    if tracer is not None:
+        prev = set_current_spans(tracer)
+        psp = tracer.begin("point", key=point.cache_key(),
+                           label=point.label)
+    t0 = time.monotonic()
+    try:
+        outcome = PointOutcome(
+            point, "done", payload=point.execute(use_cache=use_cache))
+    except Exception:  # lint: allow-broad-except (point isolation)
+        outcome = PointOutcome(point, "failed",
+                               error=traceback.format_exc(limit=8))
+    finally:
+        if tracer is not None:
+            set_current_spans(prev)
+    outcome.elapsed = time.monotonic() - t0
+    outcome.rusage = _rusage_delta(ru0)
+    if tracer is not None:
+        tracer.end(psp, status="ok" if outcome.ok else "error")
+        outcome.spans = tracer.drain()
+    return outcome
+
+
 class SerialEngine(_EngineBase):
     """In-process executor with exception (but not crash/timeout)
     isolation — the reference implementation parallel runs must
@@ -351,81 +396,111 @@ class SerialEngine(_EngineBase):
         for pt in points:
             if ledger is not None:
                 ledger.point_start(pt.cache_key(), pt.label)
-            prev = None
-            psp = None
-            ru0 = _rusage_snapshot() if ledger is not None else None
-            if spans is not None:
-                prev = set_current_spans(spans)
-                psp = spans.begin("point", key=pt.cache_key(),
-                                  label=pt.label)
-            t0 = time.monotonic()
-            try:
-                payload = pt.execute(use_cache=self.use_cache)
-                outcome = PointOutcome(pt, "done", payload=payload,
-                                       elapsed=time.monotonic() - t0)
-                if spans is not None:
-                    spans.end(psp, status="ok")
-            except Exception:  # lint: allow-broad-except (point isolation)
-                outcome = PointOutcome(
-                    pt, "failed", error=traceback.format_exc(limit=8),
-                    elapsed=time.monotonic() - t0)
-                if spans is not None:
-                    spans.end(psp, status="error")
-            finally:
-                if spans is not None:
-                    set_current_spans(prev)
-            if ledger is not None:
-                outcome.rusage = _rusage_delta(ru0)
-                outcome.spans = spans.drain()
-            emit(outcome)
+            emit(execute_point(pt, self.use_cache, spans))
 
 
 def _worker_main(conn, point: Point, use_cache: bool,
                  env: Dict[str, str],
                  span_ctx: Optional[Dict] = None) -> None:
-    """Run one point in a worker process and ship its payload back.
+    """A :class:`Worker`'s child: run one point, ship the result back.
 
     The Pipe message is ``(kind, value, meta)``: kind ``"ok"`` with the
     payload or ``"error"`` with a traceback, plus a meta dict carrying
     the worker's finished spans and its ``getrusage`` delta.  With a
-    ``span_ctx`` the worker continues the parent's trace: it installs
-    its own tracer as the process-wide current one, so the sampling
-    pipeline's phase spans land under this point's span.
+    ``span_ctx`` the worker continues the parent's trace.
     """
-    ru0 = _rusage_snapshot()
-    tracer = psp = None
     try:
         apply_repro_env(env)
-        if span_ctx is not None:
-            tracer = SpanTracer.from_context(span_ctx)
-            set_current_spans(tracer)
-            psp = tracer.begin("point", key=point.cache_key(),
-                              label=point.label)
-        payload = point.execute(use_cache=use_cache)
-        if tracer is not None:
-            tracer.end(psp, status="ok")
-        conn.send(("ok", payload, _worker_meta(tracer, ru0)))
-    except Exception:  # lint: allow-broad-except (crash isolation)
-        if tracer is not None:
-            tracer.close(status="error")
-        try:
-            conn.send(("error", traceback.format_exc(limit=8),
-                       _worker_meta(tracer, ru0)))
-        except (OSError, ValueError):  # pragma: no cover - pipe already gone
-            pass
+        tracer = (SpanTracer.from_context(span_ctx)
+                  if span_ctx is not None else None)
+        out = execute_point(point, use_cache, tracer)
+        conn.send(("ok" if out.ok else "error",
+                   out.payload if out.ok else out.error,
+                   {"spans": out.spans or [], "rusage": out.rusage}))
     finally:
         conn.close()
 
 
-def _worker_meta(tracer: Optional[SpanTracer],
-                 ru0: Optional[Dict]) -> Dict:
-    """The telemetry side-channel shipped back beside every result."""
-    return {"spans": tracer.export() if tracer is not None else [],
-            "rusage": _rusage_delta(ru0)}
+#: Default worker start method: ``fork`` where available (workers
+#: inherit warm imports), else ``spawn``.
+_START_METHOD = ("fork" if "fork" in mp.get_all_start_methods()
+                 else "spawn")
+
+
+class Worker:
+    """One point running in its own process — the fault-isolation unit
+    that :class:`ParallelEngine` and the service scheduler both drive.
+
+    Constructing one opens the result Pipe and starts the child (from
+    multiprocessing context ``ctx``; default ``fork`` where available,
+    else ``spawn``) with the parent's ``REPRO_*`` environment.  The
+    owner then calls :meth:`poll` until it returns the outcome, or
+    :meth:`kill` to abandon the point; both reap the process and close
+    the pipe.
+    """
+
+    def __init__(self, point: Point, use_cache: bool = True,
+                 span_ctx: Optional[Dict] = None, ctx: Any = None) -> None:
+        ctx = ctx or mp.get_context(_START_METHOD)
+        self.point = point
+        self.conn, send = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(
+            target=_worker_main,
+            args=(send, point, use_cache, repro_env(), span_ctx),
+            daemon=True)
+        self.proc.start()
+        send.close()
+        self.started = time.monotonic()
+
+    def poll(self, now: float,
+             timeout: Optional[float] = None) -> Optional[PointOutcome]:
+        """The point's outcome once it has finished, or ``None`` while
+        it is still running.  A point running longer than ``timeout``
+        seconds is killed and times out."""
+        elapsed = now - self.started
+        if self.conn.poll(0):
+            try:
+                kind, value, meta = self.conn.recv()
+            except (EOFError, OSError):
+                kind, value, meta = None, None, {}
+            self.proc.join()
+            if kind == "ok":
+                outcome = PointOutcome(self.point, "done", payload=value)
+            elif kind == "error":
+                outcome = PointOutcome(self.point, "failed", error=value)
+            else:
+                outcome = PointOutcome(
+                    self.point, "failed",
+                    error=f"worker died without reporting "
+                          f"(exitcode {self.proc.exitcode})")
+            outcome.rusage = meta.get("rusage")
+            outcome.spans = meta.get("spans")
+        elif not self.proc.is_alive():
+            self.proc.join()
+            outcome = PointOutcome(
+                self.point, "failed",
+                error=f"worker crashed (exitcode {self.proc.exitcode})")
+        elif timeout is not None and elapsed > timeout:
+            self.kill()
+            return PointOutcome(
+                self.point, "timeout", elapsed=elapsed,
+                error=f"point exceeded {timeout:g}s timeout")
+        else:
+            return None
+        self.conn.close()
+        outcome.elapsed = elapsed
+        return outcome
+
+    def kill(self) -> None:
+        """Terminate the process, reap it and close the pipe."""
+        self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
 
 
 class ParallelEngine(_EngineBase):
-    """Multiprocessing executor: one worker process per point.
+    """Multiprocessing executor: a FIFO over :class:`Worker` processes,
+    one per point.
 
     ``workers`` bounds concurrency (default: the CPU count).
     ``timeout`` (seconds) kills and fails any single point that runs
@@ -444,15 +519,11 @@ class ParallelEngine(_EngineBase):
         self.workers = max(1, workers if workers else
                            (os.cpu_count() or 1))
         self.timeout = timeout
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else "spawn")
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(start_method or _START_METHOD)
 
     def _execute(self, points, emit, spans=None, ledger=None):
         pending = deque(points)
-        live: Dict[Any, Tuple[Point, float, Any]] = {}
-        env = repro_env()
+        live: List[Worker] = []
         span_ctx = spans.context() if spans is not None else None
         try:
             while pending or live:
@@ -460,70 +531,20 @@ class ParallelEngine(_EngineBase):
                     pt = pending.popleft()
                     if ledger is not None:
                         ledger.point_start(pt.cache_key(), pt.label)
-                    recv, send = self._ctx.Pipe(duplex=False)
-                    proc = self._ctx.Process(
-                        target=_worker_main,
-                        args=(send, pt, self.use_cache, env, span_ctx),
-                        daemon=True)
-                    proc.start()
-                    send.close()
-                    live[proc] = (pt, time.monotonic(), recv)
+                    live.append(Worker(pt, self.use_cache, span_ctx,
+                                       self._ctx))
                 # Sleep until a worker reports (or a short tick, so
                 # timeouts and crashes are noticed promptly).
-                mp_connection.wait(
-                    [conn for _, _, conn in live.values()], timeout=0.05)
+                mp_connection.wait([w.conn for w in live], timeout=0.05)
                 now = time.monotonic()
-                for proc in list(live):
-                    pt, started, conn = live[proc]
-                    outcome = self._poll_one(proc, pt, started, conn, now)
+                for worker in list(live):
+                    outcome = worker.poll(now, self.timeout)
                     if outcome is not None:
-                        del live[proc]
-                        conn.close()
+                        live.remove(worker)
                         emit(outcome)
         finally:
-            for proc, (pt, _, conn) in live.items():
-                proc.terminate()
-                proc.join()
-                conn.close()
-
-    def _poll_one(self, proc, pt: Point, started: float, conn,
-                  now: float) -> Optional[PointOutcome]:
-        """One scheduling decision for one live worker; ``None`` means
-        still running."""
-        elapsed = now - started
-        if conn.poll(0):
-            meta: Dict = {}
-            try:
-                kind, value, meta = conn.recv()
-            except (EOFError, OSError):
-                kind, value = None, None
-            proc.join()
-            if kind == "ok":
-                return PointOutcome(pt, "done", payload=value,
-                                    elapsed=elapsed,
-                                    rusage=meta.get("rusage"),
-                                    spans=meta.get("spans"))
-            if kind == "error":
-                return PointOutcome(pt, "failed", error=value,
-                                    elapsed=elapsed,
-                                    rusage=meta.get("rusage"),
-                                    spans=meta.get("spans"))
-            return PointOutcome(
-                pt, "failed", elapsed=elapsed,
-                error=f"worker died without reporting "
-                      f"(exitcode {proc.exitcode})")
-        if not proc.is_alive():
-            proc.join()
-            return PointOutcome(
-                pt, "failed", elapsed=elapsed,
-                error=f"worker crashed (exitcode {proc.exitcode})")
-        if self.timeout is not None and elapsed > self.timeout:
-            proc.terminate()
-            proc.join()
-            return PointOutcome(
-                pt, "timeout", elapsed=elapsed,
-                error=f"point exceeded {self.timeout:g}s timeout")
-        return None
+            for worker in live:
+                worker.kill()
 
 
 def execute_plan(spec: SweepSpec, engine: Optional[_EngineBase] = None,

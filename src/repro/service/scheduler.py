@@ -1,13 +1,15 @@
-"""The scheduler layer: a job queue over a shared worker pool.
+"""The scheduler layer: a job queue over a shared set of workers.
 
 A :class:`Scheduler` accepts sweep-plan submissions (lists of
 :class:`~repro.experiments.plan.Point`), resolves result-store hits
-*before* any worker is forked, and schedules the residue onto one
-shared process pool with the exact worker mechanics of
-:class:`~repro.experiments.engine.ParallelEngine` — the same
-``_worker_main``, the same Pipe protocol, the same crash/timeout
-isolation, the same span propagation.  On top of the engine it adds
-what a multi-client service needs:
+*before* any worker is forked, and runs the residue as
+:class:`~repro.experiments.engine.Worker` processes — the unit
+:class:`~repro.experiments.engine.ParallelEngine` runs too, so crash
+and timeout isolation, span propagation and the ledger records
+(:func:`~repro.experiments.engine.ledger_point`) are the engine's.
+Where the engine is a FIFO over its workers, the scheduler is a
+priority/quota policy over them, adding what a multi-client service
+needs:
 
 * **priorities** — higher-priority jobs are scheduled first; FIFO
   within a priority level;
@@ -40,10 +42,7 @@ from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.engine import (
-    ParallelEngine, PointOutcome, _SPAN_STATUS, _worker_main,
-    repro_env,
-)
+from repro.experiments.engine import PointOutcome, Worker, ledger_point
 from repro.experiments.plan import Point, unique_points
 from repro.experiments.runner import source_hash
 from repro.experiments.store import SqliteStore
@@ -108,13 +107,9 @@ class Job:
         }
 
 
-class _WorkerPool(ParallelEngine):
-    """The engine's process mechanics (context, poll-one worker,
-    slot count) reused verbatim; the scheduler never calls ``run``."""
-
-
 class Scheduler:
-    """A long-running job queue over one shared worker pool."""
+    """A long-running job queue: a priority/quota policy over at most
+    ``workers`` concurrent :class:`Worker` processes."""
 
     def __init__(self, workers: Optional[int] = None,
                  timeout: Optional[float] = None,
@@ -123,8 +118,8 @@ class Scheduler:
                  state_dir: Optional[os.PathLike] = None,
                  store: Optional[SqliteStore] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self._pool = _WorkerPool(workers=workers, timeout=timeout)
-        self.workers = self._pool.workers
+        self.workers = max(1, workers if workers else
+                           (os.cpu_count() or 1))
         self.timeout = timeout
         self.quotas = dict(quotas or {})
         #: Slots a tenant without an explicit quota may hold at once.
@@ -141,8 +136,8 @@ class Scheduler:
 
         self._jobs: Dict[str, Job] = {}
         self._seq = 0
-        #: proc -> (job, idx, point, started, conn).
-        self._live: Dict[Any, Tuple[Job, int, Point, float, Any]] = {}
+        #: running worker -> (job, idx) it runs the point for.
+        self._live: Dict[Worker, Tuple[Job, int]] = {}
         #: cache keys currently executing (or claimed) here.
         self._inflight: Dict[str, Tuple[str, int]] = {}
         self._lock = threading.RLock()
@@ -175,16 +170,15 @@ class Scheduler:
         # Reap outside the lock: join() blocks for as long as the
         # child takes to die, and nothing else can reach these
         # entries now that they are out of _live.
-        for proc, (_job, _idx, _pt, _t0, conn) in live.items():
-            proc.terminate()
-            proc.join()
-            conn.close()
+        for worker in live:
+            worker.kill()
         with self._lock:
-            for job, idx, pt, _t0, _conn in live.values():
+            for worker, (job, idx) in live.items():
                 rec = job.records[idx]
                 if rec["status"] == "running":
                     rec["status"] = "cancelled"
                     rec["error"] = "scheduler stopped"
+                pt = worker.point
                 if pt.cacheable:
                     self._inflight.pop(pt.cache_key(), None)
                     if self.store is not None:
@@ -262,7 +256,7 @@ class Scheduler:
     def cancel(self, job_id: str) -> bool:
         """Cancel a job: queued points never run; running points are
         terminated unless another job shares them."""
-        to_reap: List[Tuple[Any, Any]] = []
+        to_reap: List[Worker] = []
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.status in ("done", "failed",
@@ -272,25 +266,23 @@ class Scheduler:
                 if rec["status"] in ("queued", "waiting"):
                     self._resolve(job, rec["idx"], "cancelled",
                                   error="job cancelled")
-            for proc in list(self._live):
-                ljob, idx, pt, _started, conn = self._live[proc]
+            for worker, (ljob, idx) in list(self._live.items()):
                 if ljob is not job:
                     continue
+                self._resolve(job, idx, "cancelled",
+                              error="job cancelled")
+                pt = worker.point
                 key = pt.cache_key() if pt.cacheable else None
                 if key is not None and self._has_followers(job, key):
                     # Another job awaits the same point; let the
                     # worker finish for them.
-                    job.records[idx]["status"] = "cancelled"
-                    job.records[idx]["error"] = "job cancelled"
                     continue
-                del self._live[proc]
+                del self._live[worker]
                 if key is not None:
                     self._inflight.pop(key, None)
                     if self.store is not None:
                         self.store.release(key, owner=self.id)
-                self._resolve(job, idx, "cancelled",
-                              error="job cancelled")
-                to_reap.append((proc, conn))
+                to_reap.append(worker)
             self.metrics.inc("service.jobs.cancelled")
             if self.store is not None:
                 self.store.audit("cancel", key=job.id,
@@ -300,10 +292,8 @@ class Scheduler:
         # and the pump needs the lock to keep other jobs moving.  The
         # pump may be inside mp_connection.wait() on a conn we close
         # here; it tolerates the resulting OSError and re-snapshots.
-        for proc, conn in to_reap:
-            proc.terminate()
-            proc.join()
-            conn.close()
+        for worker in to_reap:
+            worker.kill()
         self._wake.set()
         return True
 
@@ -332,7 +322,7 @@ class Scheduler:
         while not self._stopping.is_set():
             self._schedule()
             with self._lock:
-                conns = [conn for *_ , conn in self._live.values()]
+                conns = [worker.conn for worker in self._live]
             if conns:
                 try:
                     mp_connection.wait(conns, timeout=0.05)
@@ -354,7 +344,7 @@ class Scheduler:
             if len(self._live) >= self.workers:
                 return
             held: Dict[str, int] = {}
-            for job, *_ in self._live.values():
+            for job, _idx in self._live.values():
                 held[job.tenant] = held.get(job.tenant, 0) + 1
             for job in sorted(self._jobs.values(),
                               key=lambda j: (-j.priority, j.seq)):
@@ -397,14 +387,7 @@ class Scheduler:
             job.started = time.time()
         if job.ledger is not None:
             job.ledger.point_start(rec["key"], pt.label)
-        recv, send = self._pool._ctx.Pipe(duplex=False)
-        proc = self._pool._ctx.Process(
-            target=_worker_main,
-            args=(send, pt, True, repro_env(), job.span_ctx),
-            daemon=True)
-        proc.start()
-        send.close()
-        self._live[proc] = (job, idx, pt, time.monotonic(), recv)
+        self._live[Worker(pt, span_ctx=job.span_ctx)] = (job, idx)
         if pt.cacheable:
             self._inflight[pt.cache_key()] = (job.id, idx)
         self.metrics.inc("service.points.started")
@@ -412,45 +395,34 @@ class Scheduler:
     def _poll(self) -> None:
         now = time.monotonic()
         with self._lock:
-            for proc in list(self._live):
-                job, idx, pt, started, conn = self._live[proc]
-                outcome = self._pool._poll_one(proc, pt, started,
-                                               conn, now)
-                if outcome is None:
-                    continue
-                del self._live[proc]
-                conn.close()
-                self._finish_point(job, idx, pt, outcome)
+            for worker in list(self._live):
+                outcome = worker.poll(now, self.timeout)
+                if outcome is not None:
+                    job, idx = self._live.pop(worker)
+                    self._finish_point(job, idx, outcome)
 
-    #: Seconds between waiting-point polls for stores without change
-    #: detection (FileStore).
-    wait_poll_interval = 0.25
-    #: Unconditional re-poll period when the store *does* expose
-    #: ``data_version()``: a crashed owner's claim going stale and
-    #: publishes through our own connection bump no version, so a
-    #: slow timed sweep still has to catch them.
+    #: Unconditional re-poll period for waiting points: a crashed
+    #: owner's claim going stale and publishes through our own
+    #: connection bump no ``data_version()``, so a slow timed sweep
+    #: still has to catch them.
     wait_poll_fallback = 1.0
 
     def _check_waiting(self) -> None:
         """Poll the store for points claimed by another process, and
         retry their claims (the owner may have failed and released).
 
-        With a sqlite store this is change-driven: ``PRAGMA
-        data_version`` bumps whenever another connection commits, so
-        the expensive per-point sweep runs only when a foreign writer
-        actually landed something (or on the slow fallback tick).
+        This is change-driven: ``PRAGMA data_version`` bumps whenever
+        another connection commits, so the expensive per-point sweep
+        runs only when a foreign writer actually landed something (or
+        on the slow fallback tick).
         """
         if self.store is None:
             return
         now = time.monotonic()
-        data_version = getattr(self.store, "data_version", None)
-        if data_version is not None:
-            version = data_version()
-            if version != self._wait_data_version:
-                self._wait_data_version = version
-            elif now - self._last_wait_check < self.wait_poll_fallback:
-                return
-        elif now - self._last_wait_check < self.wait_poll_interval:
+        version = self.store.data_version()
+        if version != self._wait_data_version:
+            self._wait_data_version = version
+        elif now - self._last_wait_check < self.wait_poll_fallback:
             return
         self._last_wait_check = now
         with self._lock:
@@ -472,8 +444,9 @@ class Scheduler:
 
     # -- resolution --------------------------------------------------------
 
-    def _finish_point(self, job: Job, idx: int, pt: Point,
+    def _finish_point(self, job: Job, idx: int,
                       outcome: PointOutcome) -> None:
+        pt = outcome.point
         key = pt.cache_key() if pt.cacheable else None
         if key is not None:
             self._inflight.pop(key, None)
@@ -518,7 +491,7 @@ class Scheduler:
                  rusage: Optional[dict] = None,
                  spans: Optional[List[dict]] = None) -> None:
         """The single bookkeeping path for a point reaching a
-        terminal status: record, metrics, ledger, span synthesis."""
+        terminal status: record, metrics, ledger."""
         rec = job.records[idx]
         if "t0" in rec:
             elapsed = elapsed or (time.monotonic() - rec.pop("t0"))
@@ -536,19 +509,10 @@ class Scheduler:
                 self.metrics.inc(
                     "sampling.intervals_added",
                     payload.get("sample_intervals_added", 0))
-        if job.spans is not None and not spans:
-            end_t = time.time()
-            job.spans.record(
-                "point", end_t - elapsed, end_t,
-                status=_SPAN_STATUS.get(status, status),
-                key=rec["key"], label=rec["label"])
         if job.ledger is not None:
-            cache = {"cached": "hit", "done": "miss"}.get(status)
-            job.ledger.point(
-                key=rec["key"], status=status, point=rec["point"],
-                payload=payload, error=error, elapsed=elapsed,
-                cache=cache, rusage=rusage,
-                spans=(spans or []) + job.spans.drain())
+            ledger_point(job.ledger, job.spans, PointOutcome(
+                job.points[idx], status, payload, error, elapsed,
+                rusage, spans))
 
     def _maybe_finish_job(self, job: Job) -> None:
         if job.status in ("done", "failed", "cancelled"):

@@ -11,9 +11,10 @@ import time
 import pytest
 
 from repro.experiments import runner
+from repro.experiments.engine import Worker
 from repro.experiments.plan import Point
 from repro.experiments.store import SqliteStore
-from repro.obs.runlog import read_ledger
+from repro.obs.runlog import ledger_summary, read_ledger
 from repro.obs.spans import assemble_trees
 from repro.service import Scheduler, ServiceClient, ServiceError
 from repro.service.server import ServiceServer
@@ -173,6 +174,41 @@ class TestScheduler:
             sched.stop()
             store.close()
 
+    def test_cancel_resolves_running_point_another_job_shares(
+            self, cache, tmp_path, monkeypatch):
+        # A's copy of the point is running when A is cancelled, and B
+        # awaits the same point: the worker runs on for B, but A's copy
+        # must still resolve through the ledger and the counters.
+        real = runner.path_ratio
+
+        def slow(bench, *args, **kwargs):
+            time.sleep(1.0)
+            return real(bench, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "path_ratio", slow)
+        pt = Point.ratio(BENCH)
+        state = tmp_path / "state"
+        sched = Scheduler(workers=1, state_dir=state)
+        try:
+            a = sched.submit([pt], tenant="alice")
+            sched._schedule()
+            assert sched.results(a)[0]["status"] == "running"
+            b = sched.submit([pt], tenant="bob")
+            assert sched.cancel(a) is True
+            recs = read_ledger(state / "ledgers" / f"job-{a}.jsonl")
+            assert [r["status"] for r in recs if r["rec"] == "point"] \
+                == ["cancelled"]
+            assert ledger_summary(recs)["running"] == []
+            assert sched.metrics.counters.get(
+                "service.points.cancelled", 0) == 1
+            sched.start()
+            assert wait_job(sched, b)["status"] == "done"
+            (rb,) = sched.results(b)
+            assert rb["status"] == "cached"
+            assert rb["payload"] is not None
+        finally:
+            sched.stop()
+
 
 class TestSchedulerFaultIsolation:
     """A raising, a crashing and a hung point fail alone under the
@@ -248,14 +284,17 @@ class _ReapLog:
 
 
 def _fake_running_worker(sched, jid):
-    """Wire a stub proc into the scheduler as if a worker were live."""
+    """Wire a stub proc/conn into the scheduler as a live Worker."""
     job = sched._jobs[jid]
     rec = job.records[0]
     rec["status"] = "running"
     rec["t0"] = time.monotonic()
     job.status = "running"
     stub = _ReapLog(sched)
-    sched._live[stub] = (job, 0, job.points[0], time.monotonic(), stub)
+    worker = Worker.__new__(Worker)  # no process behind it
+    worker.point = job.points[0]
+    worker.proc = worker.conn = stub
+    sched._live[worker] = (job, 0)
     return job, stub
 
 
