@@ -217,7 +217,7 @@ class SqliteStore(ResultStore):
         if row is not None:
             try:
                 payload = json.loads(row[0])
-            except json.JSONDecodeError:  # pragma: no cover - corrupt row
+            except json.JSONDecodeError:
                 return None
             return payload if isinstance(payload, dict) else None
         if self.fallback is not None:

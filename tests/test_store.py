@@ -5,8 +5,9 @@ hammering one database, and environmental store selection."""
 
 import json
 import multiprocessing
-
+import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
@@ -171,6 +172,34 @@ class TestSqliteStore:
             assert st["backend"] == "sqlite"
             assert st["results"] == 1 and st["schema"] == 1
             assert db.integrity_ok()
+
+
+class TestTornRow:
+    def test_torn_row_is_miss_and_rewritten(self, cache, monkeypatch,
+                                            tmp_path):
+        """A torn payload in the results table is a miss: the point
+        runs again and its row is rewritten whole."""
+        from repro.experiments.engine import SerialEngine
+
+        path = tmp_path / "store.sqlite"
+        monkeypatch.setenv("REPRO_STORE", str(path))
+        pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
+        key = pt.cache_key()
+        first = SerialEngine().run([pt])[pt]
+        assert first.status == "done"
+        with closing(sqlite3.connect(path)) as conn:
+            conn.execute("UPDATE results SET payload = ? WHERE key = ?",
+                         ('{"cycles": 1, "truncated...', key))
+            conn.commit()
+        assert pt.load_cached() is None
+        second = SerialEngine().run([pt])[pt]
+        assert second.status == "done"
+        assert second.payload == first.payload
+        with closing(sqlite3.connect(path)) as conn:
+            (blob,) = conn.execute(
+                "SELECT payload FROM results WHERE key = ?",
+                (key,)).fetchone()
+        assert json.loads(blob) == first.payload
 
 
 class TestActiveStore:
