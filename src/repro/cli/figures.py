@@ -284,8 +284,8 @@ def register(sub) -> None:
                     help="ignore (and don't consult) the result cache")
     sw.add_argument("--store", metavar="PATH", default=None,
                     help="sqlite result store to read/write (sets "
-                         "REPRO_STORE; the JSON file cache becomes a "
-                         "read-through fallback)")
+                         "REPRO_STORE; default: results.sqlite in the "
+                         "cache directory)")
     sw.add_argument("--csv", metavar="PATH", default=None,
                     help="write per-point outcomes as CSV")
     sw.add_argument("--metrics", action="store_true",

@@ -30,7 +30,6 @@ def _parse_quotas(specs):
 
 
 def _cmd_serve(args) -> int:
-    from repro.experiments.store import SqliteStore
     from repro.service.scheduler import Scheduler
     from repro.service.server import ServiceServer
 
@@ -39,21 +38,18 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
-    store = None
     if args.store:
-        # The scheduler's own handle; workers reach the same file via
-        # REPRO_STORE, which repro_env() propagates into every fork.
+        # The scheduler opens the active store, and workers reach the
+        # same file through REPRO_STORE, which repro_env() propagates.
         os.environ["REPRO_STORE"] = args.store
-        store = SqliteStore(args.store, actor="serve")
     sched = Scheduler(workers=args.workers, timeout=args.timeout,
                       quotas=quotas, default_quota=args.default_quota,
-                      state_dir=args.state_dir, store=store)
+                      state_dir=args.state_dir)
     server = ServiceServer(sched, host=args.host, port=args.port,
                            verbose=args.verbose)
     sched.start()
     print(f"repro serve: listening on {server.url} "
-          f"({sched.workers} workers"
-          f"{', store ' + args.store if args.store else ''})",
+          f"({sched.workers} workers, store {sched.store.path})",
           flush=True)
     try:
         server.serve_forever()
@@ -61,8 +57,6 @@ def _cmd_serve(args) -> int:
         print("\nrepro serve: shutting down", file=sys.stderr)
     finally:
         sched.stop()
-        if store is not None:
-            store.close()
     return 0
 
 
@@ -156,9 +150,16 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_store(args) -> int:
-    from repro.experiments.runner import cache_dir
-    from repro.experiments.store import FileStore, SqliteStore
+    from pathlib import Path
 
+    from repro.experiments.store import SqliteStore
+
+    if not Path(args.path).is_file():
+        # Opening a missing path would create an empty store and
+        # report it healthy; a typo must not look like one.
+        print(f"repro store {args.store_cmd}: no store at {args.path}",
+              file=sys.stderr)
+        return 2
     store = SqliteStore(args.path, actor="cli")
     try:
         if args.store_cmd == "stats":
@@ -168,12 +169,6 @@ def _cmd_store(args) -> int:
                 print(f"{k} = {stats[k]}")
             print(f"integrity = {'ok' if ok else 'FAILED'}")
             return 0 if ok else 1
-        if args.store_cmd == "migrate":
-            src = FileStore(args.cache_dir or cache_dir())
-            n = store.migrate_from(src)
-            print(f"store migrate: imported {n} entries from "
-                  f"{src.root} into {args.path}")
-            return 0
         if args.store_cmd == "gc-claims":
             n = store.gc_claims(max_age_s=args.max_age,
                                 owner=args.owner)
@@ -209,7 +204,9 @@ def register(sub) -> None:
                     metavar="SECS", help="per-point timeout")
     sv.add_argument("--store", metavar="PATH", default=None,
                     help="sqlite result store (also exported as "
-                         "REPRO_STORE so workers write through it)")
+                         "REPRO_STORE so workers write through it; "
+                         "default: results.sqlite in the cache "
+                         "directory)")
     sv.add_argument("--state-dir", metavar="DIR", default=None,
                     help="where per-job run ledgers are written "
                          "(default: no ledgers)")
@@ -271,13 +268,6 @@ def register(sub) -> None:
         "stats", help="row counts, schema, and an integrity check")
     sst.add_argument("path", help="sqlite store file")
     sst.set_defaults(fn=_cmd_store)
-    smg = ssub.add_parser(
-        "migrate", help="import a JSON file cache into the store")
-    smg.add_argument("path", help="sqlite store file")
-    smg.add_argument("--cache-dir", metavar="DIR", default=None,
-                     help="source cache directory (default: the "
-                          "active cache dir)")
-    smg.set_defaults(fn=_cmd_store)
     sad = ssub.add_parser(
         "audit", help="print the audit trail, newest first")
     sad.add_argument("path", help="sqlite store file")
@@ -285,7 +275,7 @@ def register(sub) -> None:
                      help="rows to show (default 50)")
     sad.add_argument("--action", default=None,
                      help="only rows with this action (store, "
-                          "migrate, submit, cancel, gc-claims)")
+                          "submit, cancel, gc-claims)")
     sad.set_defaults(fn=_cmd_store)
     sgc = ssub.add_parser(
         "gc-claims", help="drop stale (or one owner's) cross-process "

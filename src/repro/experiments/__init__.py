@@ -13,9 +13,7 @@ from .runner import (
     RunResult, cache_dir, default_scale, path_ratio, run_point,
     source_hash,
 )
-from .store import (
-    FileStore, ResultStore, SqliteStore, active_store,
-)
+from .store import ResultStore, SqliteStore, active_store
 from .rw import (
     REG_SIZES, RW_MODELS, fig4_execution_time, fig4_plan,
     fig5_cache_accesses, fig5_plan, fig6_plan, fig6_single_port,
@@ -32,9 +30,9 @@ __all__ = [
     "SweepProgress", "execute_plan", "Point", "SweepSpec",
     "unique_points", "render_series", "render_table", "RunResult",
     "cache_dir", "default_scale", "path_ratio", "run_point",
-    "source_hash", "FileStore", "ResultStore", "SqliteStore",
-    "active_store", "REG_SIZES", "RW_MODELS", "fig4_execution_time",
-    "fig4_plan", "fig5_cache_accesses", "fig5_plan", "fig6_plan",
+    "source_hash", "ResultStore", "SqliteStore", "active_store",
+    "REG_SIZES", "RW_MODELS", "fig4_execution_time", "fig4_plan",
+    "fig5_cache_accesses", "fig5_plan", "fig6_plan",
     "fig6_single_port", "rw_plan", "rw_sweep", "SMT_SIZES",
     "fig7_smt", "fig8_smt_rw", "sec43_cache_traffic",
     "select_workloads", "smt_plan", "smt_speedup_series",

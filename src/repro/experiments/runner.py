@@ -5,9 +5,8 @@ register count, cache ports, workload); sweeps share many points, so
 results are cached keyed by the run parameters *and a hash of the
 package source* — any code change invalidates stale results
 automatically.  Storage itself lives in the repository layer
-(:mod:`repro.experiments.store`): the historical per-key JSON file
-cache by default, or a sqlite3 store (with the file cache as
-read-through fallback) when ``REPRO_STORE`` is set.
+(:mod:`repro.experiments.store`): one sqlite3 store, at
+``REPRO_STORE`` or ``results.sqlite`` under :func:`cache_dir`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ _DEFAULT_CACHE_DIR = Path(__file__).resolve().parents[3] / ".repro_cache"
 
 
 def cache_dir() -> Path:
-    """Result-cache directory.
+    """Result-cache directory (it holds the default result store).
 
     ``REPRO_CACHE_DIR`` is re-read on every call (rather than once at
     import) so engine workers — which may be spawned with a different
@@ -151,10 +150,10 @@ def _cache_store(key: str, payload: dict) -> None:
     """Atomically publish one entry through the active result store.
 
     Concurrent writers of the same key (parallel sweep workers, or two
-    sweep invocations sharing a store) are safe in every backend —
-    atomic rename in the file cache, an atomic upsert in sqlite — so
-    readers only ever observe a complete entry; last writer wins, and
-    both writers produce the same payload anyway.
+    sweep invocations sharing a store) are safe: the write is one
+    atomic sqlite upsert, so readers only ever observe a complete
+    entry; last writer wins, and both writers produce the same payload
+    anyway.
     """
     active_store().store(key, payload, source_hash=source_hash())
 

@@ -1,32 +1,24 @@
-"""The repository layer: pluggable, content-addressed result stores.
+"""The repository layer: one content-addressed sqlite result store.
 
 Every simulation result is addressed by the runner's content hash
 (:func:`repro.experiments.runner._cache_key` — the run parameters plus
-the semantics source hash), and historically lived as one JSON file
-per key under ``.repro_cache/``.  This module turns that ad-hoc cache
-into an explicit repository layer with two interchangeable backends:
+the semantics source hash).  :class:`SqliteStore` keeps those payloads
+in one sqlite3 database: a ``results`` table, an **audit trail** (who
+stored or submitted what, when, under which ``source_hash``) and a
+``claims`` table that lets concurrent schedulers agree on who runs a
+missing point.  It is opened with WAL journaling and a busy timeout so
+many worker processes can hammer one store safely; writes are a
+single atomic upsert.
 
-* :class:`FileStore` — the historical per-key JSON file cache,
-  bit-compatible with every cache directory written before this layer
-  existed (same paths, same atomic ``mkstemp`` + ``os.replace``
-  publish).
-* :class:`SqliteStore` — a single sqlite3 database holding the same
-  payloads in a ``results`` table, plus an **audit trail** (who stored
-  or submitted what, when, under which ``source_hash``) and a
-  ``claims`` table that lets concurrent schedulers agree on who runs a
-  missing point.  Opened with WAL journaling and a busy timeout so
-  many worker processes can hammer one store safely; writes are a
-  single atomic upsert.  A :class:`FileStore` can be attached as a
-  read-through *fallback*: a pre-existing JSON cache entry satisfies a
-  lookup (and is promoted into sqlite), so switching stores never
-  recomputes old results.
+:func:`active_store` opens the store every process reads and writes
+through: ``REPRO_STORE`` when set, else ``results.sqlite`` under the
+cache directory (``REPRO_CACHE_DIR``).  Engine workers inherit both
+variables through ``repro_env()``, so a sweep's parent and its forked
+workers always share one store.
 
-Selection is environmental, like ``REPRO_CACHE_DIR``: when
-``REPRO_STORE`` names a sqlite file, :func:`active_store` returns a
-:class:`SqliteStore` fronting the file cache; otherwise the plain
-:class:`FileStore`.  Engine workers inherit both variables through
-``repro_env()``, so a sweep's parent and its forked workers always
-read and write the same repository.
+:class:`FileStore`, one JSON file per key, is no longer read or
+written by any run; the benchmark keeps it as the comparison point
+for its ``store.file.*`` rows.
 """
 
 from __future__ import annotations
@@ -84,11 +76,8 @@ class ResultStore:
 
 
 class FileStore(ResultStore):
-    """The historical one-JSON-file-per-key cache directory.
-
-    Readable and writable by every version of this package that ever
-    cached a result: ``<root>/<key>.json`` holding the payload.
-    """
+    """One JSON file per key: ``<root>/<key>.json`` holding the
+    payload (the benchmark's file-store baseline)."""
 
     kind = "file"
 
@@ -170,22 +159,14 @@ class SqliteStore(ResultStore):
     * ``busy_timeout`` — concurrent writers queue instead of failing;
     * ``synchronous=NORMAL`` — durable-enough for a derived cache
       (every payload is recomputable) at much lower fsync cost.
-
-    ``fallback`` (typically the :class:`FileStore` over the historical
-    cache directory) is consulted on a miss; hits are *promoted* into
-    sqlite with an ``audit`` row of action ``migrate``, so old caches
-    drain into the store as they are touched — and
-    :meth:`migrate_from` does the same eagerly for a whole store.
     """
 
     kind = "sqlite"
 
-    def __init__(self, path, fallback: Optional[ResultStore] = None,
-                 actor: Optional[str] = None,
+    def __init__(self, path, actor: Optional[str] = None,
                  busy_timeout_ms: int = 10_000,
                  claim_stale_s: float = 3600.0) -> None:
         self.path = Path(path)
-        self.fallback = fallback
         self.actor = actor or f"pid-{os.getpid()}"
         self.claim_stale_s = claim_stale_s
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -214,30 +195,19 @@ class SqliteStore(ResultStore):
             row = self._conn.execute(
                 "SELECT payload FROM results WHERE key = ?",
                 (key,)).fetchone()
-        if row is not None:
-            try:
-                payload = json.loads(row[0])
-            except json.JSONDecodeError:
-                return None
-            return payload if isinstance(payload, dict) else None
-        if self.fallback is not None:
-            payload = self.fallback.load(key)
-            if payload is not None:
-                self._upsert(key, payload, source_hash=None,
-                             actor=self.actor, action="migrate")
-                return payload
-        return None
+        if row is None:
+            return None
+        try:
+            payload = json.loads(row[0])
+        except json.JSONDecodeError:
+            return None
+        return payload if isinstance(payload, dict) else None
 
     def store(self, key: str, payload: dict,
               source_hash: Optional[str] = None,
               actor: Optional[str] = None) -> None:
-        self._upsert(key, payload, source_hash=source_hash,
-                     actor=actor or self.actor, action="store")
-
-    def _upsert(self, key: str, payload: dict,
-                source_hash: Optional[str], actor: str,
-                action: str) -> None:
         blob = json.dumps(payload)
+        actor = actor or self.actor
         now = time.time()
         with self._lock:
             self._conn.execute(
@@ -251,7 +221,7 @@ class SqliteStore(ResultStore):
             self._conn.execute(
                 "INSERT INTO audit(t, actor, action, key, source_hash,"
                 " detail) VALUES(?, ?, ?, ?, ?, ?)",
-                (now, actor, action, key, source_hash, None))
+                (now, actor, "store", key, source_hash, None))
             self._conn.commit()
 
     def keys(self) -> List[str]:
@@ -392,23 +362,6 @@ class SqliteStore(ResultStore):
 
     # -- maintenance -------------------------------------------------------
 
-    def migrate_from(self, other: ResultStore,
-                     actor: Optional[str] = None) -> int:
-        """Copy every entry of ``other`` not already present; returns
-        the number of entries imported."""
-        imported = 0
-        have = set(self.keys())
-        for key in other.keys():
-            if key in have:
-                continue
-            payload = other.load(key)
-            if payload is None:
-                continue
-            self._upsert(key, payload, source_hash=None,
-                         actor=actor or self.actor, action="migrate")
-            imported += 1
-        return imported
-
     def stats(self) -> Dict:
         """Counts and identity for CLI/status surfaces."""
         with self._lock:
@@ -434,46 +387,42 @@ class SqliteStore(ResultStore):
 # process-wide active store
 # ----------------------------------------------------------------------
 
-#: The one live store per process: ``{"pid", "sig", "store"}``.
-_active = {"pid": None, "sig": None, "store": None}
+#: The one live store per process: ``{"pid", "path", "store"}``.
+_active = {"pid": None, "path": None, "store": None}
 #: Stores abandoned after a fork — referenced so the child's GC never
 #: closes the parent's sqlite connection (closing a POSIX-locked fd in
 #: the child could release the parent's locks).
-_abandoned: List[ResultStore] = []
+_abandoned: List[SqliteStore] = []
 
 
-def _store_sig() -> Tuple[str, str]:
+def _store_path() -> Path:
     from repro.experiments.runner import cache_dir
-    return (os.environ.get("REPRO_STORE", ""), str(cache_dir()))
+    path = os.environ.get("REPRO_STORE")
+    return Path(path) if path else cache_dir() / "results.sqlite"
 
 
-def active_store() -> ResultStore:
-    """The repository this process reads and writes results through.
+def active_store() -> SqliteStore:
+    """The store this process reads and writes results through.
 
-    ``REPRO_STORE`` (a sqlite file path) selects the sqlite backend
-    with the file cache as read-through fallback; otherwise the plain
-    file cache.  Re-evaluated on every call — like ``cache_dir()`` —
-    so forked/spawned engine workers and tests that re-point the
-    environment always agree with it; the built store is reused until
-    the pid or the environment changes.
+    ``REPRO_STORE`` when set, else ``results.sqlite`` under
+    ``cache_dir()``.  Re-evaluated on every call — like ``cache_dir()``
+    — so forked/spawned engine workers and tests that re-point the
+    environment always agree with it; the open store is reused until
+    the pid or the path changes.
     """
-    from repro.experiments.runner import cache_dir
     pid = os.getpid()
-    sig = _store_sig()
-    if (_active["store"] is not None and _active["pid"] == pid
-            and _active["sig"] == sig):
-        return _active["store"]
-    if _active["store"] is not None:
+    path = _store_path()
+    store = _active["store"]
+    if store is not None and _active["pid"] == pid \
+            and _active["path"] == path:
+        return store
+    if store is not None:
         if _active["pid"] == pid:
-            _active["store"].close()
+            store.close()
         else:
-            _abandoned.append(_active["store"])
-    file_store = FileStore(cache_dir())
-    if sig[0]:
-        store: ResultStore = SqliteStore(sig[0], fallback=file_store)
-    else:
-        store = file_store
-    _active.update(pid=pid, sig=sig, store=store)
+            _abandoned.append(store)
+    store = SqliteStore(path)
+    _active.update(pid=pid, path=path, store=store)
     return store
 
 
@@ -483,10 +432,10 @@ def active_store() -> ResultStore:
 def store_self_check(verbose: bool = True) -> int:
     """An end-to-end integrity exercise of the repository layer.
 
-    Builds a throwaway file cache, migrates it into a fresh sqlite
-    store, and verifies: migration round-trip, upsert atomicity (last
-    writer wins, single row), fallback promotion, claim exclusivity,
-    and sqlite's own integrity check.  Returns 0 on success — run by
+    Fills a fresh sqlite store in a throwaway directory and verifies:
+    round-trip equality, upsert atomicity (last writer wins, single
+    row), claim exclusivity and release, one audit row per write, and
+    sqlite's own integrity check.  Returns 0 on success — run by
     ``tools/ci_checks.py store``.
     """
     failures: List[str] = []
@@ -497,35 +446,30 @@ def store_self_check(verbose: bool = True) -> int:
         if not ok:
             failures.append(name)
 
+    payloads = {f"k{i}": {"i": i, "payload": [i, i * i]}
+                for i in range(5)}
     with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
-        root = Path(tmp)
-        files = FileStore(root / "cache")
-        for i in range(5):
-            files.store(f"k{i}", {"i": i, "payload": [i, i * i]})
-        db = SqliteStore(root / "store.sqlite", fallback=files)
+        db = SqliteStore(Path(tmp) / "store.sqlite")
         try:
-            n = db.migrate_from(files)
-            check("migration imports every entry", n == 5)
+            for key, payload in payloads.items():
+                db.store(key, payload)
             check("round-trip equality", all(
-                db.load(f"k{i}") == files.load(f"k{i}")
-                for i in range(5)))
+                db.load(key) == payload
+                for key, payload in payloads.items()))
             db.store("k0", {"i": 0, "payload": "updated"},
                      source_hash="deadbeef")
             check("upsert keeps one row per key",
-                  db.keys() == sorted(f"k{i}" for i in range(5)))
+                  db.keys() == sorted(payloads))
             check("upsert last-writer-wins",
                   (db.load("k0") or {}).get("payload") == "updated")
-            files.store("fresh", {"from": "fallback"})
-            check("fallback read-through + promotion",
-                  db.load("fresh") == {"from": "fallback"}
-                  and "fresh" in db.keys())
             check("claim exclusivity",
                   db.claim("point", "a") and not db.claim("point", "b")
                   and db.claim("point", "a"))
             db.release("point", "a")
             check("claim release", db.claim("point", "b"))
             check("audit trail recorded",
-                  len(db.audit_rows(limit=100)) >= 7)
+                  [r["action"] for r in db.audit_rows(limit=100)]
+                  == ["store"] * 6)
             check("sqlite integrity", db.integrity_ok())
         finally:
             db.close()

@@ -17,18 +17,20 @@ needs:
   worker slots, so one heavy client cannot starve the rest;
 * **in-flight dedupe** — two jobs asking for the same point (same
   content-addressed cache key) share one execution;
-* **cross-process claims** — with a sqlite store attached, a point is
-  claimed before it forks, so a second scheduler (or a concurrent
-  CLI sweep) hammering the same store waits for the result instead of
-  double-running the point;
+* **cross-process claims** — a point is claimed in the store before
+  it forks, so a second scheduler sharing the store waits for the
+  result instead of double-running the point.  Only schedulers claim:
+  a CLI sweep sharing the store may run a point a scheduler also
+  runs, and both publish the same payload through the upsert;
 * **audit + telemetry** — one :class:`~repro.obs.runlog.RunLedger`
   per job (``repro top`` / ``repro report`` work unchanged on it),
   ``service.*`` counters on a metrics registry, and submit/cancel
   audit rows in the store.
 
-Results themselves flow through the repository layer: workers inherit
-``REPRO_STORE``/``REPRO_CACHE_DIR`` through ``repro_env()`` and write
-their payloads straight into the shared store.
+Results themselves flow through the repository layer: the scheduler
+holds the process's :func:`~repro.experiments.store.active_store`,
+and workers inherit ``REPRO_STORE``/``REPRO_CACHE_DIR`` through
+``repro_env()`` and write their payloads straight into the same file.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.experiments.engine import PointOutcome, Worker, ledger_point
 from repro.experiments.plan import Point, unique_points
 from repro.experiments.runner import source_hash
-from repro.experiments.store import SqliteStore
+from repro.experiments.store import SqliteStore, active_store
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import RunLedger
 from repro.obs.spans import SpanTracer
@@ -129,7 +131,7 @@ class Scheduler:
         if self.state_dir is not None:
             (self.state_dir / "ledgers").mkdir(parents=True,
                                                exist_ok=True)
-        self.store = store
+        self.store = store if store is not None else active_store()
         self.metrics = metrics if metrics is not None \
             else MetricsRegistry()
         self.id = f"sched-{uuid.uuid4().hex[:8]}"
@@ -181,9 +183,7 @@ class Scheduler:
                 pt = worker.point
                 if pt.cacheable:
                     self._inflight.pop(pt.cache_key(), None)
-                    if self.store is not None:
-                        self.store.release(pt.cache_key(),
-                                           owner=self.id)
+                    self.store.release(pt.cache_key(), owner=self.id)
             for job in self._jobs.values():
                 if job.status in ("queued", "running"):
                     self._finish_job(job, status="cancelled",
@@ -230,12 +230,11 @@ class Scheduler:
                 job.records[idx] = self._record(idx, pt)
             self._jobs[job.id] = job
             self.metrics.inc("service.jobs.submitted")
-            if self.store is not None:
-                self.store.audit(
-                    "submit", key=job.id, actor=tenant,
-                    source_hash=source_hash(),
-                    detail={"points": len(pts),
-                            "priority": job.priority, "label": label})
+            self.store.audit(
+                "submit", key=job.id, actor=tenant,
+                source_hash=source_hash(),
+                detail={"points": len(pts), "priority": job.priority,
+                        "label": label})
             # Resolve store hits before anything is scheduled.
             for idx, pt in enumerate(pts):
                 if pt.cacheable:
@@ -280,13 +279,10 @@ class Scheduler:
                 del self._live[worker]
                 if key is not None:
                     self._inflight.pop(key, None)
-                    if self.store is not None:
-                        self.store.release(key, owner=self.id)
+                    self.store.release(key, owner=self.id)
                 to_reap.append(worker)
             self.metrics.inc("service.jobs.cancelled")
-            if self.store is not None:
-                self.store.audit("cancel", key=job.id,
-                                 actor=job.tenant)
+            self.store.audit("cancel", key=job.id, actor=job.tenant)
             self._finish_job(job, status="cancelled")
         # Reap outside the lock: join() blocks until the child dies,
         # and the pump needs the lock to keep other jobs moving.  The
@@ -368,9 +364,7 @@ class Scheduler:
                             # Shares an execution already under way;
                             # resolved with it in _finish_point.
                             continue
-                        if (self.store is not None
-                                and not self.store.claim(
-                                    key, owner=self.id)):
+                        if not self.store.claim(key, owner=self.id):
                             # Another process owns the point; poll
                             # the store for its result instead.
                             rec["status"] = "waiting"
@@ -416,8 +410,6 @@ class Scheduler:
         runs only when a foreign writer actually landed something (or
         on the slow fallback tick).
         """
-        if self.store is None:
-            return
         now = time.monotonic()
         version = self.store.data_version()
         if version != self._wait_data_version:
@@ -450,8 +442,7 @@ class Scheduler:
         key = pt.cache_key() if pt.cacheable else None
         if key is not None:
             self._inflight.pop(key, None)
-            if self.store is not None:
-                self.store.release(key, owner=self.id)
+            self.store.release(key, owner=self.id)
         rec = job.records[idx]
         if rec["status"] != "cancelled":
             self._resolve(job, idx, outcome.status,

@@ -192,9 +192,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _store(self) -> None:
         store = self.sched.store
-        if store is None:
-            self._json({"attached": False})
-            return
         self._json({"attached": True, "stats": store.stats(),
                     "audit": store.audit_rows(limit=50)})
 

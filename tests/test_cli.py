@@ -47,6 +47,15 @@ class TestCli:
         assert main(["store", "gc-claims", path, "--max-age", "0"]) == 0
         assert "removed 0 claims" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cmd", ["stats", "audit", "gc-claims"])
+    def test_store_refuses_a_missing_path(self, capsys, tmp_path, cmd):
+        # A typo must not create an empty store and report it healthy.
+        path = tmp_path / "nostore" / "typo.sqlite"
+        assert main(["store", cmd, str(path)]) == 2
+        assert f"no store at {path}" in capsys.readouterr().err
+        assert not (tmp_path / "nostore").exists()
+        assert main(["store", cmd, str(tmp_path)]) == 2
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

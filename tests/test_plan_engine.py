@@ -2,10 +2,11 @@
 expansion, cache-aware scheduling, fault isolation, ledger resume,
 worker environment propagation, and cache robustness."""
 
-import json
 import os
+import sqlite3
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.experiments.plan import (
     Point, SweepSpec, point_from_params, unique_points,
 )
 from repro.experiments.runner import RunResult
+from repro.experiments.store import SqliteStore, active_store
 from repro.obs.runlog import RunLedger
 
 SCALE = 0.05
@@ -29,7 +31,14 @@ def cache(tmp_path, monkeypatch):
     """An isolated result cache for the duration of one test."""
     d = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(d))
+    monkeypatch.delenv("REPRO_STORE", raising=False)
     return d
+
+
+def stored(path):
+    """Every ``{key: payload}`` in the sqlite store at ``path``."""
+    with SqliteStore(path) as db:
+        return {key: db.load(key) for key in db.keys()}
 
 
 def fake_result(model, benches, phys_regs, dl1_ports=2, scale=1.0,
@@ -167,6 +176,7 @@ class TestParallelEngine:
             "t", axes={"model": ("baseline", "vca-rw"),
                        "phys_regs": (128, 256), "bench": (BENCH,)},
             scale=SCALE).points()
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
         serial = SerialEngine().run(pts)
         monkeypatch.setenv("REPRO_CACHE_DIR",
@@ -175,12 +185,10 @@ class TestParallelEngine:
         for pt in pts:
             assert serial[pt].payload == parallel[pt].payload
             assert serial[pt].result() == parallel[pt].result()
-        # Same cache keys and identical cache values on disk.
-        s_files = {f.name: json.loads(f.read_text())
-                   for f in (tmp_path / "serial").glob("*.json")}
-        p_files = {f.name: json.loads(f.read_text())
-                   for f in (tmp_path / "parallel").glob("*.json")}
-        assert s_files == p_files and len(s_files) == len(pts)
+        # Same cache keys and identical cache values in each store.
+        s_rows = stored(tmp_path / "serial" / "results.sqlite")
+        p_rows = stored(tmp_path / "parallel" / "results.sqlite")
+        assert s_rows == p_rows and len(s_rows) == len(pts)
 
     def test_worker_exception_crash_and_timeout_isolated(
             self, cache, monkeypatch):
@@ -327,17 +335,18 @@ class TestCacheRobustness:
         pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
         real = runner.run_point(pt.model, pt.benches, pt.phys_regs,
                                 scale=pt.scale)
-        path = cache / f"{pt.cache_key()}.json"
-        path.write_text('{"cycles": 1, "truncated...')
+        with closing(sqlite3.connect(cache / "results.sqlite")) as conn:
+            conn.execute("UPDATE results SET payload = ? WHERE key = ?",
+                         ('{"cycles": 1, "truncated...', pt.cache_key()))
+            conn.commit()
         assert runner.run_point(pt.model, pt.benches, pt.phys_regs,
                                 scale=pt.scale) == real
-        assert json.loads(path.read_text())["cycles"] == real.cycles
+        rows = stored(cache / "results.sqlite")
+        assert rows[pt.cache_key()]["cycles"] == real.cycles
 
     def test_schema_mismatched_entry_is_miss(self, cache):
         pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
-        cache.mkdir(parents=True, exist_ok=True)
-        path = cache / f"{pt.cache_key()}.json"
-        path.write_text(json.dumps({"bogus_field": 1}))
+        active_store().store(pt.cache_key(), {"bogus_field": 1})
         assert pt.load_cached() is None
         r = runner.run_point(pt.model, pt.benches, pt.phys_regs,
                              scale=pt.scale)
@@ -377,10 +386,10 @@ class TestCacheRobustness:
 
     def test_path_ratio_corrupt_entry_recomputed(self, cache):
         key = runner._cache_key(kind="path_ratio", bench=BENCH)
-        cache.mkdir(parents=True, exist_ok=True)
-        (cache / f"{key}.json").write_text('{"ratio": "NaNsense"}')
+        active_store().store(key, {"ratio": "NaNsense"})
         ratio = runner.path_ratio(BENCH)
         assert 0.5 < ratio < 1.0
+        assert active_store().load(key) == {"ratio": ratio}
 
 
 class TestSourceHash:

@@ -13,7 +13,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.engine import Worker
 from repro.experiments.plan import Point
-from repro.experiments.store import SqliteStore
+from repro.experiments.store import SqliteStore, active_store
 from repro.obs.runlog import ledger_summary, read_ledger
 from repro.obs.spans import assemble_trees
 from repro.service import Scheduler, ServiceClient, ServiceError
@@ -385,11 +385,11 @@ class TestWaitingPointChangeDetection:
             store.close()
             other.close()
 
-    def test_filestore_scheduler_keeps_timed_poll(self, cache):
-        sched = Scheduler(workers=1)  # no store attached
+    def test_scheduler_holds_the_active_store(self, cache):
+        sched = Scheduler(workers=1)
         try:
-            assert getattr(sched.store, "data_version", None) is None
-            sched._check_waiting()  # must not blow up without a store
+            assert sched.store is active_store()
+            assert sched.store.path == cache / "results.sqlite"
         finally:
             sched.stop()
 

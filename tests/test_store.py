@@ -1,7 +1,7 @@
 """Tests for the repository layer (``repro.experiments.store``): the
-file and sqlite backends, read-through fallback promotion, eager
-migration, cross-process claims, the audit trail, concurrent writers
-hammering one database, and environmental store selection."""
+sqlite store and the file store kept beside it, cross-process claims,
+the audit trail, concurrent writers hammering one database, and the
+one active store every process reads and writes through."""
 
 import json
 import multiprocessing
@@ -75,47 +75,6 @@ class TestSqliteStore:
             assert db.load("k") == {"v": 3}
             assert db.keys() == ["k"]
             assert db.stats()["results"] == 1
-
-    def test_fallback_promotion_audited(self, tmp_path):
-        files = FileStore(tmp_path / "c")
-        files.store("old", {"ratio": 2.0})
-        with SqliteStore(tmp_path / "s.sqlite", fallback=files) as db:
-            # Miss in sqlite, hit in the file cache: served and
-            # promoted with an audit row.
-            assert db.load("old") == {"ratio": 2.0}
-            assert "old" in db.keys()
-            actions = [r["action"] for r in db.audit_rows()]
-            assert "migrate" in actions
-            # Now served from sqlite even if the file disappears.
-            (tmp_path / "c" / "old.json").unlink()
-            assert db.load("old") == {"ratio": 2.0}
-
-    def test_migrate_from_round_trip(self, tmp_path):
-        files = FileStore(tmp_path / "c")
-        payloads = {f"k{i}": {"i": i, "nested": {"x": [i]}}
-                    for i in range(7)}
-        for key, payload in payloads.items():
-            files.store(key, payload)
-        with SqliteStore(tmp_path / "s.sqlite") as db:
-            assert db.migrate_from(files) == 7
-            for key, payload in payloads.items():
-                assert db.load(key) == payload
-            # Idempotent: a second pass imports nothing.
-            assert db.migrate_from(files) == 0
-            assert db.stats()["results"] == 7
-
-    def test_pre_refactor_cache_entry_is_a_hit(self, cache,
-                                               monkeypatch, tmp_path):
-        # A payload written under the historical file layout — before
-        # the store existed — satisfies a Point cache lookup through
-        # the sqlite store's fallback.
-        pt = Point.ratio(BENCH)
-        files = FileStore(cache)
-        files.store(pt.cache_key(), {"ratio": 1.25})
-        monkeypatch.setenv("REPRO_STORE",
-                           str(tmp_path / "store.sqlite"))
-        assert pt.load_cached() == {"ratio": 1.25}
-        assert isinstance(active_store(), SqliteStore)
 
     def test_claims_exclusive_reclaim_release(self, tmp_path):
         with SqliteStore(tmp_path / "s.sqlite") as db:
@@ -203,22 +162,40 @@ class TestTornRow:
 
 
 class TestActiveStore:
-    def test_file_backend_by_default(self, cache):
+    def test_default_is_sqlite_in_cache_dir(self, cache):
         store = active_store()
-        assert isinstance(store, FileStore)
-        assert store.root == cache
+        assert isinstance(store, SqliteStore)
+        assert store.path == cache / "results.sqlite"
+        assert store.path.is_file()
 
-    def test_repro_store_selects_sqlite(self, cache, monkeypatch,
-                                        tmp_path):
+    def test_repro_store_overrides_the_path(self, cache, monkeypatch,
+                                            tmp_path):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "s.sqlite"))
         store = active_store()
         assert isinstance(store, SqliteStore)
-        assert isinstance(store.fallback, FileStore)
+        assert store.path == tmp_path / "s.sqlite"
+        assert not (cache / "results.sqlite").exists()
+
+    def test_reused_until_the_environment_changes(self, cache,
+                                                  monkeypatch, tmp_path):
+        store = active_store()
         # Stable while the environment is stable...
         assert active_store() is store
         # ...rebuilt when it changes.
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "s.sqlite"))
+        named = active_store()
+        assert named is not store
+        assert named.path == tmp_path / "s.sqlite"
         monkeypatch.delenv("REPRO_STORE")
-        assert isinstance(active_store(), FileStore)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other"))
+        assert active_store().path == tmp_path / "other" / "results.sqlite"
+
+    def test_json_cache_entries_are_not_read(self, cache):
+        # One JSON file per key was the layout before the one store;
+        # such files are left alone and a lookup misses.
+        pt = Point.ratio(BENCH)
+        FileStore(cache).store(pt.cache_key(), {"ratio": 1.25})
+        assert pt.load_cached() is None
 
 
 def _run_sweep(points, out_path):

@@ -10,9 +10,9 @@ Runs, in order:
 * ``docs`` — ``tools/check_docs.py`` (markdown link check + fenced
   doctest runner over README.md and docs/).
 * ``store`` — the repository layer's end-to-end self-check
-  (``repro.experiments.store.store_self_check``): migration
-  round-trip, upsert atomicity, fallback promotion, claim
-  exclusivity, and sqlite integrity on a throwaway store.
+  (``repro.experiments.store.store_self_check``): round-trip, upsert
+  atomicity, claim exclusivity, the audit trail, and sqlite
+  integrity on a throwaway store.
 * ``concurrency`` — ``repro lint --strict --families K,F,X``: just
   the concurrency families (lock discipline, fork safety, resource
   lifecycle; ``docs/concurrency.md``). Redundant with ``lint`` when
