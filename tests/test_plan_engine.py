@@ -126,6 +126,27 @@ class TestSerialEngine:
         assert [o.payload for o in first.values()] == \
                [o.payload for o in second.values()]
 
+    def test_sampled_points_store_under_their_cache_keys(
+            self, cache, tmp_path, monkeypatch):
+        # Point.cache_key and run_point must gate the same sample_*
+        # parameters, or a resolved point misses what its run stored.
+        import dataclasses
+        path = tmp_path / "keys.sqlite"
+        monkeypatch.setenv("REPRO_STORE", str(path))
+        fixed = dataclasses.replace(
+            Point.run("vca-rw", ("fib",), 256, scale=0.25),
+            sample=True, sample_interval=500, sample_count=2)
+        pts = [fixed,
+               dataclasses.replace(fixed, sample_mode="bbv+mem",
+                                   sample_mem_weight=0.7),
+               dataclasses.replace(fixed, sample_mode="bbv",
+                                   sample_rse=0.05,
+                                   sample_rse_metrics=("ipc",),
+                                   sample_max=4)]
+        out = SerialEngine().run(pts)
+        assert [o.status for o in out.values()] == ["done"] * 3
+        assert sorted(stored(path)) == sorted(p.cache_key() for p in pts)
+
     def test_exception_isolated_to_its_point(self, cache):
         good = Point.run("baseline", (BENCH,), 256, scale=SCALE)
         bad = Point.run("baseline", ("no_such_bench",), 256,
