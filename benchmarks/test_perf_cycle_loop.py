@@ -19,14 +19,15 @@ without the first:
    at commit 5a04113 and pinned slightly below the observed values so
    ordinary timer noise cannot fail a genuinely fast tree.
 
-Results are appended to ``BENCH_perf.json`` at the repo root so
-successive runs accumulate a history.
+The measured rates are printed, not recorded: the perf history in
+``BENCH_perf.json`` holds ``python -m bench run --out`` results
+appended by ``repro bench record``, whose ``pipeline.cycles_per_s.*``
+rows trend every model's cycle loop.
 """
 
 import hashlib
 import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -110,20 +111,6 @@ def test_cycle_loop_speedup():
                           "baseline_cps": base, "speedup": ratio}
         print(f"\n{bench}: {cycles} cycles, best {cps:,.0f} c/s, "
               f"{ratio:.2f}x baseline")
-
-    out = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-    history = []
-    if out.exists():
-        try:
-            history = json.loads(out.read_text())
-        except ValueError:
-            history = []
-    history.append({
-        "schema": "repro.bench-perf", "schema_version": 1,
-        "model": "vca-rw", "scale": TIMING_SCALE,
-        "rounds": TIMING_ROUNDS, "results": results,
-    })
-    out.write_text(json.dumps(history, indent=2, sort_keys=True))
 
     for bench, r in results.items():
         assert r["speedup"] >= SPEEDUP_FLOOR, (

@@ -18,19 +18,16 @@ the first:
    ~6.0M i/s, ~12.6x) so shared-runner timer noise cannot fail a
    genuinely fast tree.
 
-Results are appended to ``BENCH_perf.json`` at the repo root (rows
-``functional-interp`` / ``functional-blocks``, value field
-``instructions_per_sec``) so ``repro bench diff`` can trend them.
+The measured rates are printed, not recorded: the perf history in
+``BENCH_perf.json`` holds ``python -m bench run --out`` results
+appended by ``repro bench record``, whose ``functional.insts_per_s.*``
+rows trend both modes.
 """
 
-import json
-from pathlib import Path
+import time
 
 import pytest
 
-from repro.experiments.benchdiff import (
-    FUNCTIONAL_BENCH, SCALE, measure_functional,
-)
 from repro.functional import FunctionalSim
 from repro.workloads.generator import benchmark_program
 
@@ -41,6 +38,8 @@ SPEEDUP_FLOOR = 5.0
 ABSOLUTE_FLOORS = {"functional-interp": 150_000.0,
                    "functional-blocks": 1_200_000.0}
 TIMING_ROUNDS = 5
+TIMING_BENCH = "fib"
+TIMING_SCALE = 4.0
 
 
 @pytest.mark.parametrize("bench,abi", [
@@ -60,37 +59,38 @@ def test_blocks_bit_identical(bench, abi):
         f"{bench}/{abi}: blocks-mode architectural state diverged")
 
 
+def _best_ips(mode):
+    """Best-of-``TIMING_ROUNDS`` instructions/sec.  Each round builds
+    a fresh :class:`FunctionalSim`, so the ``blocks`` rate includes
+    first-visit decode; the program (and so its block table) is cached
+    across rounds, and best-of keeps the warm rate."""
+    best = 0.0
+    instructions = 0
+    for _ in range(TIMING_ROUNDS):
+        prog = benchmark_program(TIMING_BENCH, abi="windowed",
+                                 scale=TIMING_SCALE, seed=0)
+        sim = FunctionalSim(prog, mode=mode)
+        t0 = time.perf_counter()
+        stats = sim.run()
+        dt = time.perf_counter() - t0
+        instructions = stats.instructions
+        best = max(best, instructions / dt if dt else 0.0)
+    return best, instructions
+
+
 def test_functional_speedup():
-    results = measure_functional(rounds=TIMING_ROUNDS)
-    interp = results["functional-interp"]["instructions_per_sec"]
-    blocks = results["functional-blocks"]["instructions_per_sec"]
-    ratio = blocks / interp
-    for key, rec in results.items():
-        rec["speedup_vs_interp"] = (
-            rec["instructions_per_sec"] / interp)
-        print(f"\n{key}: {rec['instructions']} instrs, best "
-              f"{rec['instructions_per_sec']:,.0f} i/s "
-              f"({FUNCTIONAL_BENCH}, scale {SCALE})")
+    ips = {}
+    for mode in ("interp", "blocks"):
+        key = f"functional-{mode}"
+        ips[key], instructions = _best_ips(mode)
+        print(f"\n{key}: {instructions} instrs, best {ips[key]:,.0f} "
+              f"i/s ({TIMING_BENCH}, scale {TIMING_SCALE})")
+    ratio = ips["functional-blocks"] / ips["functional-interp"]
     print(f"blocks vs interp: {ratio:.2f}x")
 
-    out = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-    history = []
-    if out.exists():
-        try:
-            history = json.loads(out.read_text())
-        except ValueError:
-            history = []
-    history.append({
-        "schema": "repro.bench-perf", "schema_version": 1,
-        "bench": FUNCTIONAL_BENCH, "scale": SCALE,
-        "rounds": TIMING_ROUNDS, "results": results,
-    })
-    out.write_text(json.dumps(history, indent=2, sort_keys=True))
-
     for key, floor in ABSOLUTE_FLOORS.items():
-        ips = results[key]["instructions_per_sec"]
-        assert ips >= floor, (
-            f"{key}: {ips:,.0f} i/s is below the pinned floor "
+        assert ips[key] >= floor, (
+            f"{key}: {ips[key]:,.0f} i/s is below the pinned floor "
             f"{floor:,.0f} i/s")
     assert ratio >= SPEEDUP_FLOOR, (
         f"blocks mode is only {ratio:.2f}x interp mode; floor is "

@@ -10,7 +10,7 @@ One package, one module per command family; each module exposes a
   ``sec43``, and the general ``sweep`` runner (parallel workers,
   ledgers, ``--resume``, ``--store``).
 * :mod:`~repro.cli.obscmd` — ``trace``, ``top``, ``report``,
-  ``bench diff``: the observability surfaces.
+  ``bench record``/``bench diff``: the observability surfaces.
 * :mod:`~repro.cli.servicecmd` — ``serve``, ``submit``, ``jobs``,
   ``fetch``, ``store``: the simulation service and its sqlite result
   store (see ``docs/service.md``).

@@ -1,5 +1,5 @@
 """The observability family: ``trace``, ``top``, ``report``, and
-``bench diff``."""
+``bench record``/``bench diff``."""
 
 from __future__ import annotations
 
@@ -137,10 +137,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _cmd_bench_record(args) -> int:
+    from repro.experiments.benchdiff import bench_record
+    return bench_record(args.result, history_path=args.history)
+
+
 def _cmd_bench_diff(args) -> int:
     from repro.experiments.benchdiff import bench_diff
-    return bench_diff(history_path=args.history, rounds=args.rounds,
-                      threshold=args.threshold,
+    return bench_diff(args.result, history_path=args.history,
                       report_only=args.report_only,
                       json_out=args.json)
 
@@ -191,20 +195,23 @@ def register(sub) -> None:
     bench = sub.add_parser(
         "bench", help="performance-benchmark utilities")
     bsub = bench.add_subparsers(dest="bench_cmd", required=True)
+    br = bsub.add_parser(
+        "record", help="append a `python -m bench run --out` result "
+                       "to the BENCH_perf.json history")
     bd = bsub.add_parser(
-        "diff", help="compare fresh cycle-loop throughput against "
-                     "the BENCH_perf.json history")
-    bd.add_argument("--history", metavar="PATH", default=None,
-                    help="history file (default: BENCH_perf.json at "
-                         "the repo root)")
-    bd.add_argument("--rounds", type=int, default=3, metavar="N",
-                    help="measurement rounds per benchmark (best-of)")
-    bd.add_argument("--threshold", type=float, default=0.15,
-                    help="regression threshold as a fraction below "
-                         "the history baseline (default 0.15)")
+        "diff", help="compare a `python -m bench run --out` result "
+                     "with the BENCH_perf.json history")
+    for p in (br, bd):
+        p.add_argument("result", help="file from `python -m bench run "
+                                      "--out`")
+        p.add_argument("--history", metavar="PATH", default=None,
+                       help="history file (default: BENCH_perf.json at "
+                            "the repo root)")
+    br.set_defaults(fn=_cmd_bench_record)
     bd.add_argument("--report-only", action="store_true",
-                    help="always exit 0 (CI soft mode): report the "
-                         "numbers without gating")
+                    help="exit 0 on a regression or an empty "
+                         "history (CI soft mode); an unusable result "
+                         "or history still exits 2")
     bd.add_argument("--json", metavar="PATH", default=None,
                     help="also write the comparison rows as JSON")
     bd.set_defaults(fn=_cmd_bench_diff)

@@ -1,226 +1,210 @@
-"""``repro bench diff``: detect cycle-loop performance regressions.
+"""``repro bench record`` and ``repro bench diff``: the perf history.
 
-``benchmarks/test_perf_cycle_loop.py`` appends a record to
-``BENCH_perf.json`` every time it runs, accumulating a history of
-cycles-per-second measurements; ``benchmarks/test_perf_functional.py``
-does the same for the functional interpreter's instructions-per-second
-(one row per execution mode, keyed ``functional-interp`` /
-``functional-blocks``).  This module re-measures the same workloads
-fresh (best-of-N, same model/scale as the benchmarks) and compares
-against the history baseline — the median of the most recent entries,
-which is robust to one outlier run on a noisy machine.  A benchmark is
-a regression when its fresh throughput falls more than ``threshold``
-below that baseline.  Each row carries its value field
-(``cycles_per_sec`` for detailed-model rows, ``instructions_per_sec``
-for functional rows) so the two kinds of throughput are never compared
-against each other's history.
+``python -m bench run --out RESULT`` is the one place performance is
+measured.  ``record`` appends a result to ``BENCH_perf.json``, a JSON
+list with one entry per run: ``{"schema": "repro.bench-perf",
+"schema_version": 2, "provenance", "workloads": {W: {"params",
+"metrics": {M: {"value", "unit"}}}}}``.  ``diff`` compares a result
+with the history: the baseline of a (workload, metric) is the median
+of its last ``BASELINE_WINDOW`` recorded values.  Each metric's
+direction and bound come from ``BENCHMARK.json``; only a metric with
+a bound (the end-to-end ones) can regress.
 
-Exit codes: 0 (no regression), 1 (regression past threshold), 2 (no
-usable history — nothing to diff against).  ``report_only`` forces
-exit 0 so CI can surface the numbers without gating merges on a
-shared runner's timer noise.
+Exit codes: 0 (no regression), 1 (a bounded metric regressed), 2 (the
+result or the history cannot be used, or the history has no value for
+any row).  ``report_only`` turns 1, and 2 for a history without
+values, into 0.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
-import time
+import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
-
-from repro.config import MachineConfig
-from repro.models.factory import build_machine, model_abi
-from repro.workloads.generator import benchmark_program
+from typing import Dict, List, Optional
 
 __all__ = [
-    "DEFAULT_HISTORY", "default_history_path", "measure_fresh",
-    "measure_functional", "history_baseline", "diff_rows",
-    "render_diff", "bench_diff",
+    "BenchDataError", "default_history_path", "load_result",
+    "load_history", "history_baseline", "diff_rows", "render_diff",
+    "bench_record", "bench_diff",
 ]
 
-#: The benchmark set BENCH_perf.json history records.
-BENCHES = ("fib", "gzip_graphic")
-MODEL = "vca-rw"
-SCALE = 4.0
-DEFAULT_HISTORY = "BENCH_perf.json"
-#: History entries (most recent first) the baseline median spans.
+SCHEMA = "repro.bench-perf"
+SCHEMA_VERSION = 2
+#: Most recent recorded values of a metric the baseline median spans.
 BASELINE_WINDOW = 5
-#: Functional-throughput rows: the workload FunctionalSim is timed on
-#: and the execution modes measured (row key ``functional-<mode>``).
-FUNCTIONAL_BENCH = "fib"
-FUNCTIONAL_MODES_MEASURED = ("interp", "blocks")
-#: The per-row value fields, in probe order: detailed-model rows carry
-#: ``cycles_per_sec``, functional rows ``instructions_per_sec``.
-VALUE_FIELDS = ("cycles_per_sec", "instructions_per_sec")
+_ROOT = Path(__file__).resolve().parents[3]
+
+
+class BenchDataError(ValueError):
+    """A result or history that cannot be used."""
 
 
 def default_history_path() -> Path:
     """``BENCH_perf.json`` at the repository root."""
-    return Path(__file__).resolve().parents[3] / DEFAULT_HISTORY
+    return _ROOT / "BENCH_perf.json"
 
 
-def measure_fresh(benches: Sequence[str] = BENCHES, rounds: int = 3,
-                  scale: float = SCALE,
-                  model: str = MODEL) -> Dict[str, Dict]:
-    """Best-of-``rounds`` cycles/sec per benchmark, matching the
-    measurement loop of ``benchmarks/test_perf_cycle_loop.py``."""
-    out: Dict[str, Dict] = {}
-    cfg = MachineConfig.baseline().with_(
-        phys_regs=256, dl1_ports=2, n_threads=1)
-    abi = model_abi(model)
-    for bench in benches:
-        best = 0.0
-        cycles = 0
-        for _ in range(max(1, rounds)):
-            prog = benchmark_program(bench, abi=abi, scale=scale,
-                                     seed=0)
-            machine = build_machine(model, cfg, [prog])
-            t0 = time.perf_counter()
-            stats = machine.run()
-            dt = time.perf_counter() - t0
-            cycles = stats.cycles
-            best = max(best, cycles / dt if dt else 0.0)
-        out[bench] = {"cycles": cycles, "cycles_per_sec": best}
-    return out
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise BenchDataError(f"cannot read {path}: {exc}") from exc
 
 
-def measure_functional(rounds: int = 3, scale: float = SCALE,
-                       bench: str = FUNCTIONAL_BENCH) -> Dict[str, Dict]:
-    """Best-of-``rounds`` functional instructions/sec per execution
-    mode, matching ``benchmarks/test_perf_functional.py``.  Each mode
-    constructs a fresh :class:`FunctionalSim` so the ``blocks`` row
-    includes first-visit decode cost (the program — and therefore its
-    block table — is cached across rounds, so later rounds replay
-    warm; best-of keeps the warm number, which is what the history
-    tracks)."""
-    from repro.functional import FunctionalSim
-
-    out: Dict[str, Dict] = {}
-    for mode in FUNCTIONAL_MODES_MEASURED:
-        best = 0.0
-        instructions = 0
-        for _ in range(max(1, rounds)):
-            prog = benchmark_program(bench, abi="windowed",
-                                     scale=scale, seed=0)
-            sim = FunctionalSim(prog, mode=mode)
-            t0 = time.perf_counter()
-            stats = sim.run()
-            dt = time.perf_counter() - t0
-            instructions = stats.instructions
-            best = max(best, instructions / dt if dt else 0.0)
-        out[f"functional-{mode}"] = {
-            "instructions": instructions,
-            "instructions_per_sec": best,
-        }
-    return out
+def _has_metrics(workloads) -> bool:
+    """Whether ``workloads`` maps names to numeric ``metrics``."""
+    try:
+        return bool(workloads) and all(
+            isinstance(m["value"], (int, float))
+            for res in workloads.values() for m in res["metrics"].values())
+    except (AttributeError, KeyError, TypeError):
+        return False
 
 
-def value_field(rec: Dict) -> str:
-    """The throughput field a result record carries (first of
-    :data:`VALUE_FIELDS` present; defaults to cycles/sec)."""
-    for field in VALUE_FIELDS:
-        if rec.get(field):
-            return field
-    return VALUE_FIELDS[0]
+def load_result(path) -> Dict:
+    """A ``python -m bench run --out`` file.  A run with a failed
+    operation measured a different program, so it is refused."""
+    doc = _read_json(path)
+    if not (isinstance(doc, dict) and "provenance" in doc
+            and _has_metrics(doc.get("workloads"))):
+        raise BenchDataError(f"{path}: not a `python -m bench run --out` "
+                             f"result")
+    failed = [name for name, res in doc["workloads"].items()
+              if res.get("failed") != 0]
+    if failed:
+        raise BenchDataError(f"{path}: operations failed in "
+                             f"{', '.join(failed)}")
+    return doc
 
 
 def load_history(path) -> List[Dict]:
-    """The BENCH_perf.json entry list (empty on any read problem)."""
-    try:
-        history = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
+    """The history's entries (``[]`` when the file does not exist)."""
+    if not Path(path).exists():
         return []
-    return history if isinstance(history, list) else []
+    history = _read_json(path)
+    if not isinstance(history, list) or not all(
+            isinstance(e, dict) and e.get("schema") == SCHEMA
+            and e.get("schema_version") == SCHEMA_VERSION
+            and _has_metrics(e.get("workloads")) for e in history):
+        raise BenchDataError(f"{path}: not a list of {SCHEMA} "
+                             f"v{SCHEMA_VERSION} entries")
+    return history
 
 
-def history_baseline(history: List[Dict], bench: str,
-                     window: int = BASELINE_WINDOW,
-                     field: str = "cycles_per_sec"
-                     ) -> Optional[float]:
-    """Median throughput (``field``) over the last ``window`` history
-    entries that measured ``bench`` (``None`` when no entry did)."""
-    values = []
-    for entry in reversed(history):
-        rec = (entry.get("results") or {}).get(bench)
-        if isinstance(rec, dict) and rec.get(field):
-            values.append(float(rec[field]))
-        if len(values) >= window:
-            break
-    return statistics.median(values) if values else None
+def _declared_metrics() -> Dict[str, Dict]:
+    """``BENCHMARK.json``'s metric declarations by name."""
+    bench = _read_json(_ROOT / "BENCHMARK.json")
+    return {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
 
 
-def diff_rows(fresh: Dict[str, Dict], history: List[Dict],
-              threshold: float) -> List[Dict]:
-    """One comparison row per freshly measured benchmark.  Rows keep
-    the legacy ``fresh_cps``/``baseline_cps`` keys for cycle-loop
-    benchmarks; every row also carries generic ``fresh``/``baseline``
-    plus the ``field`` it measures."""
+def history_baseline(history: List[Dict], workload: str, metric: str,
+                     window: int = BASELINE_WINDOW) -> Optional[float]:
+    """Median of the last ``window`` recorded values of ``metric`` on
+    ``workload`` (``None`` when no entry recorded it)."""
+    recorded = (e["workloads"].get(workload, {"metrics": {}})["metrics"]
+                for e in history)
+    values = [m[metric]["value"] for m in recorded if metric in m]
+    return statistics.median(values[-window:]) if values else None
+
+
+def diff_rows(result: Dict, history: List[Dict],
+              declared: Dict[str, Dict]) -> List[Dict]:
+    """One row per (workload, metric) of ``result``.  ``change`` is
+    ``None`` without a baseline or when it is 0; ``regressed`` is
+    ``None`` for a metric without a declared bound."""
     rows = []
-    for bench, rec in sorted(fresh.items()):
-        field = value_field(rec)
-        base = history_baseline(history, bench, field=field)
-        val = float(rec[field])
-        ratio = val / base if base else None
-        row = {
-            "bench": bench,
-            "field": field,
-            "fresh": val,
-            "baseline": base,
-            "ratio": ratio,
-            "regressed": (ratio is not None
-                          and ratio < 1.0 - threshold),
-        }
-        if field == "cycles_per_sec":
-            row["fresh_cps"] = val
-            row["baseline_cps"] = base
-        rows.append(row)
+    for workload, res in sorted(result["workloads"].items()):
+        for metric, m in sorted(res["metrics"].items()):
+            decl = declared.get(metric, {})
+            base = history_baseline(history, workload, metric)
+            change = (m["value"] - base) / base if base else None
+            regressed = None
+            if decl.get("bound") is not None:
+                sign = 1.0 if decl.get("better") == "lower" else -1.0
+                regressed = (change is not None
+                             and sign * change > decl["bound"])
+            rows.append({"workload": workload, "metric": metric,
+                         "unit": m.get("unit"), "value": m["value"],
+                         "baseline": base, "change": change,
+                         "better": decl.get("better"),
+                         "bound": decl.get("bound"),
+                         "regressed": regressed})
     return rows
 
 
-def render_diff(rows: List[Dict], threshold: float) -> str:
-    lines = [f"{'benchmark':<20}{'fresh':>14}{'baseline':>12}"
-             f"{'ratio':>8}  verdict"]
+def render_diff(rows: List[Dict]) -> str:
+    lines = [f"{'workload':<18}{'metric':<54}{'value':>12}"
+             f"{'baseline':>12}{'change':>9}  verdict"]
     for r in rows:
-        unit = ("i/s" if r["field"] == "instructions_per_sec"
-                else "c/s")
-        if r["baseline"] is None:
-            verdict, base, ratio = "no history", "--", "--"
-        else:
-            verdict = ("REGRESSED" if r["regressed"] else "ok")
-            base = f"{r['baseline']:,.0f}"
-            ratio = f"{r['ratio']:.2f}x"
-        fresh = f"{r['fresh']:,.0f} {unit}"
-        lines.append(f"{r['bench']:<20}{fresh:>14}"
-                     f"{base:>12}{ratio:>8}  {verdict}")
-    lines.append(f"(threshold: >{threshold:.0%} below the median of "
-                 f"the last {BASELINE_WINDOW} history entries)")
+        base, change = r["baseline"], r["change"]
+        verdict = ("no history" if base is None
+                   else "" if r["regressed"] is None
+                   else "REGRESSED" if r["regressed"] else "ok")
+        lines.append(
+            f"{r['workload']:<18}{r['metric']:<54}{r['value']:>12.6g}"
+            f"{'--' if base is None else f'{base:.6g}':>12}"
+            f"{'--' if change is None else f'{change:+.1%}':>9}  "
+            f"{verdict}".rstrip())
+    lines.append(f"(baseline: median of the last {BASELINE_WINDOW} "
+                 f"recorded values; only metrics with a bound in "
+                 f"BENCHMARK.json get a verdict)")
     return "\n".join(lines)
 
 
-def bench_diff(history_path=None, rounds: int = 3,
-               threshold: float = 0.15, report_only: bool = False,
+def bench_record(result_path, history_path=None, out=print) -> int:
+    """Append one result to the history; returns the exit code.  A
+    refused result or history leaves the file untouched."""
+    path = Path(history_path or default_history_path())
+    try:
+        result = load_result(result_path)
+        history = load_history(path)
+    except BenchDataError as exc:
+        print(f"repro bench record: {exc}", file=sys.stderr)
+        return 2
+    history.append({
+        "schema": SCHEMA, "schema_version": SCHEMA_VERSION,
+        "provenance": result["provenance"],
+        "workloads": {name: {"params": res.get("params"),
+                             "metrics": res["metrics"]}
+                      for name, res in result["workloads"].items()}})
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(history, indent=1) + "\n")
+    os.replace(tmp, path)
+    out(f"bench record: {path} now holds {len(history)} entries")
+    return 0
+
+
+def bench_diff(result_path, history_path=None, report_only: bool = False,
                json_out=None, out=print) -> int:
-    """Run the comparison end to end; returns the process exit code."""
-    path = Path(history_path) if history_path else default_history_path()
-    history = load_history(path)
-    fresh = dict(measure_fresh(rounds=rounds))
-    fresh.update(measure_functional(rounds=rounds))
-    rows = diff_rows(fresh, history, threshold)
-    out(f"bench diff: history {path} ({len(history)} entries)")
-    out(render_diff(rows, threshold))
+    """Compare one result with the history; returns the exit code."""
+    path = Path(history_path or default_history_path())
+    try:
+        result = load_result(result_path)
+        history = load_history(path)
+        declared = _declared_metrics()
+    except BenchDataError as exc:
+        print(f"repro bench diff: {exc}", file=sys.stderr)
+        return 2
+    rows = diff_rows(result, history, declared)
+    out(f"bench diff: {result_path} against {path} "
+        f"({len(history)} entries)")
+    out(render_diff(rows))
     if json_out:
         Path(json_out).write_text(json.dumps({
-            "schema": "repro.bench-diff", "schema_version": 1,
-            "history": str(path), "history_entries": len(history),
-            "threshold": threshold, "rows": rows,
+            "schema": "repro.bench-diff", "schema_version": 2,
+            "result": str(result_path), "history": str(path),
+            "history_entries": len(history), "rows": rows,
         }, indent=2, sort_keys=True))
         out(f"(wrote {json_out})")
     if all(r["baseline"] is None for r in rows):
-        out("bench diff: no usable history; run the benchmarks "
-            "(pytest benchmarks/) to seed BENCH_perf.json")
+        out("bench diff: no usable history; `repro bench record` a "
+            "`python -m bench run --out` result to seed it")
         return 0 if report_only else 2
-    regressed = [r["bench"] for r in rows if r["regressed"]]
+    regressed = [f"{r['workload']} {r['metric']}" for r in rows
+                 if r["regressed"]]
     if regressed:
         out(f"bench diff: REGRESSION in {', '.join(regressed)}")
         return 0 if report_only else 1

@@ -505,77 +505,153 @@ class TestHtmlReport:
 # bench diff
 # ---------------------------------------------------------------------------
 
+def _bench_result(metrics, workload="figures-rw", failed=0):
+    """A synthetic `python -m bench run --out` document."""
+    return {"provenance": {"commit": "c0ffee", "dirty": False},
+            "workloads": {workload: {
+                "correct": failed == 0, "attempted": 3, "failed": failed,
+                "params": {"scale": 0.25},
+                "metrics": {name: {"value": v, "unit": "s"}
+                            for name, v in metrics.items()}}}}
+
+
+def _write(tmp_path, doc, name="result.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _history(tmp_path, *results, name="hist.json"):
+    """A history holding ``results``, each appended by bench_record."""
+    from repro.experiments.benchdiff import bench_record
+    path = tmp_path / name
+    path.write_text("[]")
+    for res in results:
+        assert bench_record(_write(tmp_path, res, "rec.json"), path,
+                            out=lambda *_: None) == 0
+    return path
+
+
 class TestBenchDiff:
-    def _history(self, cps):
-        return [{"schema": "repro.bench-perf", "schema_version": 1,
-                 "results": {"fib": {"cycles": 1,
-                                     "cycles_per_sec": c}}}
-                for c in cps]
-
-    def test_baseline_is_median_of_window(self):
-        from repro.experiments.benchdiff import history_baseline
-        hist = self._history([100, 200, 300, 400, 500, 600, 9999])
-        # Window of 5 most recent: 300..600 + 9999 -> median 500.
-        assert history_baseline(hist, "fib") == 500
-        assert history_baseline(hist, "nope") is None
-
-    def test_diff_rows_flag_regressions(self):
-        from repro.experiments.benchdiff import diff_rows
-        hist = self._history([1000])
-        ok = diff_rows({"fib": {"cycles_per_sec": 900}}, hist, 0.15)
-        assert not ok[0]["regressed"]
-        bad = diff_rows({"fib": {"cycles_per_sec": 800}}, hist, 0.15)
-        assert bad[0]["regressed"]
-
-    def test_functional_rows_use_their_own_field(self):
+    def test_baseline_is_median_of_window(self, tmp_path):
         from repro.experiments.benchdiff import (
-            diff_rows, history_baseline,
+            history_baseline, load_history,
         )
-        hist = [{"results": {
-            "fib": {"cycles_per_sec": 1000.0},
-            "functional-blocks": {"instructions": 5,
-                                  "instructions_per_sec": 4e6},
-        }}]
-        # A functional row never diffs against a cycles/sec baseline.
-        assert history_baseline(
-            hist, "fib", field="instructions_per_sec") is None
-        rows = diff_rows(
-            {"fib": {"cycles_per_sec": 990.0},
-             "functional-blocks": {"instructions": 5,
-                                   "instructions_per_sec": 3e6}},
-            hist, 0.15)
-        by_bench = {r["bench"]: r for r in rows}
-        assert by_bench["fib"]["field"] == "cycles_per_sec"
-        assert by_bench["fib"]["fresh_cps"] == 990.0
-        func = by_bench["functional-blocks"]
-        assert func["field"] == "instructions_per_sec"
-        assert func["baseline"] == 4e6
-        assert func["regressed"]  # 3e6 is 25% below 4e6
+        results = [_bench_result({"wall_s": v})
+                   for v in (100, 200, 300, 400, 500, 600, 9999)]
+        # Another workload's entry does not join figures-rw's window.
+        results.insert(4, _bench_result({"wall_s": 1}, "figures-smt"))
+        hist = load_history(_history(tmp_path, *results))
+        assert len(hist) == 8
+        entry = hist[0]
+        assert entry["schema_version"] == 2
+        assert entry["provenance"] == {"commit": "c0ffee", "dirty": False}
+        assert entry["workloads"] == {"figures-rw": {
+            "params": {"scale": 0.25},
+            "metrics": {"wall_s": {"value": 100, "unit": "s"}}}}
+        # Window of 5 most recent: 300..600 + 9999 -> median 500.
+        assert history_baseline(hist, "figures-rw", "wall_s") == 500
+        assert history_baseline(hist, "figures-smt", "wall_s") == 1
+        assert history_baseline(hist, "sampled-sweep", "wall_s") is None
+        assert history_baseline(hist, "figures-rw", "cpu_s") is None
 
-    def test_exit_codes(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments import benchdiff
-        monkeypatch.setattr(
-            benchdiff, "measure_fresh",
-            lambda rounds=3: {"fib": {"cycles": 1,
-                                      "cycles_per_sec": 500.0}})
-        monkeypatch.setattr(
-            benchdiff, "measure_functional", lambda rounds=3: {})
-        hist = tmp_path / "hist.json"
-        hist.write_text(json.dumps(self._history([1000])))
+    def test_diff_rows_flag_regressions(self, tmp_path):
+        from repro.experiments.benchdiff import (
+            _declared_metrics, diff_rows, load_history,
+        )
+        cps = "pipeline.cycles_per_s.vca-rw"
+        hist = load_history(_history(tmp_path, _bench_result(
+            {"wall_s": 10.0, cps: 1000.0})))
+        declared = _declared_metrics()
+
+        def row(wall, rate):
+            rows = diff_rows(_bench_result({"wall_s": wall, cps: rate}),
+                             hist, declared)
+            return {r["metric"]: r for r in rows}
+
+        ok = row(12.0, 1000.0)["wall_s"]
+        assert ok["better"] == "lower" and ok["bound"] == 0.25
+        assert ok["change"] == pytest.approx(0.2)
+        assert ok["regressed"] is False
+        assert row(13.0, 1000.0)["wall_s"]["regressed"] is True
+        assert row(5.0, 1000.0)["wall_s"]["regressed"] is False
+        # A per-layer row reports its change but never regresses.
+        layer = row(10.0, 100.0)[cps]
+        assert layer["better"] == "higher"
+        assert layer["change"] == pytest.approx(-0.9)
+        assert layer["bound"] is None and layer["regressed"] is None
+        # Direction comes from the declaration: higher-is-better
+        # regresses on a drop.
+        up = {"wall_s": {"better": "higher", "bound": 0.25}}
+        drop = diff_rows(_bench_result({"wall_s": 7.0}), hist, up)
+        assert drop[0]["regressed"] is True
+        rise = diff_rows(_bench_result({"wall_s": 13.0}), hist, up)
+        assert rise[0]["regressed"] is False
+
+    def test_zero_baseline(self, tmp_path, capsys):
+        from repro.experiments.benchdiff import bench_diff
+        hist = _history(tmp_path, _bench_result(
+            {"engine.points_cached": 0}, "sampled-sweep"))
         out = tmp_path / "diff.json"
-        assert benchdiff.bench_diff(history_path=hist,
-                                    json_out=out) == 1
-        assert json.loads(out.read_text())["rows"][0]["regressed"]
-        assert benchdiff.bench_diff(history_path=hist,
-                                    report_only=True) == 0
-        hist.write_text("[]")
-        assert benchdiff.bench_diff(history_path=hist) == 2
-        monkeypatch.setattr(
-            benchdiff, "measure_fresh",
-            lambda rounds=3: {"fib": {"cycles": 1,
-                                      "cycles_per_sec": 990.0}})
-        hist.write_text(json.dumps(self._history([1000])))
-        assert benchdiff.bench_diff(history_path=hist) == 0
+        res = _write(tmp_path, _bench_result(
+            {"engine.points_cached": 0}, "sampled-sweep"))
+        assert bench_diff(res, hist, json_out=out) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["baseline"] == 0 and row["change"] is None
+        assert "no history" not in capsys.readouterr().out
+
+    def test_exit_codes(self, tmp_path, capsys):
+        from repro.experiments.benchdiff import bench_diff
+        hist = _history(tmp_path, _bench_result({"wall_s": 10.0}))
+        slow = _write(tmp_path, _bench_result({"wall_s": 13.0}))
+        fine = _write(tmp_path, _bench_result({"wall_s": 10.5}),
+                      "fine.json")
+        out = tmp_path / "diff.json"
+        assert bench_diff(slow, hist, json_out=out) == 1
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["workload"] == "figures-rw"
+        assert row["metric"] == "wall_s" and row["regressed"]
+        assert bench_diff(slow, hist, report_only=True) == 0
+        assert bench_diff(fine, hist) == 0
+        # No usable history: 2, which --report-only turns into 0.
+        other = _history(tmp_path, _bench_result({"wall_s": 10.0},
+                                                 "figures-smt"),
+                         name="other.json")
+        assert bench_diff(fine, other) == 2
+        assert bench_diff(fine, other, report_only=True) == 0
+        # An unusable result or history is 2 whatever --report-only
+        # says.
+        for doc in (_bench_result({"wall_s": 10.0}, failed=1),
+                    {"rows": []}):
+            bad = _write(tmp_path, doc, "bad.json")
+            assert bench_diff(bad, hist, report_only=True) == 2
+        assert bench_diff(tmp_path / "missing.json", hist,
+                          report_only=True) == 2
+        for text in ("[{", json.dumps([{"schema": "repro.bench-perf",
+                                        "schema_version": 1,
+                                        "results": {}}])):
+            other.write_text(text)
+            assert bench_diff(fine, other, report_only=True) == 2
+        capsys.readouterr()
+
+    def test_record_refuses_and_leaves_history_untouched(self, tmp_path,
+                                                         capsys):
+        from repro.experiments.benchdiff import bench_record
+        hist = _history(tmp_path, _bench_result({"wall_s": 10.0}))
+        before = hist.read_bytes()
+        for doc in (_bench_result({"wall_s": 9.0}, failed=2),
+                    {"rows": []}, _bench_result({"wall_s": "fast"})):
+            assert bench_record(_write(tmp_path, doc), hist) == 2
+            assert hist.read_bytes() == before
+        good = _write(tmp_path, _bench_result({"wall_s": 9.0}),
+                      "good.json")
+        for text in ("[{", '{"entries": []}',
+                     '[{"schema": "repro.bench-perf", '
+                     '"schema_version": 1, "results": {}}]'):
+            hist.write_text(text)
+            assert bench_record(good, hist) == 2
+            assert hist.read_text() == text
+        assert "failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -633,21 +709,27 @@ class TestCli:
         assert main(["trace", str(trace), "--cycle-range", "oops"]) == 2
         capsys.readouterr()
 
-    def test_bench_diff_wired(self, tmp_path, monkeypatch, capsys):
+    def test_bench_record_wired(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.experiments import benchdiff
-        monkeypatch.setattr(
-            benchdiff, "measure_fresh",
-            lambda rounds=3: {"fib": {"cycles": 1,
-                                      "cycles_per_sec": 500.0}})
-        monkeypatch.setattr(
-            benchdiff, "measure_functional", lambda rounds=3: {})
         hist = tmp_path / "hist.json"
-        hist.write_text(json.dumps(
-            [{"results": {"fib": {"cycles_per_sec": 1000.0}}}]))
-        assert main(["bench", "diff", "--history", str(hist),
-                     "--report-only"]) == 0
-        assert main(["bench", "diff", "--history", str(hist)]) == 1
+        res = _write(tmp_path, _bench_result({"wall_s": 10.0}))
+        assert main(["bench", "record", str(res),
+                     "--history", str(hist)]) == 0
+        assert main(["bench", "record", str(res),
+                     "--history", str(hist)]) == 0
+        assert len(json.loads(hist.read_text())) == 2
+        capsys.readouterr()
+
+    def test_bench_diff_wired(self, tmp_path, capsys):
+        from repro.cli import main
+        hist = _history(tmp_path, _bench_result({"wall_s": 10.0}))
+        res = _write(tmp_path, _bench_result({"wall_s": 20.0}))
+        out = tmp_path / "diff.json"
+        assert main(["bench", "diff", str(res), "--history", str(hist),
+                     "--report-only", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"][0]["regressed"]
+        assert main(["bench", "diff", str(res),
+                     "--history", str(hist)]) == 1
         capsys.readouterr()
 
 
