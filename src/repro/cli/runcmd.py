@@ -70,7 +70,15 @@ def _cmd_run(args) -> int:
             return 2
 
     ledger = spans = root = prev = ru0 = None
-    run_key = f"run/{args.model}/{'+'.join(benches)}@{args.regs}"
+    # The ledger keeps one record per key, so the key names every
+    # argument that can change the result.
+    run_key = (f"run/{args.model}/{'+'.join(benches)}"
+               f"@{args.regs}r{args.ports}p/scale={args.scale}"
+               f"/seed={args.seed}")
+    if args.sample:
+        from dataclasses import asdict
+        run_key += "/sample:" + ",".join(
+            f"{k}={v}" for k, v in asdict(scfg).items())
     if args.ledger:
         from repro.experiments.engine import _rusage_snapshot
         from repro.experiments.runner import source_hash

@@ -676,6 +676,23 @@ class TestCli:
         assert main(["top", str(path), "--once"]) == 0
         capsys.readouterr()
 
+    def test_run_ledger_keys_name_the_configuration(self, tmp_path,
+                                                    capsys):
+        from repro.cli import main
+        path = tmp_path / "run.jsonl"
+        base = ["run", "fib", "--scale", "0.2", "--ledger", str(path)]
+        sample = ["--sample", "--sample-interval", "500"]
+        for extra in ([], ["--ports", "1"], ["--scale", "0.3"], [],
+                      sample + ["--sample-count", "2"],
+                      sample + ["--sample-count", "3"]):
+            assert main(base + extra) == 0
+        records = read_ledger(path)
+        assert sum(r["rec"] == "point" for r in records) == 6
+        # The two identical runs share a key; every other run has its
+        # own, so `repro top` and `repro report` show all five.
+        assert len(ledger_points(records)) == 5
+        capsys.readouterr()
+
     def test_report_missing_file(self, tmp_path, capsys):
         from repro.cli import main
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 2
