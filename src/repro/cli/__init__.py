@@ -30,12 +30,8 @@ from repro.models import MODELS
 from repro.workloads import PROFILES
 
 from . import figures, lintcmd, obscmd, runcmd, servicecmd
-# Re-exported for backwards compatibility: these helpers were public
-# enough to be imported from ``repro.cli`` before the package split.
-from .common import emit_series, engine_from
-from .obscmd import _in_cycle_range, _parse_cycle_range  # noqa: F401
 
-__all__ = ["build_parser", "main", "engine_from", "emit_series"]
+__all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,11 +69,10 @@ def read_stats_json(path: str) -> Tuple[Dict, SimStats]:
     """Inverse of :func:`write_stats_json`: (meta, SimStats).
 
     Validates and strips the schema identification, so ``meta`` holds
-    only the caller-supplied labels.  Pre-schema files (no ``schema``
-    key) are accepted for backwards compatibility.
+    only the caller-supplied labels.
     """
     payload = json.loads(Path(path).read_text())
-    schema = payload.pop("schema", STATS_SCHEMA)
+    schema = payload.pop("schema", None)
     version = payload.pop("schema_version", SCHEMA_VERSION)
     if schema != STATS_SCHEMA:
         raise ValueError(f"{path}: not a {STATS_SCHEMA} record "

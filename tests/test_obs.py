@@ -2,6 +2,7 @@
 metrics registry, pipeline view, CLI integration, and the guarantee
 that tracing off costs (essentially) nothing."""
 
+import json
 import time
 
 import pytest
@@ -283,6 +284,15 @@ class TestStatsSerialization:
         meta, clone = read_stats_json(str(path))
         assert meta == {"model": "vca-rw"}
         assert clone.to_dict() == stats.to_dict()
+
+    def test_stats_json_without_schema_rejected(self, traced, tmp_path):
+        from repro.experiments.export import read_stats_json
+        _, _, stats = traced
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"model": "vca-rw",
+                                    "stats": stats.to_dict()}))
+        with pytest.raises(ValueError, match="not a repro.run-stats"):
+            read_stats_json(str(path))
 
 
 class TestSeedFlag:

@@ -699,7 +699,7 @@ class TestCli:
         capsys.readouterr()
 
     def test_cycle_range_parsing(self):
-        from repro.cli import _in_cycle_range, _parse_cycle_range
+        from repro.cli.obscmd import _in_cycle_range, _parse_cycle_range
         assert _parse_cycle_range("10:20") == (10, 20)
         assert _parse_cycle_range(":20") == (None, 20)
         assert _parse_cycle_range("10:") == (10, None)
