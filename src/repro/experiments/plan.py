@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
     Tuple,
@@ -57,18 +57,15 @@ class Point:
     scale: float = 1.0
     #: ``path_ratio`` benchmark name, or ``probe`` label.
     bench: str = ""
-    #: Checkpointed sampled simulation (``repro.sampling``); the
-    #: ``sample_*`` parameters are identity-bearing only when
-    #: ``sample`` is set, keeping historical full-detail cache keys
-    #: bit-identical.
+    #: Checkpointed sampled simulation (``repro.sampling``).  A
+    #: ``sample_*`` parameter joins the cache key only where it can
+    #: change the result (:func:`~repro.experiments.runner.run_key`).
     sample: bool = False
     sample_interval: int = 2000
     sample_count: int = 8
     sample_mode: str = "systematic"
-    #: Adaptive convergence control (``rse_target``); identity-bearing
-    #: only when ``sample_rse`` is set, so previously-sampled keys stay
-    #: untouched too.  ``sample_mem_weight`` joins the key only under
-    #: ``sample_mode == "bbv+mem"``, the only mode that reads it.
+    #: Adaptive convergence control (``rse_target``): the two fields
+    #: after it apply only when ``sample_rse`` is set.
     sample_rse: Optional[float] = None
     sample_rse_metrics: Tuple[str, ...] = ()
     sample_max: int = 64
@@ -99,33 +96,18 @@ class Point:
         """Whether the point's payload may be cache/ledger-resolved."""
         return self.kind != PROBE
 
-    def cache_key(self) -> str:
-        """The runner's content-addressed cache key for this point.
+    def _run_args(self) -> Dict[str, Any]:
+        """:func:`~repro.experiments.runner.run_point`'s arguments: every
+        field but the kind and the ``path_ratio``/``probe`` name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("kind", "bench")}
 
-        ``run`` and ``path_ratio`` keys are bit-identical to the keys
-        :func:`~repro.experiments.runner.run_point` and
-        :func:`~repro.experiments.runner.path_ratio` have always used,
-        so pre-plan caches stay valid.
-        """
+    def cache_key(self) -> str:
+        """The key :func:`~repro.experiments.runner.run_point` and
+        :func:`~repro.experiments.runner.path_ratio` store this point's
+        result under."""
         if self.kind == RUN:
-            params = dict(
-                model=self.model, benches=self.benches,
-                phys_regs=self.phys_regs, dl1_ports=self.dl1_ports,
-                scale=self.scale)
-            if self.sample:
-                params.update(sample=True,
-                              sample_interval=self.sample_interval,
-                              sample_count=self.sample_count,
-                              sample_mode=self.sample_mode)
-                if self.sample_mode == "bbv+mem":
-                    params.update(
-                        sample_mem_weight=self.sample_mem_weight)
-                if self.sample_rse is not None:
-                    params.update(
-                        sample_rse=self.sample_rse,
-                        sample_rse_metrics=self.sample_rse_metrics,
-                        sample_max=self.sample_max)
-            return _runner._cache_key(**params)
+            return _runner.run_key(**self._run_args())
         if self.kind == PATH_RATIO:
             return _runner._cache_key(kind=PATH_RATIO, bench=self.bench)
         return f"probe-{self.bench}"
@@ -198,22 +180,8 @@ class Point:
         if self.kind == RUN:
             import json
             from dataclasses import asdict
-            # Sample parameters are passed only when set, mirroring
-            # the cache-key gating: full-detail points call run_point
-            # exactly as they always have.
-            sample_kwargs = dict(
-                sample=True, sample_interval=self.sample_interval,
-                sample_count=self.sample_count,
-                sample_mode=self.sample_mode,
-                sample_rse=self.sample_rse,
-                sample_rse_metrics=self.sample_rse_metrics,
-                sample_max=self.sample_max,
-                sample_mem_weight=self.sample_mem_weight,
-            ) if self.sample else {}
-            result = _runner.run_point(
-                self.model, self.benches, self.phys_regs,
-                dl1_ports=self.dl1_ports, scale=self.scale,
-                use_cache=use_cache, **sample_kwargs)
+            result = _runner.run_point(use_cache=use_cache,
+                                       **self._run_args())
             # Canonical JSON form, so a payload compares equal no
             # matter whether it was executed, cache-loaded, piped from
             # a worker, or replayed from a ledger.

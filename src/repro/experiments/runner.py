@@ -180,6 +180,37 @@ def _cache_load_result(key: str) -> Optional[RunResult]:
         return None
 
 
+def run_key(model: str, benches: Sequence[str], phys_regs: int,
+            dl1_ports: int = 2, scale: float = 1.0, sample: bool = False,
+            sample_interval: int = 2000, sample_count: int = 8,
+            sample_mode: str = "systematic",
+            sample_rse: Optional[float] = None,
+            sample_rse_metrics: Sequence[str] = (),
+            sample_max: int = 64,
+            sample_mem_weight: float = 0.5) -> str:
+    """The cache key of one :func:`run_point` configuration.
+
+    A parameter joins the key only when it can change the result, so
+    equal results share one key: the ``sample_*`` parameters only with
+    ``sample``, ``sample_mem_weight`` only under ``bbv+mem`` (the only
+    mode that reads it), and the adaptive ``sample_rse``,
+    ``sample_rse_metrics`` and ``sample_max`` only when ``sample_rse``
+    is set.
+    """
+    params = dict(model=model, benches=tuple(benches),
+                  phys_regs=phys_regs, dl1_ports=dl1_ports, scale=scale)
+    if sample:
+        params.update(sample=True, sample_interval=sample_interval,
+                      sample_count=sample_count, sample_mode=sample_mode)
+        if sample_mode == "bbv+mem":
+            params.update(sample_mem_weight=sample_mem_weight)
+        if sample_rse is not None:
+            params.update(sample_rse=sample_rse,
+                          sample_rse_metrics=tuple(sample_rse_metrics),
+                          sample_max=sample_max)
+    return _cache_key(**params)
+
+
 def run_point(model: str, benches: Sequence[str], phys_regs: int,
               dl1_ports: int = 2, scale: float = 1.0,
               use_cache: bool = True, sample: bool = False,
@@ -189,7 +220,7 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
               sample_rse_metrics: Sequence[str] = (),
               sample_max: int = 64,
               sample_mem_weight: float = 0.5) -> RunResult:
-    """Simulate one configuration (cached).
+    """Simulate one configuration (cached under :func:`run_key`).
 
     ``benches`` holds one benchmark name per hardware thread.
     Configurations the machine cannot operate at (e.g. a conventional
@@ -198,33 +229,22 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
     paper's "No Baseline" regions.
 
     With ``sample`` the run goes through checkpointed sampled
-    simulation (``repro.sampling``, single-thread only): the
-    ``sample_*`` parameters join the cache key, and the result carries
-    the sampling metadata fields.  Full-detail keys are untouched, so
-    sampled and full results never alias in the cache.  ``sample_rse``
-    turns on the adaptive convergence loop; its parameters
-    (and ``sample_mem_weight``, under ``bbv+mem`` only) join the key
-    under the same only-when-set discipline.
+    simulation (``repro.sampling``, single-thread only), and the
+    result carries the sampling metadata fields; otherwise the
+    ``sample_*`` parameters are ignored.  ``sample_rse`` turns on the
+    adaptive convergence loop.
     """
     benches = tuple(benches)
     if sample and len(benches) != 1:
         raise ValueError(f"sampled runs are single-threaded; got "
                          f"benches={benches}")
-    key_params = dict(model=model, benches=benches,
-                      phys_regs=phys_regs, dl1_ports=dl1_ports,
-                      scale=scale)
-    if sample:
-        key_params.update(sample=True, sample_interval=sample_interval,
-                          sample_count=sample_count,
-                          sample_mode=sample_mode)
-        if sample_mode == "bbv+mem":
-            key_params.update(sample_mem_weight=sample_mem_weight)
-        if sample_rse is not None:
-            key_params.update(
-                sample_rse=sample_rse,
-                sample_rse_metrics=tuple(sample_rse_metrics),
-                sample_max=sample_max)
-    key = _cache_key(**key_params)
+    key = run_key(model, benches, phys_regs, dl1_ports, scale,
+                  sample=sample, sample_interval=sample_interval,
+                  sample_count=sample_count, sample_mode=sample_mode,
+                  sample_rse=sample_rse,
+                  sample_rse_metrics=sample_rse_metrics,
+                  sample_max=sample_max,
+                  sample_mem_weight=sample_mem_weight)
     if use_cache:
         cached = _cache_load_result(key)
         if cached is not None:

@@ -42,7 +42,7 @@ def stored(path):
 
 
 def fake_result(model, benches, phys_regs, dl1_ports=2, scale=1.0,
-                use_cache=True):
+                use_cache=True, **sample):
     return RunResult(model=model, benches=tuple(benches),
                      phys_regs=phys_regs, dl1_ports=dl1_ports,
                      scale=scale, cycles=100, committed=(50,))
@@ -244,7 +244,7 @@ class TestParallelEngine:
         monkeypatch.setattr(
             runner, "run_point",
             lambda model, benches, phys_regs, dl1_ports=2, scale=1.0,
-            use_cache=True: (time.sleep(0.2),
+            use_cache=True, **sample: (time.sleep(0.2),
                              fake_result(model, benches, phys_regs,
                                          dl1_ports, scale))[1])
         pts = [Point.run("baseline", (BENCH,), 64 + i, scale=SCALE)

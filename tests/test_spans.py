@@ -327,7 +327,7 @@ class TestEta:
         from tests.test_plan_engine import fake_result
 
         def slow(model, benches, phys_regs, dl1_ports=2, scale=1.0,
-                 use_cache=True):
+                 use_cache=True, **sample):
             time.sleep(0.05)
             return fake_result(model, benches, phys_regs, dl1_ports,
                                scale)
