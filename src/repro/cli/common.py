@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 def engine_from(args):
     """Build the execution engine the flags ask for (None → serial)."""
@@ -14,6 +16,15 @@ def engine_from(args):
                               use_cache=use_cache)
     from repro.experiments.engine import SerialEngine
     return SerialEngine(use_cache=use_cache)
+
+
+def open_ledger(path: str, command: str):
+    """A run ledger appending to ``path`` for this invocation
+    (``command`` names it when there is no argv to quote)."""
+    from repro.experiments.runner import source_hash
+    from repro.obs import RunLedger
+    return RunLedger(path, command=" ".join(sys.argv[1:]) or command,
+                     config_hash=source_hash())
 
 
 def emit_series(series, title, args) -> int:

@@ -7,7 +7,7 @@ import sys
 
 from repro.workloads import RW_BENCHMARKS, TABLE2_RATIOS
 
-from .common import emit_series, engine_from
+from .common import emit_series, engine_from, open_ledger
 
 
 def _cmd_table2(args) -> int:
@@ -95,28 +95,38 @@ def sweep_spec(args):
 
 
 def sampled_points(points, args, prog: str):
-    """Rewrite a plan's run points for ``--sample``, or fail with the
-    usual single-thread message.  Returns ``None`` on error (after
-    printing), mirroring the pre-split sweep behaviour."""
+    """Rewrite ``points``' run points for ``--sample``.
+
+    The ``--sample*`` values are validated once, before any point runs
+    or is submitted.  Returns ``None`` after printing ``<prog>:
+    <error>`` for an invalid value or a multi-thread point.
+    """
     import dataclasses
+
+    from repro.experiments.runner import sampling_config
+    from repro.sampling import SamplingError
+
     multi = [p for p in points
              if p.kind == "run" and len(p.benches) != 1]
     if multi:
         print(f"{prog}: --sample is single-threaded, but "
-              f"plan {args.plan!r} has multi-thread points "
-              f"(e.g. {multi[0].label})", file=sys.stderr)
+              f"{multi[0].label} has {len(multi[0].benches)} threads",
+              file=sys.stderr)
         return None
-    rse_metrics = (tuple(args.sample_rse_metrics.split(","))
-                   if args.sample_rse_metrics else ())
-    return [dataclasses.replace(
-                p, sample=True,
-                sample_interval=args.sample_interval,
-                sample_count=args.sample_count,
-                sample_mode=args.sample_mode,
-                sample_rse=args.sample_rse,
-                sample_rse_metrics=rse_metrics,
-                sample_max=args.sample_max,
-                sample_mem_weight=args.sample_mem_weight)
+    knobs = dict(
+        sample_interval=args.sample_interval,
+        sample_count=args.sample_count, sample_mode=args.sample_mode,
+        sample_rse=args.sample_rse,
+        sample_rse_metrics=(tuple(args.sample_rse_metrics.split(","))
+                            if args.sample_rse_metrics else ()),
+        sample_max=args.sample_max,
+        sample_mem_weight=args.sample_mem_weight)
+    try:
+        sampling_config(**knobs)
+    except SamplingError as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return None
+    return [dataclasses.replace(p, sample=True, **knobs)
             if p.kind == "run" else p
             for p in points]
 
@@ -145,13 +155,7 @@ def _cmd_sweep(args) -> int:
     metrics = MetricsRegistry()
     live = sys.stderr.isatty()
 
-    ledger = None
-    if args.ledger:
-        from repro.experiments.runner import source_hash
-        from repro.obs import RunLedger
-        ledger = RunLedger(args.ledger,
-                           command=" ".join(sys.argv[1:]) or "sweep",
-                           config_hash=source_hash())
+    ledger = open_ledger(args.ledger, "sweep") if args.ledger else None
 
     def on_progress(p) -> None:
         line = render_progress(p)
@@ -215,9 +219,16 @@ def add_plan_arguments(p, with_engine: bool = True) -> None:
                    help="DL1 ports (rw plan)")
     p.add_argument("--scale", type=float, default=None,
                    help="workload scale (default: REPRO_SCALE or 1.0)")
+    add_sampling_arguments(p)
+
+
+def add_sampling_arguments(p) -> None:
+    """The ``--sample*`` surface shared by ``run``, ``sweep`` and
+    ``submit`` (validated by :func:`sampled_points`)."""
     p.add_argument("--sample", action="store_true",
-                   help="run every single-benchmark point through "
-                        "checkpointed sampled simulation")
+                   help="checkpointed sampled simulation of every "
+                        "single-benchmark point: detailed-simulate "
+                        "representative intervals and extrapolate")
     p.add_argument("--sample-interval", type=int, default=2000,
                    metavar="N", help="instructions per interval")
     p.add_argument("--sample-count", type=int, default=8,
@@ -225,23 +236,27 @@ def add_plan_arguments(p, with_engine: bool = True) -> None:
     p.add_argument("--sample-mode",
                    choices=["systematic", "bbv", "bbv+mem"],
                    default="systematic",
-                   help="representative-interval selection mode")
+                   help="representative selection: evenly spaced, "
+                        "SimPoint-style BBV clustering, or BBV plus "
+                        "memory-signature features")
     p.add_argument("--sample-rse", type=float, default=None,
                    metavar="TARGET",
-                   help="adaptive convergence: grow each point's "
-                        "interval budget until the watched metrics' "
-                        "relative standard error reaches TARGET")
+                   help="adaptive convergence: add intervals until "
+                        "every watched metric's relative standard "
+                        "error is at or below TARGET (e.g. 0.005); "
+                        "--sample-count becomes the starting budget")
     p.add_argument("--sample-rse-metrics", default=None,
                    metavar="M1,M2",
-                   help="metrics watched by --sample-rse "
-                        "(default: ipc,spills,fills)")
+                   help="comma-separated metrics watched by "
+                        "--sample-rse (default: ipc,spills,fills)")
     p.add_argument("--sample-max", type=int, default=64,
                    metavar="K",
                    help="hard cap on detailed intervals under "
                         "--sample-rse")
     p.add_argument("--sample-mem-weight", type=float, default=0.5,
                    metavar="W",
-                   help="memory-feature weight in bbv+mem clustering")
+                   help="weight of the memory-signature feature "
+                        "block in bbv+mem clustering (0..1)")
 
 
 def register(sub) -> None:

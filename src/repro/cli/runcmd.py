@@ -10,6 +10,9 @@ from repro.workloads import (
     ALL_BENCHMARKS, DIAG_BENCHMARKS, RW_BENCHMARKS, TABLE2_RATIOS,
 )
 
+from .common import open_ledger
+from .figures import add_sampling_arguments, sampled_points
+
 
 def _cmd_list(args) -> int:
     print("machine models:")
@@ -30,155 +33,105 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.obs import JsonlSink, MetricsRegistry, build_tracer
-    from repro.workloads.generator import benchmark_program
+    from repro.experiments.plan import Point
+    from repro.pipeline.stats import SimStats
 
     benches = args.bench_pos or args.bench
-    abi = model_abi(args.model)
-    programs = [benchmark_program(b, abi, thread=i, scale=args.scale,
-                                  seed=args.seed)
-                for i, b in enumerate(benches)]
-    cfg = MachineConfig.baseline(phys_regs=args.regs,
-                                 dl1_ports=args.ports)
-    smeta = None
-    if args.sample and len(benches) != 1:
-        print("repro run: --sample is single-threaded; give one "
-              "benchmark", file=sys.stderr)
+    traced = args.trace or args.trace_out is not None
+    live = traced or args.metrics_interval is not None
+    if args.ledger and live:
+        print("repro run: --ledger records engine runs; --trace, "
+              "--trace-out and --metrics-interval need a live machine",
+              file=sys.stderr)
         return 2
-    if args.sample and (args.trace or args.trace_out):
+    if args.sample and traced:
         print("repro run: --sample simulates disjoint windows; "
               "tracing is only meaningful on full runs",
               file=sys.stderr)
         return 2
+    points = [Point.run(args.model, benches, args.regs, args.ports,
+                        args.scale, seed=args.seed)]
     if args.sample:
-        from repro.sampling import (DEFAULT_RSE_METRICS,
-                                    SamplingConfig, SamplingError)
-        rse_metrics = (tuple(args.sample_rse_metrics.split(","))
-                       if args.sample_rse_metrics
-                       else DEFAULT_RSE_METRICS)
-        try:
-            scfg = SamplingConfig(interval_len=args.sample_interval,
-                                  n_detailed=args.sample_count,
-                                  mode=args.sample_mode,
-                                  warmup_insns=args.sample_warmup,
-                                  mem_weight=args.sample_mem_weight,
-                                  rse_target=args.sample_rse,
-                                  rse_metrics=rse_metrics,
-                                  max_detailed=args.sample_max)
-        except SamplingError as exc:
-            print(f"repro run: {exc}", file=sys.stderr)
+        points = sampled_points(points, args, "repro run")
+        if points is None:
             return 2
+    (point,) = points
 
-    ledger = spans = root = prev = ru0 = None
-    # The ledger keeps one record per key, so the key names every
-    # argument that can change the result.
-    run_key = (f"run/{args.model}/{'+'.join(benches)}"
-               f"@{args.regs}r{args.ports}p/scale={args.scale}"
-               f"/seed={args.seed}")
-    if args.sample:
-        from dataclasses import asdict
-        run_key += "/sample:" + ",".join(
-            f"{k}={v}" for k, v in asdict(scfg).items())
-    if args.ledger:
-        from repro.experiments.engine import _rusage_snapshot
-        from repro.experiments.runner import source_hash
-        from repro.hooks import set_current_spans
-        from repro.obs import RunLedger, SpanTracer
-        ledger = RunLedger(args.ledger,
-                           command=" ".join(sys.argv[1:]) or "run",
-                           config_hash=source_hash())
-        spans = SpanTracer()
-        ledger.run_start(total=1, workers=1, trace_id=spans.trace_id)
-        root = spans.begin("run", model=args.model,
-                           label=run_key)
-        prev = set_current_spans(spans)
-        ru0 = _rusage_snapshot()
+    tracer = None
+    if live:
+        from repro.experiments.runner import run_point
+        from repro.obs import MetricsRegistry, build_tracer
+        tracer = build_tracer(trace=args.trace, out=args.trace_out)
+        metrics = (MetricsRegistry(args.metrics_interval)
+                   if args.metrics_interval is not None else None)
+        try:
+            result = run_point(**point.run_args(), use_cache=False,
+                               tracer=tracer, metrics=metrics)
+        finally:
+            tracer.close()
+    else:
+        outcome = _run_engine_point(point, args.ledger)
+        if not outcome.ok:
+            print(outcome.error, file=sys.stderr, end="")
+            return 1
+        result = outcome.result()
+    if result.unrunnable:
+        print(f"repro run: {point.label} is unrunnable (the machine "
+              f"cannot operate at this configuration)", file=sys.stderr)
+        return 1
 
-    try:
-        if args.sample:
-            from repro.sampling import run_sampled
-            metrics = (MetricsRegistry(args.metrics_interval)
-                       if args.metrics_interval is not None else None)
-            stats, smeta = run_sampled(args.model,
-                                       cfg.with_(n_threads=1),
-                                       programs[0], scfg,
-                                       metrics=metrics)
-        else:
-            from repro.hooks import current_spans
-            tracer = build_tracer(trace=args.trace, out=args.trace_out)
-            metrics = (MetricsRegistry(args.metrics_interval)
-                       if args.metrics_interval is not None else None)
-            machine = build_machine(args.model, cfg, programs,
-                                    tracer=tracer, metrics=metrics)
-            sp = current_spans()
-            with sp.span("simulate", model=args.model):
-                stats = machine.run(stop_at_first_halt=len(benches) > 1)
-    except BaseException:  # lint: allow-broad-except
-        if ledger is not None:
-            from repro.experiments.engine import _rusage_delta
-            from repro.hooks import set_current_spans
-            spans.close(status="terminated")
-            ledger.point(key=run_key, status="failed",
-                         error="exception (see stderr)",
-                         rusage=_rusage_delta(ru0),
-                         spans=spans.drain())
-            ledger.run_end(status="interrupted",
-                           counts={"failed": 1})
-            ledger.close()
-            set_current_spans(prev)
-        raise
-    if ledger is not None:
-        from repro.experiments.engine import _rusage_delta
-        from repro.hooks import set_current_spans
-        spans.end(root, status="ok")
-        ledger.point(
-            key=run_key, status="done",
-            payload={"cycles": stats.cycles,
-                     "committed": [t.committed for t in stats.threads]},
-            elapsed=(root.t1 or 0.0) - root.t0,
-            cache="miss", rusage=_rusage_delta(ru0),
-            spans=spans.drain())
-        ledger.run_end(status="ok", counts={"done": 1},
-                       elapsed=(root.t1 or 0.0) - root.t0)
-        ledger.close()
-        set_current_spans(prev)
-        print(f"ledger: appended run {ledger.run_id} to {ledger.path}")
     print(f"model={args.model} regs={args.regs} ports={args.ports} "
           f"benches={','.join(benches)}"
           + (f" seed={args.seed}" if args.seed is not None else ""))
+    stats = SimStats.from_dict(result.stats)
     print(stats.summary())
-    if smeta is not None:
+    meta = result.sampling
+    if meta:
         errs = " ".join(f"{k}±{v:.1%}" for k, v in
-                        sorted(smeta.errors.items()))
-        print(f"sampling: mode={smeta.mode} "
-              f"intervals={smeta.n_detailed}/{smeta.n_intervals}"
-              f"x{smeta.interval_len} "
-              f"detailed_cycles={smeta.detailed_cycles} "
-              f"(est {smeta.est_cycles}, {smeta.speedup:.1f}x fewer) "
-              f"{errs}")
-        if smeta.rse_target is not None:
-            state = ("converged" if smeta.converged
+                        sorted(meta["errors"].items()))
+        print(f"sampling: mode={meta['mode']} "
+              f"intervals={meta['n_detailed']}/{meta['n_intervals']}"
+              f"x{meta['interval_len']} "
+              f"detailed_cycles={meta['detailed_cycles']} "
+              f"(est {meta['est_cycles']}, {meta['speedup']:.1f}x "
+              f"fewer) {errs}")
+        rse = meta.get("rse")
+        if rse is not None:
+            state = ("converged" if rse["converged"]
                      else "hit cap before converging")
-            print(f"sampling: rse target {smeta.rse_target:.2%} on "
-                  f"{','.join(smeta.rse_metrics)}: {state} after "
-                  f"{len(smeta.rounds)} round(s), "
-                  f"+{smeta.intervals_added} interval(s)")
-    if not args.sample:
-        tracer.close()
-        for sink in tracer.sinks:
-            if isinstance(sink, JsonlSink):
-                print(f"trace: wrote {sink.written} events to "
-                      f"{sink.path}")
+            print(f"sampling: rse target {rse['target']:.2%} on "
+                  f"{','.join(rse['metrics'])}: {state} after "
+                  f"{len(rse['rounds'])} round(s), "
+                  f"+{rse['intervals_added']} interval(s)")
+    from repro.obs import JsonlSink
+    for sink in tracer.sinks if tracer is not None else ():
+        if isinstance(sink, JsonlSink):
+            print(f"trace: wrote {sink.written} events to {sink.path}")
     if args.json:
         from repro.experiments.export import write_stats_json
-        extra = ({"sampling": smeta.to_dict()}
-                 if smeta is not None else {})
+        extra = {"sampling": meta} if meta else {}
         out = write_stats_json(args.json, stats, model=args.model,
                                benches=list(benches), regs=args.regs,
                                ports=args.ports, scale=args.scale,
                                seed=args.seed, **extra)
         print(f"stats: wrote {out}")
     return 0
+
+
+def _run_engine_point(point, ledger_path):
+    """Resolve ``point`` through the serial engine and the result
+    store, recording it as a one-point sweep in ``ledger_path``."""
+    from repro.experiments.engine import SerialEngine
+
+    if ledger_path is None:
+        return SerialEngine().run([point])[point]
+    ledger = open_ledger(ledger_path, "run")
+    try:
+        outcome = SerialEngine().run([point], ledger=ledger)[point]
+    finally:
+        ledger.close()
+    print(f"ledger: appended run {ledger.run_id} to {ledger.path}")
+    return outcome
 
 
 def _cmd_profile(args) -> int:
@@ -315,44 +268,10 @@ def register(sub) -> None:
     run.add_argument("--json", metavar="PATH", default=None,
                      help="also write full stats as JSON")
     run.add_argument("--ledger", metavar="PATH", default=None,
-                     help="append a run-ledger record (spans, rusage) "
+                     help="record the run as a one-point sweep in this "
+                          "run ledger (spans, rusage, cache hits), "
                           "readable by `repro top` / `repro report`")
-    run.add_argument("--sample", action="store_true",
-                     help="checkpointed sampled simulation: detailed-"
-                          "simulate representative intervals and "
-                          "extrapolate (single benchmark only)")
-    run.add_argument("--sample-interval", type=int, default=2000,
-                     metavar="N", help="instructions per interval")
-    run.add_argument("--sample-count", type=int, default=8,
-                     metavar="K", help="intervals simulated in detail")
-    run.add_argument("--sample-mode",
-                     choices=["systematic", "bbv", "bbv+mem"],
-                     default="systematic",
-                     help="representative selection: evenly spaced, "
-                          "SimPoint-style BBV clustering, or BBV plus "
-                          "memory-signature features")
-    run.add_argument("--sample-warmup", type=int, default=500,
-                     metavar="N",
-                     help="detailed (unmeasured) warmup instructions "
-                          "before each interval")
-    run.add_argument("--sample-rse", type=float, default=None,
-                     metavar="TARGET",
-                     help="adaptive convergence: add intervals until "
-                          "every watched metric's relative standard "
-                          "error is at or below TARGET (e.g. 0.005); "
-                          "--sample-count becomes the starting budget")
-    run.add_argument("--sample-rse-metrics", default=None,
-                     metavar="M1,M2",
-                     help="comma-separated metrics watched by "
-                          "--sample-rse (default: ipc,spills,fills)")
-    run.add_argument("--sample-max", type=int, default=64,
-                     metavar="K",
-                     help="hard cap on detailed intervals under "
-                          "--sample-rse")
-    run.add_argument("--sample-mem-weight", type=float, default=0.5,
-                     metavar="W",
-                     help="weight of the memory-signature feature "
-                          "block in bbv+mem clustering (0..1)")
+    add_sampling_arguments(run)
     run.set_defaults(fn=_cmd_run)
 
     prof = sub.add_parser(

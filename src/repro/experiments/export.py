@@ -4,8 +4,8 @@
 table shows, one row per (series, x) point — directly loadable by
 pandas/gnuplot/Excel.  ``python -m repro run ... --json out.json``
 writes the full :meth:`SimStats.to_dict` record, the single schema
-shared by benchmark artifacts, the experiment runner's cached results
-and the metrics registry.
+shared by benchmark artifacts, the ``stats`` field of the experiment
+runner's stored results and the metrics registry.
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ PROFILE_SCHEMA = "repro.profile"
 def schema_tag(schema: str) -> str:
     """The compact ``<schema>/v<version>`` form used in CSV cells."""
     return f"{schema}/v{SCHEMA_VERSION}"
-
-
-#: ``SimStats.to_dict`` keys the experiment runner's ``RunResult``
-#: shares verbatim — the one place the overlap is defined, so run
-#: artifacts and the stats schema cannot drift apart.
-RUN_STAT_KEYS: Tuple[str, ...] = (
-    "cycles", "dl1_accesses", "dl1_breakdown", "dl1_miss_rate",
-    "l2_miss_rate", "mispredict_rate", "spills", "fills",
-    "window_overflows", "window_underflows", "rsid_flushes",
-)
-
-
-def run_stat_fields(stats: SimStats) -> Dict:
-    """The shared-key subset of one run's statistics."""
-    d = stats.to_dict()
-    return {k: d[k] for k in RUN_STAT_KEYS}
 
 
 def write_stats_json(path: str, stats: SimStats, **meta) -> Path:

@@ -55,6 +55,9 @@ class Point:
     phys_regs: int = 256
     dl1_ports: int = 2
     scale: float = 1.0
+    #: Workload-generation seed (``None``: the fixed per-benchmark
+    #: streams); joins the cache key only when set.
+    seed: Optional[int] = None
     #: ``path_ratio`` benchmark name, or ``probe`` label.
     bench: str = ""
     #: Checkpointed sampled simulation (``repro.sampling``).  A
@@ -74,11 +77,13 @@ class Point:
     # -- constructors ------------------------------------------------------
     @classmethod
     def run(cls, model: str, benches: Sequence[str], phys_regs: int,
-            dl1_ports: int = 2, scale: float = 1.0) -> "Point":
+            dl1_ports: int = 2, scale: float = 1.0,
+            seed: Optional[int] = None) -> "Point":
         """A timing-simulation point (one per hardware thread in
         ``benches``)."""
         return cls(kind=RUN, model=model, benches=tuple(benches),
-                   phys_regs=phys_regs, dl1_ports=dl1_ports, scale=scale)
+                   phys_regs=phys_regs, dl1_ports=dl1_ports, scale=scale,
+                   seed=seed)
 
     @classmethod
     def ratio(cls, bench: str) -> "Point":
@@ -96,7 +101,7 @@ class Point:
         """Whether the point's payload may be cache/ledger-resolved."""
         return self.kind != PROBE
 
-    def _run_args(self) -> Dict[str, Any]:
+    def run_args(self) -> Dict[str, Any]:
         """:func:`~repro.experiments.runner.run_point`'s arguments: every
         field but the kind and the ``path_ratio``/``probe`` name."""
         return {f.name: getattr(self, f.name) for f in fields(self)
@@ -107,7 +112,7 @@ class Point:
         :func:`~repro.experiments.runner.path_ratio` store this point's
         result under."""
         if self.kind == RUN:
-            return _runner.run_key(**self._run_args())
+            return _runner.run_key(**self.run_args())
         if self.kind == PATH_RATIO:
             return _runner._cache_key(kind=PATH_RATIO, bench=self.bench)
         return f"probe-{self.bench}"
@@ -125,8 +130,9 @@ class Point:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON form for ledgers and worker pipes (round-trips
-        through :meth:`from_dict`)."""
-        return {"kind": self.kind, "model": self.model,
+        through :meth:`from_dict`).  ``seed`` appears only when set,
+        so a seed-less point keeps the form it always had."""
+        d = {"kind": self.kind, "model": self.model,
                 "benches": list(self.benches),
                 "phys_regs": self.phys_regs,
                 "dl1_ports": self.dl1_ports, "scale": self.scale,
@@ -138,6 +144,9 @@ class Point:
                 "sample_rse_metrics": list(self.sample_rse_metrics),
                 "sample_max": self.sample_max,
                 "sample_mem_weight": self.sample_mem_weight}
+        if self.seed is not None:
+            d["seed"] = self.seed
+        return d
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Point":
@@ -148,8 +157,8 @@ class Point:
         return cls(kind=d["kind"], model=d["model"],
                    benches=tuple(d["benches"]),
                    phys_regs=d["phys_regs"], dl1_ports=d["dl1_ports"],
-                   scale=d["scale"], bench=d["bench"],
-                   sample=d.get("sample", False),
+                   scale=d["scale"], seed=d.get("seed"),
+                   bench=d["bench"], sample=d.get("sample", False),
                    sample_interval=d.get("sample_interval", 2000),
                    sample_count=d.get("sample_count", 8),
                    sample_mode=d.get("sample_mode", "systematic"),
@@ -181,7 +190,7 @@ class Point:
             import json
             from dataclasses import asdict
             result = _runner.run_point(use_cache=use_cache,
-                                       **self._run_args())
+                                       **self.run_args())
             # Canonical JSON form, so a payload compares equal no
             # matter whether it was executed, cache-loaded, piped from
             # a worker, or replayed from a ledger.

@@ -16,7 +16,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.config import MachineConfig
@@ -88,7 +88,13 @@ def source_hash() -> str:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Serializable summary of one timing-simulation run."""
+    """Serializable record of one timing-simulation run.
+
+    ``stats`` is the run's whole :meth:`SimStats.to_dict` record and
+    ``sampling`` the whole :meth:`SamplingMeta.to_dict` record (empty
+    for full-detail runs); the scalar fields are the headline numbers
+    sweeps, reports and digests read without decoding them.
+    """
 
     model: str
     benches: Tuple[str, ...]
@@ -99,30 +105,19 @@ class RunResult:
     committed: Tuple[int, ...] = ()
     thread_ipcs: Tuple[float, ...] = ()
     dl1_accesses: int = 0
-    dl1_breakdown: Dict[str, int] = field(default_factory=dict)
-    dl1_miss_rate: float = 0.0
-    l2_miss_rate: float = 0.0
-    mispredict_rate: float = 0.0
     spills: int = 0
     fills: int = 0
-    window_overflows: int = 0
-    window_underflows: int = 0
-    rsid_flushes: int = 0
     stats_vector: Tuple[float, ...] = ()
     unrunnable: bool = False
-    # Sampled-simulation metadata (``repro.sampling``); defaults keep
-    # pre-sampling cache entries and ledgers decodable.
     sampled: bool = False
     sample_intervals: int = 0
     sample_detailed: int = 0
     sample_detailed_cycles: int = 0
-    sample_errors: Dict[str, float] = field(default_factory=dict)
-    # Adaptive-convergence metadata (zero/empty for fixed-count runs).
-    sample_rse_target: float = 0.0
+    # Adaptive-convergence counters (zero for fixed-count runs).
     sample_rse_rounds: int = 0
     sample_intervals_added: int = 0
-    sample_converged: bool = True
-    sample_rounds: Tuple[dict, ...] = ()
+    stats: Dict[str, Any] = field(default_factory=dict)
+    sampling: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def ipc(self) -> float:
@@ -161,8 +156,7 @@ def _cache_store(key: str, payload: dict) -> None:
 def result_from_dict(d: dict) -> RunResult:
     """Rebuild a :class:`RunResult` from its JSON form."""
     d = dict(d)
-    for k in ("benches", "committed", "thread_ipcs", "stats_vector",
-              "sample_rounds"):
+    for k in ("benches", "committed", "thread_ipcs", "stats_vector"):
         if k in d:
             d[k] = tuple(d[k])
     return RunResult(**d)
@@ -187,18 +181,21 @@ def run_key(model: str, benches: Sequence[str], phys_regs: int,
             sample_rse: Optional[float] = None,
             sample_rse_metrics: Sequence[str] = (),
             sample_max: int = 64,
-            sample_mem_weight: float = 0.5) -> str:
+            sample_mem_weight: float = 0.5,
+            seed: Optional[int] = None) -> str:
     """The cache key of one :func:`run_point` configuration.
 
     A parameter joins the key only when it can change the result, so
-    equal results share one key: the ``sample_*`` parameters only with
-    ``sample``, ``sample_mem_weight`` only under ``bbv+mem`` (the only
-    mode that reads it), and the adaptive ``sample_rse``,
-    ``sample_rse_metrics`` and ``sample_max`` only when ``sample_rse``
-    is set.
+    equal results share one key: ``seed`` only when set, the
+    ``sample_*`` parameters only with ``sample``, ``sample_mem_weight``
+    only under ``bbv+mem`` (the only mode that reads it), and the
+    adaptive ``sample_rse``, ``sample_rse_metrics`` and ``sample_max``
+    only when ``sample_rse`` is set.
     """
     params = dict(model=model, benches=tuple(benches),
                   phys_regs=phys_regs, dl1_ports=dl1_ports, scale=scale)
+    if seed is not None:
+        params.update(seed=seed)
     if sample:
         params.update(sample=True, sample_interval=sample_interval,
                       sample_count=sample_count, sample_mode=sample_mode)
@@ -211,6 +208,24 @@ def run_key(model: str, benches: Sequence[str], phys_regs: int,
     return _cache_key(**params)
 
 
+def sampling_config(sample_interval: int = 2000, sample_count: int = 8,
+                    sample_mode: str = "systematic",
+                    sample_rse: Optional[float] = None,
+                    sample_rse_metrics: Sequence[str] = (),
+                    sample_max: int = 64,
+                    sample_mem_weight: float = 0.5):
+    """The :class:`~repro.sampling.SamplingConfig` of a point's
+    ``sample_*`` parameters; raises
+    :class:`~repro.sampling.SamplingError` on an invalid value."""
+    from repro.sampling import DEFAULT_RSE_METRICS, SamplingConfig
+    return SamplingConfig(
+        interval_len=sample_interval, n_detailed=sample_count,
+        mode=sample_mode, mem_weight=sample_mem_weight,
+        rse_target=sample_rse,
+        rse_metrics=tuple(sample_rse_metrics) or DEFAULT_RSE_METRICS,
+        max_detailed=sample_max)
+
+
 def run_point(model: str, benches: Sequence[str], phys_regs: int,
               dl1_ports: int = 2, scale: float = 1.0,
               use_cache: bool = True, sample: bool = False,
@@ -219,20 +234,23 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
               sample_rse: Optional[float] = None,
               sample_rse_metrics: Sequence[str] = (),
               sample_max: int = 64,
-              sample_mem_weight: float = 0.5) -> RunResult:
+              sample_mem_weight: float = 0.5,
+              seed: Optional[int] = None,
+              tracer=None, metrics=None) -> RunResult:
     """Simulate one configuration (cached under :func:`run_key`).
 
-    ``benches`` holds one benchmark name per hardware thread.
-    Configurations the machine cannot operate at (e.g. a conventional
-    machine without enough registers) return a result flagged
-    ``unrunnable`` rather than raising, so sweeps can chart the
-    paper's "No Baseline" regions.
+    ``benches`` holds one benchmark name per hardware thread, and
+    ``seed`` perturbs their generation.  Configurations the machine
+    cannot operate at (e.g. a conventional machine without enough
+    registers) return a result flagged ``unrunnable`` rather than
+    raising, so sweeps can chart the paper's "No Baseline" regions.
 
     With ``sample`` the run goes through checkpointed sampled
-    simulation (``repro.sampling``, single-thread only), and the
-    result carries the sampling metadata fields; otherwise the
-    ``sample_*`` parameters are ignored.  ``sample_rse`` turns on the
-    adaptive convergence loop.
+    simulation (``repro.sampling``, single-thread only) configured by
+    :func:`sampling_config`; otherwise the ``sample_*`` parameters are
+    ignored.  ``tracer`` and ``metrics`` (see :mod:`repro.obs`) attach
+    to the live machine; pass them with ``use_cache=False``, so the run
+    simulates and its observed record is not stored.
     """
     benches = tuple(benches)
     if sample and len(benches) != 1:
@@ -244,35 +262,32 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
                   sample_rse=sample_rse,
                   sample_rse_metrics=sample_rse_metrics,
                   sample_max=sample_max,
-                  sample_mem_weight=sample_mem_weight)
+                  sample_mem_weight=sample_mem_weight, seed=seed)
     if use_cache:
         cached = _cache_load_result(key)
         if cached is not None:
             return cached
 
     abi = model_abi(model)
-    programs = [benchmark_program(name, abi, thread=i, scale=scale)
+    programs = [benchmark_program(name, abi, thread=i, scale=scale,
+                                  seed=seed)
                 for i, name in enumerate(benches)]
     cfg = MachineConfig.baseline(phys_regs=phys_regs,
                                  dl1_ports=dl1_ports)
     smeta = None
     try:
         if sample:
-            from repro.sampling import (DEFAULT_RSE_METRICS,
-                                        SamplingConfig, run_sampled)
-            scfg = SamplingConfig(
-                interval_len=sample_interval,
-                n_detailed=sample_count,
-                mode=sample_mode,
-                mem_weight=sample_mem_weight,
-                rse_target=sample_rse,
-                rse_metrics=(tuple(sample_rse_metrics)
-                             or DEFAULT_RSE_METRICS),
-                max_detailed=sample_max)
+            from repro.sampling import run_sampled
+            scfg = sampling_config(sample_interval, sample_count,
+                                   sample_mode, sample_rse,
+                                   sample_rse_metrics, sample_max,
+                                   sample_mem_weight)
             stats, smeta = run_sampled(model, cfg.with_(n_threads=1),
-                                       programs[0], scfg)
+                                       programs[0], scfg,
+                                       metrics=metrics)
         else:
-            machine = build_machine(model, cfg, programs)
+            machine = build_machine(model, cfg, programs,
+                                    tracer=tracer, metrics=metrics)
             # The span tracer holds the clocks; this module stays
             # deterministic (D002) and only names the phase.
             sp = current_spans()
@@ -287,7 +302,6 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
             _cache_store(key, asdict(result))
         return result
 
-    from repro.experiments.export import run_stat_fields
     from repro.workloads.clustering import benchmark_vector
     vector = tuple(float(v) for v in benchmark_vector(stats)) \
         if len(benches) == 1 else ()
@@ -298,26 +312,19 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
             sample_intervals=smeta.n_intervals,
             sample_detailed=smeta.n_detailed,
             sample_detailed_cycles=smeta.detailed_cycles,
-            sample_errors={k: float(v)
-                           for k, v in smeta.errors.items()})
-        if smeta.rse_target is not None:
-            sample_fields.update(
-                sample_rse_target=float(smeta.rse_target),
-                sample_rse_rounds=len(smeta.rounds),
-                sample_intervals_added=smeta.intervals_added,
-                sample_converged=smeta.converged,
-                sample_rounds=tuple(dict(r) for r in smeta.rounds))
-    # Scalar stats come from the shared SimStats.to_dict schema
-    # (export.RUN_STAT_KEYS) rather than per-field plucking, so run
-    # artifacts and stats exports cannot diverge.
+            sample_rse_rounds=(len(smeta.rounds)
+                               if smeta.rse_target is not None else 0),
+            sample_intervals_added=smeta.intervals_added,
+            sampling=smeta.to_dict())
     result = RunResult(
         model=model, benches=benches, phys_regs=phys_regs,
-        dl1_ports=dl1_ports, scale=scale,
+        dl1_ports=dl1_ports, scale=scale, cycles=stats.cycles,
         committed=tuple(t.committed for t in stats.threads),
         thread_ipcs=tuple(stats.thread_ipc(i)
                           for i in range(len(benches))),
-        stats_vector=vector,
-        **run_stat_fields(stats), **sample_fields)
+        dl1_accesses=stats.dl1_accesses, spills=stats.spills,
+        fills=stats.fills, stats_vector=vector,
+        stats=stats.to_dict(), **sample_fields)
     if use_cache:
         _cache_store(key, asdict(result))
     return result

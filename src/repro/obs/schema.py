@@ -107,13 +107,12 @@ COUNTERS: Tuple[str, ...] = (
 )
 
 #: Span names (``spans.begin``/``span``/``record`` sites): the phase
-#: vocabulary of the run ledger's span trees.  ``sweep``/``run`` root
+#: vocabulary of the run ledger's span trees.  ``sweep``/``job`` root
 #: a trace, ``point`` is one experiment point (possibly synthesized
 #: parent-side for cached/crashed points), and the rest are the
 #: execution phases hanging beneath it.
 SPANS: Tuple[str, ...] = (
     "sweep",                 # one engine.run invocation (root)
-    "run",                   # one `repro run` invocation (root)
     "job",                   # one service job (root; service layer)
     "point",                 # one experiment point
     "simulate",              # full-detail machine.run

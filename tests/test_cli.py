@@ -160,3 +160,71 @@ class TestSweepCommand:
         assert main(self.ARGS) == 1
         out = capsys.readouterr().out
         assert "failed" in out and "kaboom" in out
+
+
+class TestRunCommand:
+    """``repro run`` executes one ``Point`` through the engine and the
+    result store, so it shares their cache key and ledger format."""
+
+    RUN = ["run", "fib", "--model", "vca-rw", "--regs", "128",
+           "--scale", "0.2"]
+
+    @pytest.fixture(autouse=True)
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    def _point_records(self, path):
+        from repro.obs.runlog import read_ledger
+        return [r for r in read_ledger(path) if r["rec"] == "point"]
+
+    def test_repeated_run_is_a_store_hit(self, capsys, tmp_path):
+        from repro.experiments.plan import Point
+        ledger = str(tmp_path / "run.jsonl")
+        outs = []
+        for _ in range(2):
+            assert main(self.RUN + ["--ledger", ledger]) == 0
+            outs.append([line for line in
+                         capsys.readouterr().out.splitlines()
+                         if not line.startswith("ledger: ")])
+        assert outs[0] == outs[1]
+        first, second = self._point_records(ledger)
+        assert (first["status"], second["status"]) == ("done", "cached")
+        assert first["key"] == second["key"] == Point.run(
+            "vca-rw", ["fib"], 128, scale=0.2).cache_key()
+
+    def test_seed_gets_its_own_key(self, capsys, tmp_path):
+        ledger = str(tmp_path / "run.jsonl")
+        assert main(self.RUN + ["--ledger", ledger]) == 0
+        assert main(self.RUN + ["--seed", "3", "--ledger", ledger]) == 0
+        plain, seeded = self._point_records(ledger)
+        assert seeded["status"] == "done"
+        assert plain["key"] != seeded["key"]
+        assert seeded["point"]["seed"] == 3
+        assert "seed" not in plain["point"]
+        capsys.readouterr()
+
+    def test_seed_joins_the_point_only_when_set(self):
+        from repro.experiments.plan import Point
+        plain = Point.run("vca-rw", ["fib"], 128)
+        seeded = Point.run("vca-rw", ["fib"], 128, seed=3)
+        assert "seed" not in plain.to_dict()
+        assert Point.from_dict(seeded.to_dict()) == seeded
+        assert Point.from_dict(plain.to_dict()) == plain
+
+    @pytest.mark.parametrize("flag", [["--trace"],
+                                      ["--trace-out", "t.jsonl"],
+                                      ["--metrics-interval", "0"]])
+    def test_ledger_refuses_live_machine_flags(self, capsys, tmp_path,
+                                               flag):
+        ledger = tmp_path / "run.jsonl"
+        assert main(self.RUN + flag + ["--ledger", str(ledger)]) == 2
+        assert "need a live machine" in capsys.readouterr().err
+        assert not ledger.exists()
+
+    def test_unrunnable_configuration_is_one_line(self, capsys):
+        assert main(["run", "fib", "--model", "baseline", "--regs", "40",
+                     "--scale", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert "baseline/fib@40r2p" in err and "unrunnable" in err

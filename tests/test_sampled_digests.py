@@ -7,6 +7,10 @@ adaptive convergence loop over ``bbv`` and ``systematic`` — hashes
 on three workloads at small scale.  A refactor of the sampling driver
 that changes any sampled estimate, error, round trail or cost figure
 changes a digest and fails here.
+
+The same pins hold for a sampled :class:`Point` run through the
+engine: its stored ``RunResult`` carries the whole stats and
+metadata records as ``stats`` and ``sampling``.
 """
 
 import hashlib
@@ -15,6 +19,8 @@ import json
 import pytest
 
 from repro.config import MachineConfig
+from repro.experiments.engine import SerialEngine
+from repro.experiments.plan import Point
 from repro.models import model_abi
 from repro.sampling import SamplingConfig, run_sampled
 from repro.workloads.generator import benchmark_program
@@ -80,3 +86,28 @@ def _digest(bench, kw):
 @pytest.mark.parametrize("case,bench", sorted(CASES))
 def test_sampled_result_digest(case, bench):
     assert _digest(bench, CASES[case, bench]) == PINS[case, bench]
+
+
+#: ``SamplingConfig`` field → the :class:`Point` field that sets it.
+_POINT_FIELDS = {"interval_len": "sample_interval",
+                 "n_detailed": "sample_count", "mode": "sample_mode",
+                 "mem_weight": "sample_mem_weight",
+                 "rse_target": "sample_rse",
+                 "rse_metrics": "sample_rse_metrics",
+                 "max_detailed": "sample_max"}
+
+
+def _engine_digest(bench, kw):
+    point = Point(model=MODEL, benches=(bench,), phys_regs=256,
+                  scale=SCALE, sample=True,
+                  **{_POINT_FIELDS[k]: v for k, v in kw.items()})
+    result = SerialEngine(use_cache=False).run([point])[point].result()
+    blob = json.dumps({"stats": result.stats, "meta": result.sampling},
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case,bench", sorted(
+    k for k in CASES if set(CASES[k]) <= set(_POINT_FIELDS)))
+def test_engine_point_record_digest(case, bench):
+    assert _engine_digest(bench, CASES[case, bench]) == PINS[case, bench]

@@ -526,6 +526,32 @@ def test_run_cli_rejects_bad_sampling_config(capsys, flags, needle):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags,needle", [
+    (["--sample-interval", "0"], "interval_len"),
+    (["--sample-mode", "bbv+mem", "--sample-mem-weight", "2"],
+     "mem_weight"),
+])
+@pytest.mark.parametrize("cmd", ["sweep", "submit"])
+def test_plan_clis_reject_bad_sampling_config(capsys, tmp_path,
+                                              monkeypatch, cmd, flags,
+                                              needle):
+    """``sweep`` and ``submit`` validate the ``--sample*`` values once,
+    before any point runs or is submitted: nothing listens at the
+    submit URL, so only the sampling value can be named."""
+    from repro.cli import main
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = [cmd, "rw", "--models", "baseline", "--sizes", "256",
+            "--bench", "gzip_graphic", "twolf", "--scale", "0.05",
+            "--sample", *flags]
+    if cmd == "submit":
+        argv += ["--url", "http://127.0.0.1:9"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro {cmd}: ") and err.count("\n") == 1
+    assert needle in err
+    assert not (tmp_path / "results.sqlite").exists()
+
+
 def test_adaptive_end_to_end_real_simulator():
     """No stubs: the adaptive loop on a real fib run converges to the
     requested target and reports the per-round trail."""

@@ -538,9 +538,10 @@ class TestServiceHTTP:
                 payload = rec["payload"]
                 # The worker saw the adaptive config, not the fixed
                 # one, and reports the convergence metadata back.
-                assert payload["sample_rse_target"] == 0.05
-                assert payload["sample_converged"] is True
-                rounds = payload["sample_rounds"]
+                rse = payload["sampling"]["rse"]
+                assert rse["target"] == 0.05
+                assert rse["converged"] is True
+                rounds = rse["rounds"]
                 assert payload["sample_rse_rounds"] == len(rounds) >= 1
                 for i, rnd in enumerate(rounds):
                     assert rnd["round"] == i + 1

@@ -659,7 +659,7 @@ class TestBenchDiff:
 # ---------------------------------------------------------------------------
 
 class TestCli:
-    def test_run_ledger_and_report(self, tmp_path, capsys):
+    def test_run_ledger_and_report(self, cache, tmp_path, capsys):
         from repro.cli import main
         path = tmp_path / "run.jsonl"
         assert main(["run", "fib", "--scale", "0.2",
@@ -668,7 +668,7 @@ class TestCli:
         (rec,) = points.values()
         assert rec["status"] == "done"
         names = {s["name"] for s in rec["spans"]}
-        assert {"run", "simulate"} <= names
+        assert {"point", "simulate"} <= names
 
         out = tmp_path / "r.html"
         assert main(["report", str(path), "--out", str(out)]) == 0
@@ -676,8 +676,8 @@ class TestCli:
         assert main(["top", str(path), "--once"]) == 0
         capsys.readouterr()
 
-    def test_run_ledger_keys_name_the_configuration(self, tmp_path,
-                                                    capsys):
+    def test_run_ledger_keys_name_the_configuration(self, cache,
+                                                    tmp_path, capsys):
         from repro.cli import main
         path = tmp_path / "run.jsonl"
         base = ["run", "fib", "--scale", "0.2", "--ledger", str(path)]

@@ -22,6 +22,7 @@ import json
 import pytest
 
 from repro.config import MachineConfig
+from repro.experiments.runner import run_point
 from repro.models.factory import build_machine, model_abi
 from repro.rename.base import UnrunnableConfigError
 from repro.workloads.generator import benchmark_program
@@ -133,6 +134,16 @@ def test_stats_bit_identical(model, benches, stop):
         f"{want_hash} -> {got_hash} (same cycle count — a secondary "
         f"counter changed; diff stats.to_dict() against the pinned "
         f"tree)")
+
+
+@pytest.mark.parametrize("model,benches,stop",
+                         sorted(GOLDEN_DIGESTS, key=str))
+def test_run_point_record_matches_golden(model, benches, stop):
+    """``RunResult.stats`` is the run's whole ``SimStats`` record."""
+    want_hash, want_cycles = GOLDEN_DIGESTS[(model, benches, stop)]
+    result = run_point(model, benches, 256, seed=0, use_cache=False)
+    assert result.cycles == want_cycles
+    assert stats_digest(result.stats) == want_hash
 
 
 def _matrix_digest(model, benches, phys_regs, dl1_ports, scale):
