@@ -8,7 +8,7 @@ One package, one module per command family; each module exposes a
   ``disasm``: simulate or inspect one configuration.
 * :mod:`~repro.cli.figures` — ``table2``, ``fig4``–``fig8``,
   ``sec43``, and the general ``sweep`` runner (parallel workers,
-  ledgers, ``--resume``, ``--store``).
+  ledgers, ``--store``).
 * :mod:`~repro.cli.obscmd` — ``trace``, ``top``, ``report``,
   ``bench record``/``bench diff``: the observability surfaces.
 * :mod:`~repro.cli.servicecmd` — ``serve``, ``submit``, ``jobs``,
@@ -60,10 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if model not in MODELS:
             parser.error(f"unknown model {model!r}; "
                          f"see `python -m repro list`")
-    if getattr(args, "resume", False) and not args.ledger:
-        # The ledger is the only resume source; without one a resume
-        # would silently re-run every point.
-        parser.error("--resume needs --ledger")
     return args.fn(args)
 
 

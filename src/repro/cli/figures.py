@@ -168,8 +168,7 @@ def _cmd_sweep(args) -> int:
     t0 = time.monotonic()
     try:
         outcomes = engine.run(
-            points, resume=args.resume,
-            progress=None if args.quiet else on_progress,
+            points, progress=None if args.quiet else on_progress,
             metrics=metrics, ledger=ledger)
     finally:
         if ledger is not None:
@@ -291,10 +290,7 @@ def register(sub) -> None:
                     metavar="SECS", help="per-point timeout")
     sw.add_argument("--ledger", metavar="PATH", default=None,
                     help="append the run ledger (spans, rusage, cache "
-                         "hits) here; it is also what --resume reads")
-    sw.add_argument("--resume", action="store_true",
-                    help="skip points already completed in --ledger "
-                         "(requires --ledger)")
+                         "hits) here")
     sw.add_argument("--no-cache", action="store_true",
                     help="ignore (and don't consult) the result cache")
     sw.add_argument("--store", metavar="PATH", default=None,

@@ -2,9 +2,9 @@
 
 An engine runs the points of a sweep plan (``repro.experiments.plan``)
 and returns ``{Point: PointOutcome}``.  Both engines share the same
-front half — dedupe, ledger resume, cache-aware scheduling (points
-whose result is already on disk are resolved in-process, before any
-worker is forked) — and differ only in how the residue executes:
+front half — dedupe and cache-aware scheduling (points whose result
+is already in the store are resolved in-process, before any worker is
+forked) — and differ only in how the residue executes:
 
 * :class:`SerialEngine` runs points in-process, capturing exceptions
   into the point's outcome so one broken configuration cannot kill a
@@ -35,15 +35,11 @@ the ``run_start``/``point``/``run_end`` records, collects per-point
 the parent's trace via a propagated span context and ship their
 finished spans back alongside the payload.  Points that never report
 (crash, timeout) get a terminated span synthesized parent-side, so the
-ledger always reassembles into exactly one tree per point.  The
-ledger is also the one resume source: re-running with ``resume=True``
-replays the points its ``point`` records mark completed (failed and
-timed-out points are retried).
+ledger always reassembles into exactly one tree per point.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing as mp
 import os
@@ -52,7 +48,6 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.hooks import set_current_spans
@@ -61,7 +56,7 @@ from repro.obs.spans import SpanTracer
 from .plan import Point, SweepSpec, unique_points
 
 #: Outcome statuses counted as successfully completed.
-_OK_STATUSES = ("done", "cached", "resumed")
+_OK_STATUSES = ("done", "cached")
 
 
 class EngineError(RuntimeError):
@@ -73,9 +68,8 @@ class PointOutcome:
     """What happened to one point of a sweep.
 
     ``status`` is one of ``done`` (executed this run), ``cached``
-    (resolved from the result cache without executing), ``resumed``
-    (replayed from the ledger), ``failed`` (exception or worker
-    crash; see ``error``) or ``timeout``.
+    (resolved from the result store without executing), ``failed``
+    (exception or worker crash; see ``error``) or ``timeout``.
     """
 
     point: Point
@@ -92,7 +86,7 @@ class PointOutcome:
 
     @property
     def ok(self) -> bool:
-        """True when a payload is available (done/cached/resumed)."""
+        """True when a payload is available (done/cached)."""
         return self.status in _OK_STATUSES
 
     def result(self) -> Any:
@@ -112,7 +106,6 @@ class SweepProgress:
     total: int = 0
     done: int = 0
     cached: int = 0
-    resumed: int = 0
     failed: int = 0
     timeout: int = 0
     elapsed: float = 0.0
@@ -123,12 +116,11 @@ class SweepProgress:
     @property
     def completed(self) -> int:
         """Points resolved so far, by any route including failure."""
-        return (self.done + self.cached + self.resumed + self.failed
-                + self.timeout)
+        return self.done + self.cached + self.failed + self.timeout
 
     @property
     def executed(self) -> int:
-        """Points that actually ran (did not come from cache/ledger)."""
+        """Points that actually ran (did not come from the store)."""
         return self.done + self.failed + self.timeout
 
 
@@ -145,29 +137,6 @@ def apply_repro_env(env: Dict[str, str]) -> None:
         if k not in env:
             del os.environ[k]
     os.environ.update(env)
-
-
-def load_journal(path: Path) -> Dict[str, dict]:
-    """Parse a run ledger's point records into ``{cache_key: record}``.
-
-    Later records win (a resumed sweep appends), and a truncated final
-    line — the crash resume exists to survive — is ignored.
-    """
-    records: Dict[str, dict] = {}
-    try:
-        text = path.read_text()
-    except OSError:
-        return records
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(rec, dict) and "key" in rec:
-            records[rec["key"]] = rec
-    return records
 
 
 def _rusage_snapshot() -> Optional[Dict[str, float]]:
@@ -198,7 +167,7 @@ def _rusage_delta(before: Optional[Dict]) -> Optional[Dict]:
 
 #: Outcome status -> span status for point spans synthesized
 #: parent-side (a worker that reported carries its own statuses).
-_SPAN_STATUS = {"done": "ok", "cached": "cached", "resumed": "resumed",
+_SPAN_STATUS = {"done": "ok", "cached": "cached",
                 "failed": "terminated", "timeout": "timeout"}
 
 
@@ -206,9 +175,9 @@ def ledger_point(ledger: Any, spans: SpanTracer,
                  outcome: PointOutcome) -> None:
     """Write one resolved point's ``point`` record to ``ledger``.
 
-    A point that exported no spans (cache hit, resume replay, hard
-    crash, timeout, cancellation) gets a point span synthesized on
-    ``spans``, so the ledger still holds exactly one tree per point.
+    A point that exported no spans (cache hit, hard crash, timeout,
+    cancellation) gets a point span synthesized on ``spans``, so the
+    ledger still holds exactly one tree per point.
     The record carries the outcome's spans plus everything ``spans``
     finished since the previous record.
     """
@@ -223,8 +192,7 @@ def ledger_point(ledger: Any, spans: SpanTracer,
         key=key, status=outcome.status, point=outcome.point.to_dict(),
         payload=outcome.payload, error=outcome.error,
         elapsed=outcome.elapsed,
-        cache={"cached": "hit", "resumed": "hit",
-               "done": "miss"}.get(outcome.status),
+        cache={"cached": "hit", "done": "miss"}.get(outcome.status),
         rusage=outcome.rusage,
         spans=(outcome.spans or []) + spans.drain())
 
@@ -239,7 +207,6 @@ class _EngineBase:
         self.use_cache = use_cache
 
     def run(self, points: Iterable[Point],
-            resume: bool = False,
             progress: Optional[Callable[[SweepProgress], None]] = None,
             metrics: Optional[Any] = None,
             ledger: Optional[Any] = None,
@@ -252,9 +219,7 @@ class _EngineBase:
 
         ``ledger`` (a :class:`repro.obs.runlog.RunLedger`) enables the
         audit trail and span tracing: run/point records, per-point
-        rusage, and one span tree per point.  ``resume`` replays the
-        points the ledger's file already records as completed, so it
-        needs a ``ledger``.
+        rusage, and one span tree per point.
         """
         pts = unique_points(points)
         prog = SweepProgress(total=len(pts))
@@ -262,11 +227,6 @@ class _EngineBase:
         elapsed_samples: List[float] = []
         outcomes: Dict[Point, PointOutcome] = {}
 
-        prior: Dict[str, dict] = {}
-        if resume:
-            if ledger is None:
-                raise ValueError("resume needs a ledger to resume from")
-            prior = load_journal(Path(ledger.path))
         if metrics is not None:
             metrics.set("sweep.points.total", len(pts))
 
@@ -290,11 +250,11 @@ class _EngineBase:
             remaining = prog.total - prog.completed
             if elapsed_samples and remaining:
                 # Only points that actually executed feed the rate
-                # estimate (cached/resumed points resolve in
-                # microseconds and would make a mostly-cached resume
-                # look nearly free), and a worker pool finishes the
-                # residue in whole waves: 1 remaining point on 8
-                # workers still costs one full point, not 1/8th.
+                # estimate (cached points resolve in microseconds and
+                # would make a mostly-cached re-run look nearly free),
+                # and a worker pool finishes the residue in whole
+                # waves: 1 remaining point on 8 workers still costs
+                # one full point, not 1/8th.
                 avg = sum(elapsed_samples) / len(elapsed_samples)
                 prog.eta = avg * math.ceil(
                     remaining / max(1, self.workers))
@@ -313,34 +273,24 @@ class _EngineBase:
         try:
             to_run: List[Point] = []
             for pt in pts:
-                if pt.cacheable:
-                    rec = prior.get(pt.cache_key())
-                    if (rec is not None
-                            and rec.get("status") in _OK_STATUSES
-                            and rec.get("payload") is not None):
-                        emit(PointOutcome(pt, "resumed",
-                                          payload=rec["payload"]))
-                        continue
-                    if self.use_cache:
-                        payload = pt.load_cached()
-                        if payload is not None:
-                            emit(PointOutcome(pt, "cached",
-                                              payload=payload))
-                            continue
-                to_run.append(pt)
+                payload = pt.load_cached() if self.use_cache else None
+                if payload is not None:
+                    emit(PointOutcome(pt, "cached", payload=payload))
+                else:
+                    to_run.append(pt)
             self._execute(to_run, emit, spans=spans, ledger=ledger)
         finally:
             if ledger is not None:
                 spans.end(sweep_span, **{
                     f"points.{k}": getattr(prog, k)
-                    for k in ("done", "cached", "resumed", "failed",
-                              "timeout") if getattr(prog, k)})
+                    for k in ("done", "cached", "failed", "timeout")
+                    if getattr(prog, k)})
                 ledger.run_end(
                     status="ok" if prog.completed == prog.total
                     else "interrupted",
                     counts={k: getattr(prog, k)
-                            for k in ("done", "cached", "resumed",
-                                      "failed", "timeout")},
+                            for k in ("done", "cached", "failed",
+                                      "timeout")},
                     elapsed=time.monotonic() - t0,
                     spans=spans.drain())
         return outcomes

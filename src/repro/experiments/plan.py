@@ -6,8 +6,8 @@ loops, a sweep is described by a :class:`SweepSpec` — named axes over
 a base parameter set, plus optional extra points and a reduction — and
 expands to hashable, serializable :class:`Point` values.  Because a
 plan is inert data, an execution engine (``repro.experiments.engine``)
-can dedupe, cache-resolve, parallelise, record and resume it without
-knowing what the points compute.
+can dedupe, cache-resolve, parallelise and record it without knowing
+what the points compute.
 
 Point kinds:
 
@@ -18,7 +18,7 @@ Point kinds:
   measurement of one benchmark (Table 2); decodes to a float.
 * ``probe`` — a diagnostic that reports the executing worker's
   ``REPRO_*`` environment, resolved cache directory, default scale and
-  pid.  Never cached or resumed; used to verify that workers run with
+  pid.  Never cached; used to verify that workers run with
   the environment the parent intended.
 """
 
@@ -98,7 +98,8 @@ class Point:
     # -- identity ----------------------------------------------------------
     @property
     def cacheable(self) -> bool:
-        """Whether the point's payload may be cache/ledger-resolved."""
+        """Whether the point's payload may be resolved from the
+        store."""
         return self.kind != PROBE
 
     def run_args(self) -> Dict[str, Any]:
@@ -122,6 +123,8 @@ class Point:
         """Compact human-readable name for progress lines and CSVs."""
         if self.kind == RUN:
             tag = "~s" if self.sample else ""
+            if self.seed is not None:
+                tag += f"~seed{self.seed}"
             return (f"{self.model}/{'+'.join(self.benches)}"
                     f"@{self.phys_regs}r{self.dl1_ports}p{tag}")
         if self.kind == PATH_RATIO:
@@ -151,22 +154,21 @@ class Point:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Point":
         """Inverse of :meth:`to_dict`; equal parameters reconstruct
-        an equal (and equally hashable) point.  The ``sample``
-        parameters default when absent so pre-sampling ledgers still
-        replay."""
+        an equal (and equally hashable) point.  Every key ``to_dict``
+        always writes is required (``KeyError`` otherwise); ``seed``
+        is optional because ``to_dict`` omits it when unset."""
         return cls(kind=d["kind"], model=d["model"],
                    benches=tuple(d["benches"]),
                    phys_regs=d["phys_regs"], dl1_ports=d["dl1_ports"],
                    scale=d["scale"], seed=d.get("seed"),
-                   bench=d["bench"], sample=d.get("sample", False),
-                   sample_interval=d.get("sample_interval", 2000),
-                   sample_count=d.get("sample_count", 8),
-                   sample_mode=d.get("sample_mode", "systematic"),
-                   sample_rse=d.get("sample_rse"),
-                   sample_rse_metrics=tuple(
-                       d.get("sample_rse_metrics", ())),
-                   sample_max=d.get("sample_max", 64),
-                   sample_mem_weight=d.get("sample_mem_weight", 0.5))
+                   bench=d["bench"], sample=d["sample"],
+                   sample_interval=d["sample_interval"],
+                   sample_count=d["sample_count"],
+                   sample_mode=d["sample_mode"],
+                   sample_rse=d["sample_rse"],
+                   sample_rse_metrics=tuple(d["sample_rse_metrics"]),
+                   sample_max=d["sample_max"],
+                   sample_mem_weight=d["sample_mem_weight"])
 
     # -- execution ---------------------------------------------------------
     def load_cached(self) -> Optional[dict]:
@@ -192,8 +194,8 @@ class Point:
             result = _runner.run_point(use_cache=use_cache,
                                        **self.run_args())
             # Canonical JSON form, so a payload compares equal no
-            # matter whether it was executed, cache-loaded, piped from
-            # a worker, or replayed from a ledger.
+            # matter whether it was executed, loaded from the store or
+            # piped from a worker.
             return json.loads(json.dumps(asdict(result)))
         if self.kind == PATH_RATIO:
             return {"ratio": _runner.path_ratio(self.bench,

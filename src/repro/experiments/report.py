@@ -37,7 +37,7 @@ def render_progress(progress, width: int = 24) -> str:
     bar = "#" * filled + "-" * (width - filled)
     line = (f"[{bar}] {progress.completed}/{progress.total}"
             f"  done {progress.done}"
-            f"  cached {progress.cached + progress.resumed}"
+            f"  cached {progress.cached}"
             f"  failed {progress.failed + progress.timeout}")
     if progress.eta is not None:
         line += f"  eta {progress.eta:.0f}s"
@@ -53,7 +53,7 @@ def render_outcome_summary(outcomes, elapsed: float) -> str:
     executed = sum(counts.get(s, 0) for s in ("done", "failed",
                                               "timeout"))
     parts = [f"{counts[s]} {s}" for s in
-             ("done", "cached", "resumed", "failed", "timeout")
+             ("done", "cached", "failed", "timeout")
              if counts.get(s)]
     lines = [f"sweep: {len(outcomes)} points ({', '.join(parts) or 'none'})"
              f" — executed {executed} in {elapsed:.1f}s"]

@@ -147,6 +147,21 @@ CREATE TABLE IF NOT EXISTS claims (
 """
 
 
+def _process_gone(pid: Optional[int]) -> bool:
+    """Whether no process ``pid`` exists on this host, where every
+    claimant runs (sqlite's WAL mode requires it).  Only POSIX has a
+    harmless probe (signal 0); elsewhere every owner counts as alive."""
+    if os.name != "posix" or not pid:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, owned by another user
+        pass
+    return False
+
+
 class SqliteStore(ResultStore):
     """A sqlite3-backed result repository with an audit trail.
 
@@ -285,8 +300,11 @@ class SqliteStore(ResultStore):
 
         Exactly one concurrent claimant wins (``INSERT OR IGNORE`` on
         the primary key); re-claiming a key you already own succeeds.
-        Claims older than ``claim_stale_s`` are presumed abandoned by
-        a crashed process and are swept before the attempt.
+        A claim whose process no longer exists (a ``kill -9``'d
+        scheduler) is taken over in the same transaction.  Claims
+        older than ``claim_stale_s`` are presumed abandoned and are
+        swept before the attempt, which covers a dead owner whose pid
+        was reused.
         """
         now = time.time()
         with self._lock:
@@ -299,9 +317,14 @@ class SqliteStore(ResultStore):
             won = cur.rowcount == 1
             if not won:
                 row = self._conn.execute(
-                    "SELECT owner FROM claims WHERE key = ?",
+                    "SELECT owner, pid FROM claims WHERE key = ?",
                     (key,)).fetchone()
                 won = row is not None and row[0] == owner
+                if row is not None and not won and _process_gone(row[1]):
+                    self._conn.execute(
+                        "UPDATE claims SET owner = ?, pid = ?, t = ?"
+                        " WHERE key = ?", (owner, os.getpid(), now, key))
+                    won = True
             self._conn.commit()
         return won
 

@@ -92,10 +92,9 @@ def render_top(records: List[Dict], width: int = 72) -> str:
     state = "FINISHED" if finished else "running"
     lines.append(f"[{_bar(frac)}] {resolved}/{total} points  ({state})")
     lines.append(
-        "  done {d}  cached {c}  resumed {r}  failed {f}  timeout {t}"
+        "  done {d}  cached {c}  failed {f}  timeout {t}"
         .format(d=counts.get("done", 0), c=counts.get("cached", 0),
-                r=counts.get("resumed", 0), f=counts.get("failed", 0),
-                t=counts.get("timeout", 0)))
+                f=counts.get("failed", 0), t=counts.get("timeout", 0)))
     hit = s["cache_hit_rate"]
     util = min(1.0, len(running) / workers) if not finished else 0.0
     lines.append(f"  cache hit rate {hit:.0%}   worker util "

@@ -31,7 +31,7 @@ table { border-collapse: collapse; width: 100%; margin: 1em 0; }
 th, td { text-align: left; padding: .3em .6em;
          border-bottom: 1px solid #ddd; font-size: .9em; }
 tr.failed td, tr.timeout td { background: #fdecea; }
-tr.cached td, tr.resumed td { color: #666; }
+tr.cached td { color: #666; }
 .summary span { margin-right: 1.5em; }
 .wf { margin: .2em 0 .8em; }
 .wf .row { display: flex; align-items: center; height: 1.35em; }
@@ -43,7 +43,6 @@ tr.cached td, tr.resumed td { color: #666; }
 .wf .bar { position: absolute; height: 100%; border-radius: 2px;
            min-width: 2px; }
 .wf .ok { background: #7cb5ec; } .wf .cached { background: #b8d8a8; }
-.wf .resumed { background: #b8d8a8; }
 .wf .error, .wf .terminated { background: #e4938e; }
 .wf .timeout { background: #f0c674; }
 .flame { display: flex; height: .9em; margin: .1em 0 .4em 16em;
@@ -156,7 +155,7 @@ def render_html(records: Iterable[Dict],
         "<p class='summary'>",
         f"<span><b>{s['resolved']}</b>/{s['total']} points</span>",
     ]
-    for status in ("done", "cached", "resumed", "failed", "timeout"):
+    for status in ("done", "cached", "failed", "timeout"):
         n = s["counts"].get(status, 0)
         if n:
             parts.append(f"<span>{status} <b>{n}</b></span>")

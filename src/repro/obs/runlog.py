@@ -10,12 +10,9 @@ worker, and the point's finished spans), and how it ended
 ``repro report`` renders one into a self-contained HTML report, and
 the audit trail is exactly what ROADMAP item 1's service would serve.
 
-The ledger is also the sweep's one resume source: ``point`` records
-carry ``key``/``status``/``payload`` fields, so
-:func:`repro.experiments.engine.load_journal` resumes a sweep directly
-from its ledger file — the non-point record kinds simply have no
-``key`` and are skipped.  One file is both the audit trail and the
-crash-recovery state.
+The ledger is an audit trail, not recovery state: a re-run resumes
+from the result store, which (with the cache on) holds every completed
+point before its ``point`` record is written.
 
 Records share three envelope fields: ``rec`` (the record kind), ``v``
 (:data:`LEDGER_SCHEMA`) and ``t`` (epoch seconds).  Everything else is
@@ -45,9 +42,9 @@ class RunLedger:
 
     The constructor only opens the file; :meth:`run_start` writes the
     header record (the engine calls it once it knows the point count).
-    Appending (``"a"``) is deliberate: a resumed sweep extends the
+    Appending (``"a"``) is deliberate: a re-run sweep extends the
     same ledger, and readers resolve duplicate points by
-    last-record-wins, exactly as resume does.
+    last-record-wins.
     """
 
     def __init__(self, path, run_id: Optional[str] = None,
@@ -63,8 +60,7 @@ class RunLedger:
 
     def write(self, rec: str, **fields) -> None:
         """Append one record of kind ``rec`` (flushed immediately, so
-        ``repro top`` and a post-crash resume see every completed
-        record)."""
+        ``repro top`` sees every completed record)."""
         row = {"rec": rec, "v": LEDGER_SCHEMA, "run_id": self.run_id,
                "t": round(time.time(), 6)}
         row.update(fields)
@@ -80,7 +76,7 @@ class RunLedger:
 
     def point_start(self, key: str, label: str) -> None:
         """A point began executing (lets ``repro top`` show running
-        points; carries no ``status`` so resume never replays it)."""
+        points)."""
         self.write("point_start", key=key, label=label)
 
     def point(self, key: str, status: str, point: Optional[dict] = None,
@@ -88,7 +84,7 @@ class RunLedger:
               elapsed: float = 0.0, cache: Optional[str] = None,
               rusage: Optional[dict] = None,
               spans: Optional[List[dict]] = None) -> None:
-        """One resolved point — the record resume replays."""
+        """One resolved point and its outcome."""
         self.write("point", key=key, status=status, point=point,
                    payload=payload, error=error,
                    elapsed=round(elapsed, 6), cache=cache,
@@ -202,7 +198,7 @@ def ledger_summary(records: Iterable[Dict]) -> Dict:
 
     running = [rec for key, rec in started.items() if key not in points]
     resolved = sum(counts.values())
-    hits = counts.get("cached", 0) + counts.get("resumed", 0)
+    hits = counts.get("cached", 0)
     total = int(header.get("total") or 0) or resolved
     return {
         "header": header,

@@ -115,11 +115,14 @@ class TestSweepCommand:
         assert ledger.exists() and csv_out.exists()
         assert "status,kind,model" in csv_out.read_text()
 
-        # --resume replays the ledger: zero points execute, even
-        # with the result cache disabled.
-        assert main(args + ["--resume", "--no-cache"]) == 0
+        # A plain re-run resumes from the store: nothing executes.
+        assert main(args) == 0
         out = capsys.readouterr().out
-        assert "executed 0" in out and "resumed" in out
+        assert "executed 0" in out and "1 cached" in out
+
+        # --no-cache neither reads nor writes the store: it starts over.
+        assert main(args + ["--no-cache"]) == 0
+        assert "executed 1" in capsys.readouterr().out
 
     def test_sweep_figure_plan_renders_series(self, capsys, tmp_path,
                                               monkeypatch):
@@ -133,20 +136,6 @@ class TestSweepCommand:
     def test_sweep_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
             main(["sweep", "rw", "--models", "nonexistent"])
-
-    def test_sweep_resume_needs_ledger(self, capsys, tmp_path,
-                                       monkeypatch):
-        # Without a ledger there is nothing to resume from; this is a
-        # usage error rather than a silent re-run of every point.
-        import repro.experiments.runner as runner
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(runner, "run_point", lambda *a, **k:
-                            pytest.fail("resume without a ledger ran"))
-        with pytest.raises(SystemExit) as exc:
-            main(self.ARGS + ["--resume", "--no-cache"])
-        assert exc.value.code == 2
-        assert "--resume needs --ledger" in capsys.readouterr().err
 
     def test_sweep_failure_sets_exit_code(self, capsys, tmp_path,
                                           monkeypatch):
@@ -210,6 +199,13 @@ class TestRunCommand:
         assert "seed" not in plain.to_dict()
         assert Point.from_dict(seeded.to_dict()) == seeded
         assert Point.from_dict(plain.to_dict()) == plain
+
+    def test_seed_shows_in_the_label(self):
+        from repro.experiments.plan import Point
+        plain = Point.run("vca-rw", ("fib",), 128)
+        seeded = Point.run("vca-rw", ("fib",), 128, seed=3)
+        assert plain.label == "vca-rw/fib@128r2p"
+        assert seeded.label == "vca-rw/fib@128r2p~seed3"
 
     @pytest.mark.parametrize("flag", [["--trace"],
                                       ["--trace-out", "t.jsonl"],

@@ -1,4 +1,5 @@
-"""Documentation health: links resolve, doctest examples run.
+"""Documentation health: links resolve, doctest examples run, and
+the CLI reference's flag rows match the parser.
 
 Thin pytest wrapper over ``tools/check_docs.py`` (the same checks the
 CI ``docs`` job runs standalone), plus coverage of the checker's own
@@ -46,6 +47,9 @@ class TestRepoDocs:
     def test_no_orphan_pages(self):
         assert check_docs.check_orphans(REPO) == []
 
+    def test_cli_flag_rows_match_the_parser(self):
+        assert check_docs.check_cli_flags(REPO) == []
+
 
 class TestCheckerCatchesBreakage:
     def test_dead_link_detected(self, tmp_path):
@@ -85,6 +89,17 @@ class TestCheckerCatchesBreakage:
         (docs / "lonely.md").write_text("nobody links me")
         errors = check_docs.check_orphans(tmp_path)
         assert len(errors) == 1 and "lonely.md" in errors[0]
+
+    def test_stale_and_missing_flag_rows_detected(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "cli.md").write_text(
+            "| Flag | Meaning |\n|------|---------|\n"
+            "| `--ledger PATH` | kept |\n| `--resume` | deleted |\n")
+        errors = check_docs.check_cli_flags(tmp_path)
+        assert ("cli.md: --resume has a row but no command accepts it"
+                in errors)
+        assert "cli.md: --no-cache is accepted but has no row" in errors
+        assert not any("--ledger" in e or "--help" in e for e in errors)
 
     def test_missing_index_detected(self, tmp_path):
         (tmp_path / "docs").mkdir()

@@ -1,6 +1,7 @@
 """Tests for declarative sweep plans and the execution engine:
-expansion, cache-aware scheduling, fault isolation, ledger resume,
-worker environment propagation, and cache robustness."""
+expansion, cache-aware scheduling, fault isolation, re-running
+against the store, worker environment propagation, and cache
+robustness."""
 
 import os
 import sqlite3
@@ -13,7 +14,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.engine import (
     EngineError, ParallelEngine, PointOutcome, SerialEngine,
-    apply_repro_env, execute_plan, load_journal, repro_env,
+    apply_repro_env, execute_plan, repro_env,
 )
 from repro.experiments.plan import (
     Point, SweepSpec, point_from_params, unique_points,
@@ -292,11 +293,11 @@ def run_with_ledger(engine, points, path, **kwargs):
         ledger.close()
 
 
-class TestJournalResume:
-    """Resume replays the run ledger's point records (read through
-    ``load_journal``)."""
+class TestRerunResume:
+    """The result store is the one resume source: a re-run executes
+    exactly the points with no store row."""
 
-    def test_resume_executes_zero_completed_points(
+    def test_rerun_executes_zero_completed_points(
             self, cache, tmp_path, monkeypatch):
         path = tmp_path / "ledger.jsonl"
         pts = [Point.run("baseline", (BENCH,), s, scale=SCALE)
@@ -305,50 +306,45 @@ class TestJournalResume:
         assert all(o.status == "done" for o in first.values())
 
         def must_not_run(*args, **kwargs):
-            raise AssertionError("resume executed a completed point")
+            raise AssertionError("re-run executed a completed point")
 
         monkeypatch.setattr(runner, "run_point", must_not_run)
-        # No cache either, to prove the ledger alone carries resume.
-        resumed = run_with_ledger(SerialEngine(use_cache=False), pts,
-                                  path, resume=True)
-        assert all(o.status == "resumed" for o in resumed.values())
+        again = run_with_ledger(SerialEngine(), pts, path)
+        assert all(o.status == "cached" for o in again.values())
         for pt in pts:
-            assert resumed[pt].result() == first[pt].result()
+            assert again[pt].result() == first[pt].result()
 
-    def test_resume_retries_failed_points(self, cache, tmp_path,
-                                          monkeypatch):
+    def test_rerun_retries_failed_points(self, cache, tmp_path,
+                                         monkeypatch):
         path = tmp_path / "ledger.jsonl"
         pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
         monkeypatch.setattr(
             runner, "run_point",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("x")))
-        out = run_with_ledger(SerialEngine(use_cache=False), [pt], path)
+        out = run_with_ledger(SerialEngine(), [pt], path)
         assert out[pt].status == "failed"
 
         calls = []
         monkeypatch.setattr(
             runner, "run_point",
             lambda *a, **k: calls.append(a) or fake_result(*a, **k))
-        out = run_with_ledger(SerialEngine(use_cache=False), [pt], path,
-                              resume=True)
+        out = run_with_ledger(SerialEngine(), [pt], path)
         assert out[pt].status == "done" and len(calls) == 1
 
-    def test_journal_tolerates_truncated_tail(self, cache, tmp_path):
+    def test_no_cache_rerun_starts_over(self, cache, tmp_path,
+                                        monkeypatch):
         path = tmp_path / "ledger.jsonl"
-        pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
-        run_with_ledger(SerialEngine(), [pt], path)
-        with path.open("a") as fh:
-            fh.write('{"key": "half-written')  # simulated crash
-        records = load_journal(path)
-        assert pt.cache_key() in records
-        out = run_with_ledger(SerialEngine(use_cache=False), [pt], path,
-                              resume=True)
-        assert out[pt].status == "resumed"
+        pts = [Point.run("baseline", (BENCH,), s, scale=SCALE)
+               for s in (128, 256)]
+        run_with_ledger(SerialEngine(), pts, path)
 
-    def test_resume_without_ledger_is_refused(self, cache):
-        pt = Point.run("baseline", (BENCH,), 256, scale=SCALE)
-        with pytest.raises(ValueError, match="ledger"):
-            SerialEngine().run([pt], resume=True)
+        calls = []
+        monkeypatch.setattr(
+            runner, "run_point",
+            lambda *a, **k: calls.append(a) or fake_result(*a, **k))
+        out = run_with_ledger(SerialEngine(use_cache=False), pts, path)
+        assert all(o.status == "done" for o in out.values())
+        assert len(calls) == len(pts)
 
 
 class TestCacheRobustness:

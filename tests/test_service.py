@@ -445,6 +445,13 @@ class TestServiceHTTP:
                 with pytest.raises(ServiceError) as exc:
                     client.submit([])
                 assert exc.value.status == 400
+                # A point must carry every key ``to_dict`` writes.
+                partial = {k: v for k, v in pt.to_dict().items()
+                           if not k.startswith("sample")}
+                with pytest.raises(ServiceError) as exc:
+                    client.submit([partial])
+                assert exc.value.status == 400
+                assert "bad point" in str(exc.value)
 
                 ledger = state / "ledgers" / f"job-{jid}.jsonl"
                 assert ledger.exists()

@@ -299,13 +299,12 @@ class TestSweepLedger:
 
         monkeypatch.setattr(runner, "run_point", _must_not_run)
         with RunLedger(path) as ledger:
-            out = SerialEngine(use_cache=False).run(
-                pts, resume=True, ledger=ledger)
-        assert {oc.status for oc in out.values()} == {"resumed"}
-        # The resumed run appended its own complete record set.
-        resumed = [rec for rec in read_ledger(path)
-                   if rec.get("status") == "resumed"]
-        assert len(resumed) == 2
+            out = SerialEngine().run(pts, ledger=ledger)
+        assert {oc.status for oc in out.values()} == {"cached"}
+        # The re-run appended its own complete record set.
+        hits = [rec for rec in read_ledger(path)
+                if rec["rec"] == "point" and rec["cache"] == "hit"]
+        assert len(hits) == 2
 
     def test_ledger_off_means_no_spans_on_outcomes(self, cache):
         pt = Point.run("baseline", (BENCH,), 128, scale=SCALE)
@@ -315,7 +314,7 @@ class TestSweepLedger:
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("resume must not execute completed points")
+    raise AssertionError("a re-run must not execute completed points")
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +430,34 @@ class TestLedgerReaders:
         records = list(iter_ledger(path))
         assert all(isinstance(r, dict) and "rec" in r for r in records)
 
+    def test_old_resumed_records_count_but_are_not_hits(self, tmp_path):
+        # Ledgers written before the store became the one resume
+        # source hold ``resumed`` points; they still render.
+        from repro.obs.dashboard import render_top
+        from repro.obs.htmlreport import render_html
+        path = tmp_path / "old.jsonl"
+        with RunLedger(path) as ledger:
+            ledger.run_start(total=2, workers=1, trace_id="t")
+            ledger.point("k1", "done", payload={"cycles": 10,
+                                                "committed": [8]},
+                         point={"label": "baseline/fib/r128"},
+                         cache="miss")
+            ledger.point("k2", "resumed", payload={"cycles": 10,
+                                                   "committed": [9]},
+                         point={"label": "baseline/fib/r256"},
+                         cache="hit")
+            ledger.run_end(status="ok",
+                           counts={"done": 1, "resumed": 1})
+        records = read_ledger(path)
+        s = ledger_summary(records)
+        assert s["resolved"] == s["total"] == 2
+        assert s["cache_hit_rate"] == 0.0
+        assert "2/2 points" in render_top(records)
+        assert "baseline/fib/r256" in render_html(records)
+
     def test_ledger_is_loadable_as_journal(self, tmp_path):
-        from repro.experiments.engine import load_journal
         path = _synthetic_ledger(tmp_path / "l.jsonl")
-        prior = load_journal(path)
+        prior = ledger_points(read_ledger(path))
         # point records win over their point_start predecessors.
         assert prior["k1"]["status"] == "done"
         assert prior["k3"]["status"] == "failed"

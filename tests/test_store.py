@@ -5,6 +5,7 @@ one active store every process reads and writes through."""
 
 import json
 import multiprocessing
+import signal
 import sqlite3
 import time
 from contextlib import closing
@@ -92,6 +93,26 @@ class TestSqliteStore:
             assert db.claim("pt", owner="crashed")
             time.sleep(0.1)
             assert db.claim("pt", owner="successor")
+
+    def test_dead_owner_claim_is_taken_over_at_once(self, tmp_path):
+        """A claim whose process was SIGKILLed goes to the next
+        claimant at once, long before the default staleness age."""
+        path = tmp_path / "s.sqlite"
+        ctx = multiprocessing.get_context("fork")
+        claimed = ctx.Event()
+        proc = ctx.Process(target=_claim_and_hang, args=(path, claimed))
+        proc.start()
+        try:
+            assert claimed.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.join(timeout=60)
+        assert proc.exitcode == -signal.SIGKILL
+        with SqliteStore(path) as db:
+            assert db.claim_stale_s == 3600.0
+            assert db.claim("pt", owner="successor")
+            assert db.claim("pt", owner="successor")
+            assert not db.claim("pt", owner="third")
 
     def test_gc_claims(self, tmp_path):
         with SqliteStore(tmp_path / "s.sqlite") as db:
@@ -220,6 +241,14 @@ def _hammer(path, writer, rounds):
                                    "k": k})
     finally:
         db.close()
+
+
+def _claim_and_hang(path, claimed):
+    """Claim ``pt`` as ``doomed``, signal, and wait to be killed."""
+    db = SqliteStore(path)
+    assert db.claim("pt", owner="doomed")
+    claimed.set()
+    time.sleep(600)
 
 
 class TestConcurrency:

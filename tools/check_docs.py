@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation checker: dead links, orphan pages, fenced doctests.
+"""Documentation checker: dead links, orphan pages, fenced doctests,
+CLI flag rows.
 
-Three checks over ``README.md`` and every ``docs/*.md`` page, all
+Four checks over ``README.md`` and the ``docs/*.md`` pages, all
 enforced by ``tests/test_docs.py`` and the CI ``docs`` job:
 
 1. **Links** — every relative markdown link target must exist on
@@ -14,6 +15,11 @@ enforced by ``tests/test_docs.py`` and the CI ``docs`` job:
 3. **Doctests** — every fenced ```` ```python ```` block containing
    ``>>>`` examples is executed with the standard :mod:`doctest`
    machinery, so documentation examples cannot silently rot.
+4. **CLI flags** — every ``| `--flag` ...`` table row in
+   ``docs/cli.md`` names an option some subcommand of
+   ``repro.cli.build_parser()`` accepts, and every accepted option
+   except ``--help`` has such a row, so a deleted flag cannot linger
+   in the reference and a new one cannot go undocumented.
 
 Stdlib only; run as ``python tools/check_docs.py`` from anywhere in
 the repo (exit status 1 on any failure).
@@ -21,11 +27,12 @@ the repo (exit status 1 on any failure).
 
 from __future__ import annotations
 
+import argparse
 import doctest
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 #: Inline markdown links/images: ``[text](target)`` — the target up to
 #: the first whitespace or closing paren (titles are not used here).
@@ -34,6 +41,8 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```python\s*\n(.*?)^```\s*$",
                       re.MULTILINE | re.DOTALL)
 _EXTERNAL = ("http://", "https://", "mailto:")
+#: A flag-reference table row: ``| `--flag ...` | meaning |``.
+FLAG_ROW_RE = re.compile(r"^\|\s*`(--[\w-]+)", re.MULTILINE)
 
 
 def repo_root() -> Path:
@@ -121,6 +130,33 @@ def run_doctests(path: Path) -> Tuple[int, List[str]]:
     return total, failures
 
 
+def parser_flags(parser: argparse.ArgumentParser) -> Set[str]:
+    """Every ``--option`` ``parser`` or any of its subparsers
+    accepts."""
+    flags: Set[str] = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings
+                     if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+    return flags
+
+
+def check_cli_flags(root: Path) -> List[str]:
+    """Flag-row errors in ``docs/cli.md`` against the ``repro``
+    parser, in both directions (empty = clean)."""
+    from repro.cli import build_parser
+
+    documented = set(FLAG_ROW_RE.findall(
+        (root / "docs" / "cli.md").read_text()))
+    accepted = parser_flags(build_parser())
+    return ([f"cli.md: {flag} has a row but no command accepts it"
+             for flag in sorted(documented - accepted)]
+            + [f"cli.md: {flag} is accepted but has no row"
+               for flag in sorted(accepted - documented - {"--help"})])
+
+
 def main() -> int:
     root = repo_root()
     # Doc examples import repro; make src/ importable when the repo
@@ -138,7 +174,7 @@ def main() -> int:
 
     ok = True
     n_links = n_examples = 0
-    for err in check_orphans(root):
+    for err in check_orphans(root) + check_cli_flags(root):
         ok = False
         print(err, file=sys.stderr)
     for f in files:
