@@ -26,6 +26,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.experiments.engine import EngineError
 from repro.models import MODELS
 from repro.workloads import PROFILES
 
@@ -60,7 +61,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if model not in MODELS:
             parser.error(f"unknown model {model!r}; "
                          f"see `python -m repro list`")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except EngineError as exc:
+        # A command that reduces outcomes (the figures) asked for a
+        # failed point's result: one line, as `repro sweep` prints it.
+        from repro.experiments.report import render_failure
+        print(f"repro {args.command}: {render_failure(exc.outcome)}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,13 +12,10 @@ from .common import emit_series, engine_from, open_ledger
 
 def _cmd_table2(args) -> int:
     from repro.experiments.report import render_table
-    from repro.functional import measure_path_length
-    from repro.workloads import build_benchmark
+    from repro.experiments.runner import path_ratio
 
-    rows = []
-    for name in RW_BENCHMARKS:
-        r = measure_path_length(lambda: build_benchmark(name))
-        rows.append((name, TABLE2_RATIOS[name], r.ratio))
+    rows = [(name, TABLE2_RATIOS[name], path_ratio(name))
+            for name in RW_BENCHMARKS]
     print(render_table(["benchmark", "paper", "measured"], rows,
                        title="Table 2: windowed/flat path-length ratio"))
     return 0
@@ -138,7 +135,6 @@ def _cmd_sweep(args) -> int:
     from repro.experiments.report import (
         render_outcome_summary, render_progress, render_series,
     )
-    from repro.obs import MetricsRegistry
 
     if args.store:
         # The repository layer reads REPRO_STORE from the environment
@@ -152,7 +148,6 @@ def _cmd_sweep(args) -> int:
         if points is None:
             return 2
     engine = engine_from(args)
-    metrics = MetricsRegistry()
     live = sys.stderr.isatty()
 
     ledger = open_ledger(args.ledger, "sweep") if args.ledger else None
@@ -169,7 +164,7 @@ def _cmd_sweep(args) -> int:
     try:
         outcomes = engine.run(
             points, progress=None if args.quiet else on_progress,
-            metrics=metrics, ledger=ledger)
+            ledger=ledger)
     finally:
         if ledger is not None:
             ledger.close()
@@ -191,13 +186,6 @@ def _cmd_sweep(args) -> int:
     if args.csv:
         from repro.experiments.export import write_outcomes_csv
         print(f"(wrote {write_outcomes_csv(args.csv, outcomes)})")
-    if args.metrics:
-        dist = metrics.dists.get("sweep.point_seconds")
-        for name in sorted(metrics.counters):
-            print(f"{name} = {metrics.counters[name]:g}")
-        if dist is not None and dist.count:
-            print(f"sweep.point_seconds mean={dist.mean:.3f} "
-                  f"p90={dist.percentile(90):.3f} max={dist.max:.3f}")
     return 1 if failed else 0
 
 
@@ -260,8 +248,9 @@ def add_sampling_arguments(p) -> None:
 
 def register(sub) -> None:
     """Attach the figure subcommands and ``sweep`` to the parser."""
+    sub.add_parser("table2", help="regenerate table2") \
+        .set_defaults(fn=_cmd_table2)
     for name, fn, with_bench in [
-            ("table2", _cmd_table2, False),
             ("fig4", _cmd_fig4, True), ("fig5", _cmd_fig5, True),
             ("fig6", _cmd_fig6, True), ("fig7", _cmd_fig7, False),
             ("fig8", _cmd_fig8, False), ("sec43", _cmd_sec43, False)]:
@@ -270,15 +259,14 @@ def register(sub) -> None:
             p.add_argument("--bench", nargs="+", default=None,
                            metavar="NAME")
         p.add_argument("--scale", type=float, default=1.0)
-        p.add_argument("--csv", metavar="PATH", default=None,
-                       help="also write the series as CSV")
-        if name != "table2":
-            p.add_argument("--workers", type=int, default=0,
-                           metavar="N",
-                           help="run the sweep on N parallel workers")
-            p.add_argument("--timeout", type=float, default=None,
-                           metavar="SECS",
-                           help="per-point timeout (parallel only)")
+        if name != "sec43":
+            p.add_argument("--csv", metavar="PATH", default=None,
+                           help="also write the series as CSV")
+        p.add_argument("--workers", type=int, default=0, metavar="N",
+                       help="run the sweep on N parallel workers")
+        p.add_argument("--timeout", type=float, default=None,
+                       metavar="SECS",
+                       help="per-point timeout (parallel only)")
         p.set_defaults(fn=fn)
 
     sw = sub.add_parser(
@@ -299,8 +287,6 @@ def register(sub) -> None:
                          "cache directory)")
     sw.add_argument("--csv", metavar="PATH", default=None,
                     help="write per-point outcomes as CSV")
-    sw.add_argument("--metrics", action="store_true",
-                    help="print engine metrics (repro.obs registry)")
     sw.add_argument("--quiet", action="store_true",
                     help="suppress the live progress line")
     sw.set_defaults(fn=_cmd_sweep)

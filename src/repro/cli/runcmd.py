@@ -37,11 +37,11 @@ def _cmd_run(args) -> int:
     from repro.pipeline.stats import SimStats
 
     benches = args.bench_pos or args.bench
-    traced = args.trace or args.trace_out is not None
+    traced = args.trace_out is not None
     live = traced or args.metrics_interval is not None
     if args.ledger and live:
-        print("repro run: --ledger records engine runs; --trace, "
-              "--trace-out and --metrics-interval need a live machine",
+        print("repro run: --ledger records engine runs; --trace-out "
+              "and --metrics-interval need a live machine",
               file=sys.stderr)
         return 2
     if args.sample and traced:
@@ -61,7 +61,7 @@ def _cmd_run(args) -> int:
     if live:
         from repro.experiments.runner import run_point
         from repro.obs import MetricsRegistry, build_tracer
-        tracer = build_tracer(trace=args.trace, out=args.trace_out)
+        tracer = build_tracer(out=args.trace_out)
         metrics = (MetricsRegistry(args.metrics_interval)
                    if args.metrics_interval is not None else None)
         try:
@@ -257,10 +257,8 @@ def register(sub) -> None:
     run.add_argument("--seed", type=int, default=None,
                      help="perturb workload generation (default: the "
                           "fixed per-benchmark streams)")
-    run.add_argument("--trace", action="store_true",
-                     help="record pipeline events (ring buffer)")
     run.add_argument("--trace-out", metavar="PATH", default=None,
-                     help="write events as JSONL (implies --trace)")
+                     help="write pipeline events as JSONL")
     run.add_argument("--metrics-interval", type=int, default=None,
                      metavar="N",
                      help="enable the metrics registry, snapshotting "

@@ -82,13 +82,7 @@ def _cmd_submit(args) -> int:
     if not args.wait:
         return 0
     try:
-        for snap in client.stream(job_id):
-            done = sum(v for k, v in snap["counts"].items()
-                       if k in ("done", "cached"))
-            print(f"\r{snap['status']}: {done}/{snap['total']}\x1b[K",
-                  end="", file=sys.stderr, flush=True)
-        print(file=sys.stderr)
-        snap = client.job(job_id)
+        snap = client.wait(job_id)
     except ServiceError as exc:
         print(f"repro submit: {exc}", file=sys.stderr)
         return 2
@@ -235,8 +229,8 @@ def register(sub) -> None:
     sb.add_argument("--label", default=None,
                     help="job label shown by `repro jobs`")
     sb.add_argument("--wait", action="store_true",
-                    help="stream progress and exit with the job's "
-                         "final status")
+                    help="wait for the job to finish and exit with "
+                         "its final status")
     sb.set_defaults(fn=_cmd_submit)
 
     jb = sub.add_parser(

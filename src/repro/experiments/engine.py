@@ -24,8 +24,7 @@ service scheduler (``repro.service.scheduler``) schedules the same
 :func:`ledger_point`.
 
 Progress flows through a callback as :class:`SweepProgress`
-snapshots, and per-point accounting can be aggregated into a
-:class:`repro.obs.MetricsRegistry`.
+snapshots.
 
 With a :class:`repro.obs.runlog.RunLedger` attached (``ledger=``),
 every run additionally leaves an auditable record: the engine writes
@@ -40,7 +39,6 @@ ledger always reassembles into exactly one tree per point.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import time
@@ -51,6 +49,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.hooks import set_current_spans
+from repro.obs.dashboard import eta_seconds
 from repro.obs.spans import SpanTracer
 
 from .plan import Point, SweepSpec, unique_points
@@ -60,7 +59,13 @@ _OK_STATUSES = ("done", "cached")
 
 
 class EngineError(RuntimeError):
-    """Raised when a failed point's result is requested."""
+    """Raised when a failed point's result is requested; ``outcome``
+    is that point's :class:`PointOutcome`."""
+
+    def __init__(self, outcome: PointOutcome) -> None:
+        super().__init__(f"point {outcome.point.label} "
+                         f"{outcome.status}: {outcome.error}")
+        self.outcome = outcome
 
 
 @dataclass
@@ -93,8 +98,7 @@ class PointOutcome:
         """The point's decoded value; raises :class:`EngineError` for
         failed/timed-out points."""
         if not self.ok or self.payload is None:
-            raise EngineError(
-                f"point {self.point.label} {self.status}: {self.error}")
+            raise EngineError(self)
         return self.point.decode(self.payload)
 
 
@@ -208,7 +212,6 @@ class _EngineBase:
 
     def run(self, points: Iterable[Point],
             progress: Optional[Callable[[SweepProgress], None]] = None,
-            metrics: Optional[Any] = None,
             ledger: Optional[Any] = None,
             ) -> Dict[Point, PointOutcome]:
         """Run ``points`` (or a plan's expansion) to completion.
@@ -227,9 +230,6 @@ class _EngineBase:
         elapsed_samples: List[float] = []
         outcomes: Dict[Point, PointOutcome] = {}
 
-        if metrics is not None:
-            metrics.set("sweep.points.total", len(pts))
-
         spans = SpanTracer() if ledger is not None else None
         sweep_span = None
         if ledger is not None:
@@ -239,34 +239,19 @@ class _EngineBase:
 
         def emit(outcome: PointOutcome) -> None:
             """Record one resolved point: outcome map, progress/ETA,
-            ledger record, metrics — the single bookkeeping path
-            every engine's ``_execute`` reports through."""
+            ledger record — the single bookkeeping path every
+            engine's ``_execute`` reports through."""
             outcomes[outcome.point] = outcome
             setattr(prog, outcome.status,
                     getattr(prog, outcome.status) + 1)
             prog.elapsed = time.monotonic() - t0
             if outcome.status in ("done", "failed", "timeout"):
                 elapsed_samples.append(outcome.elapsed)
-            remaining = prog.total - prog.completed
-            if elapsed_samples and remaining:
-                # Only points that actually executed feed the rate
-                # estimate (cached points resolve in microseconds and
-                # would make a mostly-cached re-run look nearly free),
-                # and a worker pool finishes the residue in whole
-                # waves: 1 remaining point on 8 workers still costs
-                # one full point, not 1/8th.
-                avg = sum(elapsed_samples) / len(elapsed_samples)
-                prog.eta = avg * math.ceil(
-                    remaining / max(1, self.workers))
-            elif not remaining:
-                prog.eta = 0.0
+            prog.eta = eta_seconds(elapsed_samples,
+                                   prog.total - prog.completed,
+                                   self.workers)
             if ledger is not None:
                 ledger_point(ledger, spans, outcome)
-            if metrics is not None:
-                metrics.inc(f"sweep.points.{outcome.status}")
-                if outcome.status in ("done", "failed", "timeout"):
-                    metrics.dist("sweep.point_seconds").record(
-                        outcome.elapsed)
             if progress is not None:
                 progress(prog)
 

@@ -57,12 +57,16 @@ def render_outcome_summary(outcomes, elapsed: float) -> str:
              if counts.get(s)]
     lines = [f"sweep: {len(outcomes)} points ({', '.join(parts) or 'none'})"
              f" — executed {executed} in {elapsed:.1f}s"]
-    for point, oc in outcomes.items():
-        if not oc.ok:
-            reason = (oc.error.strip().splitlines()[-1]
-                      if oc.error else oc.status)
-            lines.append(f"  {oc.status}: {point.label}: {reason}")
+    lines += [f"  {render_failure(oc)}" for oc in outcomes.values()
+              if not oc.ok]
     return "\n".join(lines)
+
+
+def render_failure(oc) -> str:
+    """One line for a failed or timed-out point: its status, label and
+    the last line of its error."""
+    reason = oc.error.strip().splitlines()[-1] if oc.error else oc.status
+    return f"{oc.status}: {oc.point.label}: {reason}"
 
 
 def render_series(title: str, x_name: str,

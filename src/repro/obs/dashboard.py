@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from .runlog import ledger_points, ledger_summary, read_ledger
 
-__all__ = ["point_label", "render_top", "top_loop"]
+__all__ = ["eta_seconds", "point_label", "render_top", "top_loop"]
 
 
 def point_label(rec: Dict) -> str:
@@ -57,16 +57,22 @@ def _bar(frac: float, width: int = 30) -> str:
     return "#" * filled + "." * (width - filled)
 
 
-def eta_seconds(summary: Dict) -> Optional[float]:
-    """ETA from executed-point times only (the same cache-hit-excluding
-    estimate the engine's progress callback uses)."""
-    samples = summary["executed_elapsed"]
-    remaining = summary["total"] - summary["resolved"]
-    if not samples or remaining <= 0:
-        return 0.0 if remaining <= 0 else None
-    workers = max(1, int(summary["header"].get("workers") or 1))
-    avg = sum(samples) / len(samples)
-    return avg * math.ceil(remaining / workers)
+def eta_seconds(executed_elapsed: Sequence[float], remaining: int,
+                workers: int) -> Optional[float]:
+    """The ETA of the engine's progress line and of ``repro top``.
+
+    The mean elapsed time of the executed points (cache hits resolve
+    in microseconds and would make a mostly-cached re-run look nearly
+    free) times the whole waves ``workers`` slots need for the rest:
+    1 point left on 8 workers still costs one full point.  ``0.0``
+    when nothing remains, ``None`` before the first executed point.
+    """
+    if remaining <= 0:
+        return 0.0
+    if not executed_elapsed:
+        return None
+    avg = sum(executed_elapsed) / len(executed_elapsed)
+    return avg * math.ceil(remaining / max(1, workers))
 
 
 def render_top(records: List[Dict], width: int = 72) -> str:
@@ -79,6 +85,7 @@ def render_top(records: List[Dict], width: int = 72) -> str:
     running = s["running"]
     workers = max(1, int(header.get("workers") or 1))
     finished = bool(s["end"])
+    eta = eta_seconds(s["executed_elapsed"], total - resolved, workers)
 
     lines = []
     cmd = header.get("command") or "?"
@@ -99,7 +106,7 @@ def render_top(records: List[Dict], width: int = 72) -> str:
     util = min(1.0, len(running) / workers) if not finished else 0.0
     lines.append(f"  cache hit rate {hit:.0%}   worker util "
                  f"{util:.0%} ({len(running)}/{workers})   "
-                 f"eta {_fmt_secs(eta_seconds(s))}")
+                 f"eta {_fmt_secs(eta)}")
     lines.append("")
     lines.append(f"  rolling IPC {s['ipc']:.3f}   "
                  f"cycles {s['cycles']:,}   "

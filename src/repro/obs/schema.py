@@ -78,9 +78,6 @@ COUNTERS: Tuple[str, ...] = (
     "astq.max_occupancy",
     # conventional register windows
     "windows.*",             # windows.overflow / windows.underflow
-    # sweep engine progress
-    "sweep.points.total",
-    "sweep.points.*",        # by outcome status: done/failed/...
     # sampled simulation (repro.sampling.sampler)
     "sampling.intervals_total",
     "sampling.intervals_detailed",
@@ -98,12 +95,6 @@ COUNTERS: Tuple[str, ...] = (
     "profile.*.seconds",
     "profile.*.calls",
     "profile.total_seconds",
-    # simulation service (repro.service.scheduler)
-    "service.jobs.submitted",
-    "service.jobs.cancelled",
-    "service.jobs.*",        # terminal status: done/failed
-    "service.points.started",
-    "service.points.*",      # terminal status: done/cached/failed/...
 )
 
 #: Span names (``spans.begin``/``span``/``record`` sites): the phase
@@ -132,5 +123,4 @@ DISTS: Tuple[str, ...] = (
     "astq.fill_latency",
     "vca.spill_burst_len",
     "windows.trap_transfers",
-    "sweep.point_seconds",
 )

@@ -6,7 +6,7 @@ engine into a long-running, multi-client system.
   quotas, store-hit resolution before any fork, in-flight dedupe, and
   the engine's crash/timeout isolation.
 * :mod:`repro.service.server` — a stdlib ``http.server`` JSON API
-  (``repro serve``): submit/status/cancel/results/stream, backed by
+  (``repro serve``): submit/status/cancel/results, backed by
   the scheduler and the sqlite result store, writing one run ledger
   per job so ``repro top`` and ``repro report`` work unchanged.
 * :mod:`repro.service.client` — the thin ``urllib`` client the

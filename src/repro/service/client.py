@@ -10,7 +10,7 @@ the server's own message where one was sent.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional
+from typing import List, Optional
 from urllib import error as urlerror
 from urllib import request as urlrequest
 
@@ -83,29 +83,6 @@ class ServiceClient:
 
     def results(self, job_id: str) -> List[dict]:
         return self._request(f"/v1/jobs/{job_id}/results")["records"]
-
-    def metrics(self) -> Dict[str, float]:
-        return self._request("/v1/metrics")["counters"]
-
-    def store(self) -> dict:
-        return self._request("/v1/store")
-
-    def stream(self, job_id: str) -> Iterator[dict]:
-        """Yield snapshot dicts from the chunked JSONL stream until
-        the job reaches a terminal status."""
-        req = urlrequest.Request(self.url + f"/v1/jobs/{job_id}/stream")
-        try:
-            with urlrequest.urlopen(req, timeout=self.timeout) as resp:
-                for line in resp:
-                    line = line.strip()
-                    if line:
-                        yield json.loads(line)
-        except urlerror.HTTPError as exc:
-            raise ServiceError(f"{exc.code} {exc.reason}",
-                               status=exc.code) from None
-        except urlerror.URLError as exc:
-            raise ServiceError(
-                f"cannot reach {self.url}: {exc.reason}") from None
 
     def wait(self, job_id: str, poll: float = 0.2,
              timeout: Optional[float] = None) -> dict:

@@ -22,10 +22,9 @@ needs:
   result instead of double-running the point.  Only schedulers claim:
   a CLI sweep sharing the store may run a point a scheduler also
   runs, and both publish the same payload through the upsert;
-* **audit + telemetry** — one :class:`~repro.obs.runlog.RunLedger`
-  per job (``repro top`` / ``repro report`` work unchanged on it),
-  ``service.*`` counters on a metrics registry, and submit/cancel
-  audit rows in the store.
+* **audit** — one :class:`~repro.obs.runlog.RunLedger` per job
+  (``repro top`` / ``repro report`` work unchanged on it) and
+  submit/cancel audit rows in the store.
 
 Results themselves flow through the repository layer: the scheduler
 holds the process's :func:`~repro.experiments.store.active_store`,
@@ -48,7 +47,6 @@ from repro.experiments.engine import PointOutcome, Worker, ledger_point
 from repro.experiments.plan import Point, unique_points
 from repro.experiments.runner import source_hash
 from repro.experiments.store import SqliteStore, active_store
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.runlog import RunLedger
 from repro.obs.spans import SpanTracer
 
@@ -118,8 +116,7 @@ class Scheduler:
                  quotas: Optional[Dict[str, int]] = None,
                  default_quota: Optional[int] = None,
                  state_dir: Optional[os.PathLike] = None,
-                 store: Optional[SqliteStore] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 store: Optional[SqliteStore] = None) -> None:
         self.workers = max(1, workers if workers else
                            (os.cpu_count() or 1))
         self.timeout = timeout
@@ -132,8 +129,6 @@ class Scheduler:
             (self.state_dir / "ledgers").mkdir(parents=True,
                                                exist_ok=True)
         self.store = store if store is not None else active_store()
-        self.metrics = metrics if metrics is not None \
-            else MetricsRegistry()
         self.id = f"sched-{uuid.uuid4().hex[:8]}"
 
         self._jobs: Dict[str, Job] = {}
@@ -229,7 +224,6 @@ class Scheduler:
             for idx, pt in enumerate(pts):
                 job.records[idx] = self._record(idx, pt)
             self._jobs[job.id] = job
-            self.metrics.inc("service.jobs.submitted")
             self.store.audit(
                 "submit", key=job.id, actor=tenant,
                 source_hash=source_hash(),
@@ -281,7 +275,6 @@ class Scheduler:
                     self._inflight.pop(key, None)
                     self.store.release(key, owner=self.id)
                 to_reap.append(worker)
-            self.metrics.inc("service.jobs.cancelled")
             self.store.audit("cancel", key=job.id, actor=job.tenant)
             self._finish_job(job, status="cancelled")
         # Reap outside the lock: join() blocks until the child dies,
@@ -384,7 +377,6 @@ class Scheduler:
         self._live[Worker(pt, span_ctx=job.span_ctx)] = (job, idx)
         if pt.cacheable:
             self._inflight[pt.cache_key()] = (job.id, idx)
-        self.metrics.inc("service.points.started")
 
     def _poll(self) -> None:
         now = time.monotonic()
@@ -482,24 +474,12 @@ class Scheduler:
                  rusage: Optional[dict] = None,
                  spans: Optional[List[dict]] = None) -> None:
         """The single bookkeeping path for a point reaching a
-        terminal status: record, metrics, ledger."""
+        terminal status: record, ledger."""
         rec = job.records[idx]
         if "t0" in rec:
             elapsed = elapsed or (time.monotonic() - rec.pop("t0"))
         rec.update(status=status, payload=payload, error=error,
                    elapsed=elapsed)
-        self.metrics.inc(f"service.points.{status}")
-        if status == "done" and payload is not None:
-            # Adaptive-sampling rollup: points execute in worker
-            # processes, so the convergence counters ride back in the
-            # payload and aggregate here into the service registry
-            # (surfaced by /metrics).
-            rounds = payload.get("sample_rse_rounds", 0)
-            if rounds:
-                self.metrics.inc("sampling.rse_rounds", rounds)
-                self.metrics.inc(
-                    "sampling.intervals_added",
-                    payload.get("sample_intervals_added", 0))
         if job.ledger is not None:
             ledger_point(job.ledger, job.spans, PointOutcome(
                 job.points[idx], status, payload, error, elapsed,
@@ -514,8 +494,6 @@ class Scheduler:
         bad = counts.get("failed", 0) + counts.get("timeout", 0)
         self._finish_job(job,
                          status="failed" if bad else "done")
-        self.metrics.inc(
-            f"service.jobs.{'failed' if bad else 'done'}")
 
     def _finish_job(self, job: Job, status: str,
                     note: str = "") -> None:

@@ -14,10 +14,6 @@ deliberately small and entirely JSON:
 ``GET  /v1/jobs/<id>``            one job's snapshot
 ``POST /v1/jobs/<id>/cancel``     cancel → ``{"cancelled": bool}``
 ``GET  /v1/jobs/<id>/results``    per-point records, payloads included
-``GET  /v1/jobs/<id>/stream``     chunked JSONL snapshots until the
-                                  job reaches a terminal status
-``GET  /v1/metrics``              the scheduler's ``service.*`` counters
-``GET  /v1/store``                store stats + recent audit rows
 ================================  =====================================
 
 Submitted points travel as :meth:`~repro.experiments.plan.Point.to_dict`
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
@@ -98,18 +93,12 @@ class _Handler(BaseHTTPRequestHandler):
                         "jobs": len(self.sched.jobs())})
         elif path == "/v1/jobs":
             self._json({"jobs": self.sched.jobs()})
-        elif path == "/v1/metrics":
-            self._json({"counters": dict(self.sched.metrics.counters)})
-        elif path == "/v1/store":
-            self._store()
         elif path.startswith("/v1/jobs/"):
             job_id, _, verb = path[len("/v1/jobs/"):].partition("/")
             if verb == "":
                 self._job(job_id)
             elif verb == "results":
                 self._results(job_id)
-            elif verb == "stream":
-                self._stream(job_id)
             else:
                 self._error(404, f"unknown job view {verb!r}")
         else:
@@ -164,51 +153,18 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._json({"id": job_id, "records": records})
 
-    def _stream(self, job_id: str) -> None:
-        """Chunked JSONL: one snapshot line per tick until terminal."""
-        if self.sched.job(job_id) is None:
-            self._error(404, f"no job {job_id!r}")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/jsonl")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-
-        def chunk(line: str) -> None:
-            data = (line + "\n").encode()
-            self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
-
-        try:
-            while True:
-                snap = self.sched.job(job_id)
-                chunk(json.dumps(snap))
-                if snap is None or snap["status"] in (
-                        "done", "failed", "cancelled"):
-                    break
-                time.sleep(self.server.stream_interval)  # type: ignore[attr-defined]
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-stream; nothing to clean up
-
-    def _store(self) -> None:
-        store = self.sched.store
-        self._json({"attached": True, "stats": store.stats(),
-                    "audit": store.audit_rows(limit=50)})
-
 
 class ServiceServer:
     """The HTTP front of one scheduler; owns neither the store nor
     the scheduler's lifetime (the CLI composes and closes them)."""
 
     def __init__(self, scheduler: Scheduler, host: str = "127.0.0.1",
-                 port: int = 0, verbose: bool = False,
-                 stream_interval: float = 0.2) -> None:
+                 port: int = 0, verbose: bool = False) -> None:
         self.scheduler = scheduler
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.scheduler = scheduler  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.stream_interval = stream_interval  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
     @property

@@ -65,8 +65,22 @@ class TestCli:
         for cmd in ("table2", "fig4", "fig5", "fig6", "fig7", "fig8",
                     "sec43"):
             args = parser.parse_args(
-                [cmd] + (["--scale", "0.2"]))
+                [cmd] + ([] if cmd == "table2" else ["--scale", "0.2"]))
             assert callable(args.fn)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "rw", "--metrics"],
+        ["table2", "--scale", "0.1"],
+        ["table2", "--csv", "t.csv"],
+        ["sec43", "--csv", "s.csv"],
+        ["run", "fib", "--trace"],
+    ], ids=["sweep-metrics", "table2-scale", "table2-csv", "sec43-csv",
+            "run-trace"])
+    def test_deleted_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_figure_commands_accept_workers(self):
         parser = build_parser()
@@ -78,6 +92,39 @@ class TestCli:
         assert main(["table2"]) == 0
         out = capsys.readouterr().out
         assert "vortex_2" in out and "0.82" in out
+
+    def test_table2_repeat_is_a_store_hit(self, capsys, cache,
+                                          monkeypatch):
+        import repro.experiments.runner as runner
+        import repro.functional as functional
+
+        assert main(["table2"]) == 0
+        first = capsys.readouterr().out
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("table2 re-measured a stored ratio")
+
+        monkeypatch.setattr(runner, "measure_path_length", must_not_run)
+        monkeypatch.setattr(functional, "measure_path_length",
+                            must_not_run)
+        assert main(["table2"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_failed_figure_point_is_one_line(self, capsys, cache,
+                                             monkeypatch):
+        import repro.experiments.runner as runner
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("kaboom")
+
+        monkeypatch.setattr(runner, "run_point", boom)
+        assert main(["fig6", "--bench", "gzip_graphic",
+                     "--scale", "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.startswith("repro fig6: failed: ")
+        assert "/gzip_graphic@" in err and "RuntimeError: kaboom" in err
 
 
 class TestCsvExport:
@@ -151,16 +198,13 @@ class TestSweepCommand:
         assert "failed" in out and "kaboom" in out
 
 
+@pytest.mark.usefixtures("cache")
 class TestRunCommand:
     """``repro run`` executes one ``Point`` through the engine and the
     result store, so it shares their cache key and ledger format."""
 
     RUN = ["run", "fib", "--model", "vca-rw", "--regs", "128",
            "--scale", "0.2"]
-
-    @pytest.fixture(autouse=True)
-    def cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
     def _point_records(self, path):
         from repro.obs.runlog import read_ledger
@@ -207,7 +251,8 @@ class TestRunCommand:
         assert plain.label == "vca-rw/fib@128r2p"
         assert seeded.label == "vca-rw/fib@128r2p~seed3"
 
-    @pytest.mark.parametrize("flag", [["--trace"],
+    @pytest.mark.parametrize("flag", [["--trace-out", "t.jsonl",
+                                       "--metrics-interval", "0"],
                                       ["--trace-out", "t.jsonl"],
                                       ["--metrics-interval", "0"]])
     def test_ledger_refuses_live_machine_flags(self, capsys, tmp_path,

@@ -324,8 +324,7 @@ class TestCliTrace:
         from repro.cli import main
         out = tmp_path / "t.jsonl"
         assert main(["run", "fib", "--model", "vca", "--regs", "64",
-                     "--scale", "0.5", "--trace",
-                     "--trace-out", str(out)]) == 0
+                     "--scale", "0.5", "--trace-out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "trace: wrote" in text
         assert out.exists()

@@ -27,15 +27,6 @@ SCALE = 0.05
 BENCH = "gzip_graphic"
 
 
-@pytest.fixture()
-def cache(tmp_path, monkeypatch):
-    """An isolated result cache for the duration of one test."""
-    d = tmp_path / "cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(d))
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    return d
-
-
 def stored(path):
     """Every ``{key: payload}`` in the sqlite store at ``path``."""
     with SqliteStore(path) as db:
@@ -176,19 +167,15 @@ class TestSerialEngine:
         assert second.status == "cached"
         assert second.result() == first.result()
 
-    def test_progress_and_metrics(self, cache):
-        from repro.obs import MetricsRegistry
+    def test_progress(self, cache):
         seen = []
-        reg = MetricsRegistry()
         pts = [Point.run("baseline", (BENCH,), s, scale=SCALE)
                for s in (128, 256)]
-        SerialEngine().run(pts, progress=seen.append, metrics=reg)
+        SerialEngine().run(pts, progress=seen.append)
         assert len(seen) == 2
         assert seen[-1].completed == seen[-1].total == 2
+        assert seen[-1].done == 2
         assert seen[-1].eta == 0.0
-        assert reg.get("sweep.points.done") == 2
-        assert reg.get("sweep.points.total") == 2
-        assert reg.dist("sweep.point_seconds").count == 2
 
 
 class TestParallelEngine:

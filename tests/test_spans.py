@@ -26,13 +26,6 @@ SCALE = 0.05
 BENCH = "gzip_graphic"
 
 
-@pytest.fixture()
-def cache(tmp_path, monkeypatch):
-    d = tmp_path / "cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(d))
-    return d
-
-
 # ---------------------------------------------------------------------------
 # SpanTracer mechanics
 # ---------------------------------------------------------------------------
@@ -497,7 +490,15 @@ class TestDashboard:
             tmp_path / "l.jsonl", with_end=False))
         s = ledger_summary(records)
         # one executed sample (1.25s), one unresolved point, 2 workers.
-        assert eta_seconds(s) == pytest.approx(1.25)
+        assert eta_seconds(s["executed_elapsed"],
+                           s["total"] - s["resolved"],
+                           s["header"]["workers"]) == pytest.approx(1.25)
+        # The rule the engine's progress callback shares: no estimate
+        # before the first executed point, zero when nothing remains,
+        # and whole waves (3 points on 2 workers cost 2 points).
+        assert eta_seconds([], 3, 2) is None
+        assert eta_seconds([], 0, 2) == 0.0
+        assert eta_seconds([1.0, 2.0], 3, 2) == pytest.approx(3.0)
 
 
 class TestHtmlReport:

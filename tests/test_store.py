@@ -21,15 +21,6 @@ SCALE = 0.05
 BENCH = "gzip_graphic"
 
 
-@pytest.fixture()
-def cache(tmp_path, monkeypatch):
-    """An isolated file-cache directory for one test."""
-    d = tmp_path / "cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(d))
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    return d
-
-
 class TestFileStore:
     def test_round_trip_and_keys(self, tmp_path):
         fs = FileStore(tmp_path / "c")
