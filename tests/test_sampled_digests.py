@@ -8,6 +8,11 @@ on three workloads at small scale.  A refactor of the sampling driver
 that changes any sampled estimate, error, round trail or cost figure
 changes a digest and fails here.
 
+A second set pins fixed ``systematic`` and adaptive ``bbv`` on twolf
+for every other model, and for vca-rw at 64 and 128 registers, so each
+rename engine's ``load_arch_state`` and a VCA table under register
+pressure are seeded under a pin too.
+
 The same pins hold for a sampled :class:`Point` run through the
 engine: its stored ``RunResult`` carries the whole stats and
 metadata records as ``stats`` and ``sampling``.
@@ -73,11 +78,28 @@ PINS = {
 }
 
 
-def _digest(bench, kw):
-    program = benchmark_program(bench, model_abi(MODEL), thread=0,
+#: sha256[:16] per (model, registers, case) on twolf at scale 0.5.
+MODEL_PINS = {
+    ("baseline", 256, "adaptive-bbv"): "6e12d8caf4225e3f",
+    ("baseline", 256, "systematic"): "6488bf330454e7c2",
+    ("conventional-rw", 256, "adaptive-bbv"): "6f5ebf00a95612b0",
+    ("conventional-rw", 256, "systematic"): "b99ce33d5d0d8597",
+    ("ideal-rw", 256, "adaptive-bbv"): "9c40c81caeff58c0",
+    ("ideal-rw", 256, "systematic"): "ccb2252b9c3dac5e",
+    ("vca", 256, "adaptive-bbv"): "1a932767f4858085",
+    ("vca", 256, "systematic"): "eec4d47eb18683dd",
+    ("vca-rw", 64, "adaptive-bbv"): "f248df1cc32a9cf3",
+    ("vca-rw", 64, "systematic"): "3642d38de64bf35b",
+    ("vca-rw", 128, "adaptive-bbv"): "68fca6b8dd60b496",
+    ("vca-rw", 128, "systematic"): "a90cc0177cca89ab",
+}
+
+
+def _digest(bench, kw, model=MODEL, regs=256):
+    program = benchmark_program(bench, model_abi(model), thread=0,
                                 scale=SCALE)
-    cfg = MachineConfig.baseline(phys_regs=256)
-    stats, meta = run_sampled(MODEL, cfg, program, SamplingConfig(**kw))
+    cfg = MachineConfig.baseline(phys_regs=regs)
+    stats, meta = run_sampled(model, cfg, program, SamplingConfig(**kw))
     blob = json.dumps({"stats": stats.to_dict(),
                        "meta": meta.to_dict()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -86,6 +108,12 @@ def _digest(bench, kw):
 @pytest.mark.parametrize("case,bench", sorted(CASES))
 def test_sampled_result_digest(case, bench):
     assert _digest(bench, CASES[case, bench]) == PINS[case, bench]
+
+
+@pytest.mark.parametrize("model,regs,case", sorted(MODEL_PINS))
+def test_model_sampled_digest(model, regs, case):
+    kw = CASES[case, "twolf"]
+    assert _digest("twolf", kw, model, regs) == MODEL_PINS[model, regs, case]
 
 
 #: ``SamplingConfig`` field → the :class:`Point` field that sets it.
