@@ -12,8 +12,7 @@ return-address stack whose top-of-stack is checkpointed per branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Iterable, List, Tuple
 
 
 def _ctr_update(table: List[int], idx: int, taken: bool) -> None:
@@ -26,18 +25,27 @@ def _ctr_update(table: List[int], idx: int, taken: bool) -> None:
         table[idx] = v - 1
 
 
-@dataclass(frozen=True)
 class PredictorCheckpoint:
-    """State needed to repair the predictor after a squash."""
+    """State needed to repair the predictor after a squash.
 
-    ghist: int
-    ras_sp: int
-    ras_top: int
-    local_idx: int
-    local_hist: int
-    gshare_idx: int
-    chooser_idx: int
-    used_local: bool
+    A plain slotted class: fetch builds one per control instruction,
+    so construction cost is on the cycle loop.  Treat it as
+    read-only."""
+
+    __slots__ = ("ghist", "ras_sp", "ras_top", "local_idx", "local_hist",
+                 "gshare_idx", "chooser_idx", "used_local")
+
+    def __init__(self, ghist: int, ras_sp: int, ras_top: int,
+                 local_idx: int, local_hist: int, gshare_idx: int,
+                 chooser_idx: int, used_local: bool) -> None:
+        self.ghist = ghist
+        self.ras_sp = ras_sp
+        self.ras_top = ras_top
+        self.local_idx = local_idx
+        self.local_hist = local_hist
+        self.gshare_idx = gshare_idx
+        self.chooser_idx = chooser_idx
+        self.used_local = used_local
 
 
 class ReturnAddressStack:
@@ -89,20 +97,15 @@ class HybridPredictor:
         self.mispredictions = 0
 
     # ------------------------------------------------------------------
-    def _indices(self, pc: int):
-        li = pc % self.LOCAL_ENTRIES
-        lh = self.local_hist[li]
-        gi = (pc ^ self.ghist) % self.GLOBAL_ENTRIES
-        ci = pc % self.GLOBAL_ENTRIES
-        return li, lh, gi, ci
-
     def checkpoint(self, pc: int = 0) -> PredictorCheckpoint:
         """Snapshot for a non-conditional control instruction."""
-        li, lh, gi, ci = self._indices(pc)
+        li = pc % self.LOCAL_ENTRIES
+        ghist = self.ghist
+        ras = self.ras
         return PredictorCheckpoint(
-            ghist=self.ghist, ras_sp=self.ras.sp, ras_top=self.ras.top,
-            local_idx=li, local_hist=lh, gshare_idx=gi, chooser_idx=ci,
-            used_local=False)
+            ghist, ras.sp, ras.top, li, self.local_hist[li],
+            (pc ^ ghist) % self.GLOBAL_ENTRIES, pc % self.GLOBAL_ENTRIES,
+            False)
 
     def predict(self, pc: int):
         """Predict a conditional branch at ``pc``.
@@ -111,15 +114,19 @@ class HybridPredictor:
         and local history.
         """
         self.predictions += 1
-        li, lh, gi, ci = self._indices(pc)
-        local_taken = self.local_ctr[lh] >= 2
-        gshare_taken = self.gshare_ctr[gi] >= 2
+        li = pc % self.LOCAL_ENTRIES
+        lh = self.local_hist[li]
+        ghist = self.ghist
+        gi = (pc ^ ghist) % self.GLOBAL_ENTRIES
+        ci = pc % self.GLOBAL_ENTRIES
         use_local = self.chooser[ci] < 2
-        taken = local_taken if use_local else gshare_taken
-        cp = PredictorCheckpoint(
-            ghist=self.ghist, ras_sp=self.ras.sp, ras_top=self.ras.top,
-            local_idx=li, local_hist=lh, gshare_idx=gi, chooser_idx=ci,
-            used_local=use_local)
+        if use_local:
+            taken = self.local_ctr[lh] >= 2
+        else:
+            taken = self.gshare_ctr[gi] >= 2
+        ras = self.ras
+        cp = PredictorCheckpoint(ghist, ras.sp, ras.top, li, lh, gi, ci,
+                                 use_local)
         self._spec_update(li, taken)
         return taken, cp
 
@@ -164,6 +171,69 @@ class HybridPredictor:
         if was_cond:
             self.local_hist[cp.local_idx] = cp.local_hist
             self._spec_update(cp.local_idx, taken)
+
+    def replay(self, outcomes: Iterable[Tuple[int, bool]]) -> None:
+        """Warm the tables from committed ``(pc, taken)`` outcomes,
+        oldest first.
+
+        Leaves the state of :meth:`predict` then :meth:`train` per
+        branch, followed by :meth:`recover` with the true direction
+        whenever the prediction was wrong: the counters, chooser and
+        ``predictions``/``mispredictions`` move as on the machine, and
+        both histories follow the committed path.  The return-address
+        stack is left as it was, as recovery restores it.  No
+        checkpoint is built.
+        """
+        local_hist = self.local_hist
+        local_ctr = self.local_ctr
+        gshare_ctr = self.gshare_ctr
+        chooser = self.chooser
+        n_local = self.LOCAL_ENTRIES
+        n_global = self.GLOBAL_ENTRIES
+        gmask = (1 << self.GHIST_BITS) - 1
+        lmask = (1 << self.LOCAL_HIST_BITS) - 1
+        ghist = self.ghist
+        n = wrong = 0
+        for pc, taken in outcomes:
+            n += 1
+            li = pc % n_local
+            lh = local_hist[li]
+            gi = (pc ^ ghist) % n_global
+            lc = local_ctr[lh]
+            gc = gshare_ctr[gi]
+            local_taken = lc >= 2
+            predicted = local_taken
+            if local_taken != (gc >= 2):
+                # The components disagree: the chooser picks one, then
+                # moves toward whichever was right.
+                ci = pc % n_global
+                c = chooser[ci]
+                if c >= 2:
+                    predicted = not local_taken
+                if local_taken != taken:
+                    if c < 3:
+                        chooser[ci] = c + 1
+                elif c > 0:
+                    chooser[ci] = c - 1
+            if taken:
+                if lc < 3:
+                    local_ctr[lh] = lc + 1
+                if gc < 3:
+                    gshare_ctr[gi] = gc + 1
+                ghist = ((ghist << 1) | 1) & gmask
+                local_hist[li] = ((lh << 1) | 1) & lmask
+            else:
+                if lc > 0:
+                    local_ctr[lh] = lc - 1
+                if gc > 0:
+                    gshare_ctr[gi] = gc - 1
+                ghist = (ghist << 1) & gmask
+                local_hist[li] = (lh << 1) & lmask
+            if predicted != taken:
+                wrong += 1
+        self.ghist = ghist
+        self.predictions += n
+        self.mispredictions += wrong
 
     @property
     def mispredict_rate(self) -> float:

@@ -10,7 +10,7 @@ buffer — not added to the requester's latency).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.config import CacheConfig
 
@@ -113,24 +113,37 @@ class Cache:
     def _rebuild_addr(self, tag: int, idx: int) -> int:
         return ((tag << self._idx_bits) | idx) << self._block_shift
 
-    def install(self, addr: int) -> None:
-        """Insert ``addr``'s block as clean without counting stats.
+    def install(self, addrs: Iterable[int]) -> None:
+        """Insert each address's block as clean, in order, without
+        counting stats.
 
+        A block already present keeps its place; a new one goes in as
+        MRU, evicting the LRU way of a full set without a writeback.
         Used for warm-start: the paper warms every simulation for 5M
         instructions, which our complete-but-short synthetic runs
         cannot afford; pre-installing each thread's data segment
         removes the cold-miss transient instead.
         """
-        block = addr >> self._block_shift
-        idx = block & self._set_mask
-        tag = block >> (self._set_mask.bit_length())
-        ways = self._sets[idx]
-        for entry in ways:
-            if entry[0] == tag:
-                return
-        if len(ways) >= self.cfg.assoc:
-            ways.pop()
-        ways.insert(0, [tag, False])
+        shift = self._block_shift
+        set_mask = self._set_mask
+        idx_bits = self._idx_bits
+        assoc = self._assoc
+        sets = self._sets
+        last = None
+        for addr in addrs:
+            block = addr >> shift
+            if block == last:
+                continue  # just installed or found: a no-op
+            last = block
+            ways = sets[block & set_mask]
+            tag = block >> idx_bits
+            for entry in ways:
+                if entry[0] == tag:
+                    break
+            else:
+                if len(ways) >= assoc:
+                    ways.pop()
+                ways.insert(0, [tag, False])
 
     def contains(self, addr: int) -> bool:
         """Tag probe without side effects (testing/diagnostics)."""

@@ -58,9 +58,9 @@ class MemoryHierarchy:
         """Pre-install ``[lo, hi)`` into L2 and DL1 (warm start; see
         :meth:`repro.mem.cache.Cache.install`)."""
         block = self.dl1.cfg.block_bytes
-        for addr in range(lo & ~(block - 1), hi, block):
-            self.l2.install(addr)
-            self.dl1.install(addr)
+        blocks = range(lo & ~(block - 1), hi, block)
+        self.l2.install(blocks)
+        self.dl1.install(blocks)
 
     # -- timing -----------------------------------------------------------
     def dl1_access(self, addr: int, write: bool, kind: str) -> int:

@@ -108,6 +108,7 @@ SPANS: Tuple[str, ...] = (
     "point",                 # one experiment point
     "simulate",              # full-detail machine.run
     "fast_forward",          # the sampler's combined functional pass
+    "seed",                  # build + state-seed one interval's machine
     "warmup",                # detailed (unmeasured) warmup interval
     "detailed",              # measured detailed interval
     "rse_round",             # one sampling round (fixed-count: one)

@@ -447,10 +447,8 @@ def seed_machine(machine: Pipeline, program: Program,
     warm = ckpt.warmup
     # The code footprint: by mid-run the full run's IL1 is warm.
     il1 = hierarchy.il1
-    block = il1.cfg.block_bytes
-    code_bytes = len(program.code) * 8
-    for off in range(0, code_bytes, block):
-        il1.install(_ICACHE_BASE + off)
+    il1.install(range(_ICACHE_BASE, _ICACHE_BASE + len(program.code) * 8,
+                      il1.cfg.block_bytes))
     # The register-space window stack around the checkpoint depth
     # (the full run warmed deeper frames as calls pushed them).
     if program.windowed:
@@ -461,20 +459,15 @@ def seed_machine(machine: Pipeline, program: Program,
     # Recently touched data, oldest first so the LRU order of the
     # warmed sets matches recency (install never counts stats).  The
     # traces are bounded at capture (``WARMUP_WINDOW`` entries).
-    for addr in warm.mem:
-        hierarchy.l2.install(addr)
-        hierarchy.dl1.install(addr)
+    hierarchy.l2.install(warm.mem)
+    hierarchy.dl1.install(warm.mem)
+    # The replay mirrors misprediction recovery: the machine rewinds
+    # speculative history and re-applies the true direction, so its
+    # history always reflects the committed path.  Without that the
+    # replayed global history diverges and trains the wrong gshare
+    # rows.
     predictor = machine.predictor
-    for pc, taken in warm.branches:
-        predicted, cp = predictor.predict(pc)
-        predictor.train(cp, taken, predicted)
-        if predicted != taken:
-            # Mirror misprediction recovery: the machine rewinds
-            # speculative history and re-applies the true
-            # direction, so its history always reflects the
-            # committed path.  Without this the replayed global
-            # history diverges and trains the wrong gshare rows.
-            predictor.recover(cp, taken, True)
+    predictor.replay(warm.branches)
     for addr in warm.ras[-16:]:
         predictor.ras.push(addr)
 
@@ -638,15 +631,16 @@ def _simulate_interval(model: str, cfg: MachineConfig,
                        ) -> Tuple[SimStats, int, int]:
     """Detailed simulation of one representative interval.
 
-    Builds a machine, seeds it from ``ckpt``, runs the detailed-warmup
-    prefix (``start - ckpt.instructions`` instructions, excluded from
+    Builds a machine and seeds it from ``ckpt`` (the ``seed`` span),
+    runs the detailed-warmup prefix (``start - ckpt.instructions`` instructions, excluded from
     the window) and measures the interval.  Returns ``(window_stats,
     cycles, instructions)`` where the latter two count everything
     actually simulated — warmup prefix included — i.e. the true
     detailed cost of the sample.
     """
-    machine = build_machine(model, cfg, [program])
-    seed_machine(machine, program, ckpt)
+    with sp.span("seed", interval=idx):
+        machine = build_machine(model, cfg, [program])
+        seed_machine(machine, program, ckpt)
     warm_n = start - ckpt.instructions
     before = None
     if warm_n:

@@ -93,7 +93,7 @@ class TestCache:
 
     def test_install_is_silent_and_clean(self):
         c = Cache("t", self.cfg(), mem_latency=100)
-        c.install(0x40)
+        c.install([0x40])
         assert c.contains(0x40)
         assert c.stats.accesses == 0
         assert c.access(0x40, write=False) == 3  # warm hit

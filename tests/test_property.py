@@ -11,7 +11,7 @@ from repro.functional import MASK64, FunctionalSim, to_signed
 from repro.isa import Instruction, Op
 from repro.mem import Cache, PortArbiter
 from repro.config import CacheConfig
-from repro.frontend import ReturnAddressStack
+from repro.frontend import HybridPredictor, ReturnAddressStack
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.models import build_engine
 from repro.pipeline.alu import execute
@@ -82,6 +82,87 @@ class TestCacheProperties:
         for a in addrs:
             c.access(a & ~7, write=False)
         assert c.stats.misses == before
+
+
+def _install_one(cache, addr):
+    """Per-address reference for :meth:`Cache.install`."""
+    block = addr >> cache._block_shift
+    idx = block & cache._set_mask
+    tag = block >> (cache._set_mask.bit_length())
+    ways = cache._sets[idx]
+    for entry in ways:
+        if entry[0] == tag:
+            return
+    if len(ways) >= cache.cfg.assoc:
+        ways.pop()
+    ways.insert(0, [tag, False])
+
+
+class TestBulkInstall:
+    """``Cache.install`` over a sequence leaves every set as installing
+    one address at a time does: tags, dirty bits and MRU order."""
+
+    @given(assoc=st.sampled_from([1, 2, 4]),
+           touched=st.lists(st.tuples(st.integers(0, 4095), st.booleans()),
+                            max_size=40),
+           addrs=st.lists(st.integers(0, 4095), max_size=200))
+    @settings(max_examples=100)
+    def test_matches_per_address_installs(self, assoc, touched, addrs):
+        # 8 sets over 64 blocks: each set sees more blocks than ways.
+        cfg = CacheConfig(512 * assoc, assoc, 64, 1)
+        bulk, ref = (Cache("t", cfg, mem_latency=10) for _ in range(2))
+        for c in (bulk, ref):
+            # Some resident dirty blocks, which installs must keep.
+            for a, write in touched:
+                c.access(a, write=write)
+        # Runs of one block exercise the repeated-address path.
+        addrs = [a for a in addrs for _ in range(1 + a % 3)]
+        bulk.install(addrs)
+        for a in addrs:
+            _install_one(ref, a)
+        assert bulk._sets == ref._sets
+        assert bulk.stats == ref.stats
+
+
+def _replay_one_by_one(p, outcomes):
+    """Per-branch reference for :meth:`HybridPredictor.replay`: the
+    predict/train/recover sequence the machine itself would run."""
+    for pc, taken in outcomes:
+        predicted, cp = p.predict(pc)
+        p.train(cp, taken, predicted)
+        if predicted != taken:
+            p.recover(cp, taken, True)
+
+
+def _predictor_state(p):
+    return (p.local_hist, p.local_ctr, p.gshare_ctr, p.chooser, p.ghist,
+            p.ras._stack, p.ras.sp, p.predictions, p.mispredictions)
+
+
+#: A few base pcs plus multiples of 1024 and 4096, so branches alias in
+#: the local (1024-entry) and the global (4096-entry) tables.
+_aliasing_pcs = st.builds(lambda base, k: base + 1024 * k,
+                          st.integers(0, 7), st.integers(0, 9))
+_outcomes = st.lists(st.tuples(st.one_of(_aliasing_pcs,
+                                         st.integers(0, 1 << 16)),
+                               st.booleans()), max_size=400)
+
+
+class TestPredictorReplay:
+    @given(prefix=_outcomes, stream=_outcomes,
+           ras=st.lists(small, max_size=20))
+    @settings(max_examples=100,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_predict_train_recover(self, prefix, stream, ras):
+        bulk, ref = HybridPredictor(), HybridPredictor()
+        for p in (bulk, ref):
+            # Start both from the same trained state and a live RAS.
+            _replay_one_by_one(p, prefix)
+            for a in ras:
+                p.ras.push(a)
+        bulk.replay(stream)
+        _replay_one_by_one(ref, stream)
+        assert _predictor_state(bulk) == _predictor_state(ref)
 
 
 class TestRegfileProperties:

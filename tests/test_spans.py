@@ -254,6 +254,9 @@ class TestSweepLedger:
                   if c["name"] == "rse_round"]
         names = [c["name"] for c in rnd["children"]]
         assert names.count("detailed") == 2
+        # Each interval's machine build and state seeding is its own
+        # phase, so it is not hidden in the round's self time.
+        assert names.count("seed") == names.count("detailed")
         detailed = [c for c in rnd["children"]
                     if c["name"] == "detailed"]
         # The detailed interval carries per-stage attribution.
