@@ -461,11 +461,9 @@ def seed_machine(machine: Pipeline, program: Program,
     # traces are bounded at capture (``WARMUP_WINDOW`` entries).
     hierarchy.l2.install(warm.mem)
     hierarchy.dl1.install(warm.mem)
-    # The replay mirrors misprediction recovery: the machine rewinds
-    # speculative history and re-applies the true direction, so its
-    # history always reflects the committed path.  Without that the
-    # replayed global history diverges and trains the wrong gshare
-    # rows.
+    # The replay mirrors misprediction recovery, so the global history
+    # follows the committed path as on the machine; otherwise it
+    # diverges and trains the wrong gshare rows.
     predictor = machine.predictor
     predictor.replay(warm.branches)
     for addr in warm.ras[-16:]:
@@ -632,11 +630,11 @@ def _simulate_interval(model: str, cfg: MachineConfig,
     """Detailed simulation of one representative interval.
 
     Builds a machine and seeds it from ``ckpt`` (the ``seed`` span),
-    runs the detailed-warmup prefix (``start - ckpt.instructions`` instructions, excluded from
-    the window) and measures the interval.  Returns ``(window_stats,
-    cycles, instructions)`` where the latter two count everything
-    actually simulated — warmup prefix included — i.e. the true
-    detailed cost of the sample.
+    runs the detailed-warmup prefix (``start - ckpt.instructions``
+    instructions, excluded from the window) and measures the
+    interval.  Returns ``(window_stats, cycles, instructions)`` where
+    the latter two count everything actually simulated — warmup
+    prefix included — i.e. the true detailed cost of the sample.
     """
     with sp.span("seed", interval=idx):
         machine = build_machine(model, cfg, [program])
