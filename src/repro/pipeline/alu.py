@@ -88,55 +88,57 @@ def _build_exec(ins: Instruction):
     single stored-closure call.  Immediates and branch targets are
     captured at build time, so the closure touches the instruction not
     at all.
+
+    The closure returns a bare value shaped by the instruction's class,
+    so executing builds no result object: a load's effective address,
+    a store's ``(address, data)``, a control instruction's ``(result,
+    taken, target)`` with ``target`` the next PC either way, and
+    anything else its result.  :func:`execute` wraps the value in an
+    :class:`ExecResult`.
     """
     op = ins.op
     fn = _INT_RR.get(op)
     if fn is not None:
-        return lambda v1, v2, pc, _f=fn: ExecResult(result=_f(v1, v2))
+        return lambda v1, v2, pc, _f=fn: _f(v1, v2)
     fn = _INT_RI.get(op)
     if fn is not None:
-        return lambda v1, v2, pc, _f=fn, _i=ins.imm: \
-            ExecResult(result=_f(v1, _i))
+        return lambda v1, v2, pc, _f=fn, _i=ins.imm: _f(v1, _i)
     fn = _FP_RR.get(op)
     if fn is not None:
-        return lambda v1, v2, pc, _f=fn: ExecResult(result=_f(v1, v2))
+        return lambda v1, v2, pc, _f=fn: _f(v1, v2)
     cond = _BRANCH_COND.get(op)
     if cond is not None:
         def _branch(v1, v2, pc, _c=cond, _t=ins.target):
-            taken = _c(v1)
-            return ExecResult(taken=taken,
-                              target=_t if taken else pc + 1)
+            if _c(v1):
+                return 0, True, _t
+            return 0, False, pc + 1
         return _branch
     if op is Op.LDI:
-        return lambda v1, v2, pc, _r=ins.imm & MASK64: ExecResult(result=_r)
+        return lambda v1, v2, pc, _r=ins.imm & MASK64: _r
     if ins.is_load:
-        return lambda v1, v2, pc, _i=ins.imm: \
-            ExecResult(mem_addr=(int(v1) + _i) & _ADDR_MASK)
+        return lambda v1, v2, pc, _i=ins.imm: (int(v1) + _i) & _ADDR_MASK
     if ins.is_store:
         return lambda v1, v2, pc, _i=ins.imm: \
-            ExecResult(mem_addr=(int(v1) + _i) & _ADDR_MASK, store_val=v2)
+            ((int(v1) + _i) & _ADDR_MASK, v2)
     if op is Op.BR:
-        return lambda v1, v2, pc, _t=ins.target: \
-            ExecResult(taken=True, target=_t)
+        return lambda v1, v2, pc, _t=ins.target: (0, True, _t)
     if op is Op.CALL:
-        return lambda v1, v2, pc, _t=ins.target: \
-            ExecResult(result=pc + 1, taken=True, target=_t)
+        return lambda v1, v2, pc, _t=ins.target: (pc + 1, True, _t)
     if op is Op.RET or op is Op.JMP:
-        return lambda v1, v2, pc: \
-            ExecResult(taken=True, target=int(v1) & MASK64)
+        return lambda v1, v2, pc: (0, True, int(v1) & MASK64)
     if op is Op.FMOV:
-        return lambda v1, v2, pc: ExecResult(result=v1)
+        return lambda v1, v2, pc: v1
     if op is Op.ITOF:
-        return lambda v1, v2, pc: ExecResult(result=float(to_signed(int(v1))))
+        return lambda v1, v2, pc: float(to_signed(int(v1)))
     if op is Op.FTOI:
         def _ftoi(v1, v2, pc):
             try:
-                return ExecResult(result=int(v1) & MASK64)
+                return int(v1) & MASK64
             except (OverflowError, ValueError):  # inf/nan convert to zero
-                return ExecResult(result=0)
+                return 0
         return _ftoi
     if op is Op.NOP or op is Op.HALT:
-        return lambda v1, v2, pc: ExecResult()
+        return lambda v1, v2, pc: 0
     raise NotImplementedError(f"opcode {op}")  # pragma: no cover
 
 
@@ -150,4 +152,11 @@ def execute(ins: Instruction, v1: float, v2: float, pc: int) -> ExecResult:
     fn = ins.exec_fn
     if fn is None:
         fn = ins.exec_fn = _build_exec(ins)
-    return fn(v1, v2, pc)
+    out = fn(v1, v2, pc)
+    if ins.is_load:
+        return ExecResult(mem_addr=out)
+    if ins.is_store:
+        return ExecResult(mem_addr=out[0], store_val=out[1])
+    if ins.is_branch:
+        return ExecResult(result=out[0], taken=out[1], target=out[2])
+    return ExecResult(result=out)

@@ -70,8 +70,7 @@ _SEQ_KEY = attrgetter("seq")
 class ThreadState:
     """Fetch-side state of one hardware thread."""
 
-    __slots__ = ("tid", "program", "next_pc", "fetch_halted", "halted",
-                 "inflight")
+    __slots__ = ("tid", "program", "next_pc", "fetch_halted", "halted")
 
     def __init__(self, tid: int, program: Program) -> None:
         self.tid = tid
@@ -79,7 +78,6 @@ class ThreadState:
         self.next_pc = program.entry
         self.fetch_halted = False
         self.halted = False
-        self.inflight = 0
 
 
 class Pipeline:
@@ -177,8 +175,9 @@ class Pipeline:
         # Reinhardt, the paper's own workload-methodology citation,
         # found partitioning best): one stalled thread cannot balloon
         # into the whole window and starve its siblings' rename.
+        # Squashed instructions leave their ROB at once, so a thread's
+        # share in use is the length of its ROB.
         self._rob_share = cfg.rob_size // cfg.n_threads
-        self._rob_per_thread = [0] * cfg.n_threads
         # Window-trap sequencer state.
         self._trap_phase: Optional[str] = None
         self._trap_until = 0
@@ -204,6 +203,7 @@ class Pipeline:
         n_threads = self._n_threads
         max_cycles = self.cfg.max_cycles
         stats = self.stats
+        step = self._stepper()
         while True:
             halted = self._halted_count
             if halted and (stop_at_first_halt or halted == n_threads):
@@ -211,14 +211,15 @@ class Pipeline:
             if commit_limit is not None and \
                     stats.committed >= commit_limit:
                 break
-            self.step()
-            if self.cycle > max_cycles:
+            step()
+            cycle = self.cycle
+            if cycle > max_cycles:
                 raise DeadlockError(
                     f"exceeded max_cycles={max_cycles}")
-            if self.cycle - self._last_commit > _DEADLOCK_WINDOW:
+            if cycle - self._last_commit > _DEADLOCK_WINDOW:
                 raise DeadlockError(
                     f"no commit since cycle {self._last_commit} "
-                    f"(now {self.cycle}); rename stalls: "
+                    f"(now {cycle}); rename stalls: "
                     f"{dict(self.engine.stalls)}")
         return self.finalize()
 
@@ -289,63 +290,82 @@ class Pipeline:
     # one cycle
     # ==================================================================
     def step(self) -> None:
-        # Each stage is a separate method looked up through ``self`` so
-        # the profiler (repro.obs.profile) can wrap the stage bound
-        # methods on one instance without subclassing.
-        now = self.cycle
-        self.hierarchy.begin_cycle()
-        self.engine.begin_cycle()
-        self._writeback(now)
-        self._commit(now)
-        if (self._trap_phase is not None
-                or self.engine.trap_request is not None):
-            self._trap_sequencer(now)
+        """Simulate one cycle."""
+        self._stepper()()
+
+    def _stepper(self):
+        """A function that simulates one cycle, for :meth:`run` to call
+        once per cycle.
+
+        Each stage is a separate method, looked up through ``self``
+        here, once per run rather than once per cycle: the profiler
+        (repro.obs.profile) wraps the stage bound methods on one
+        instance before the run starts, without subclassing.  Untraced,
+        the memory side's per-cycle reset is just the DL1 port
+        arbiter's, so that is bound directly.
+        """
+        hierarchy = self.hierarchy
+        engine = self.engine
+        reset_ports = (hierarchy.begin_cycle if self.trace.enabled
+                       else hierarchy.dl1_ports.begin_cycle)
+        engine_begin = engine.begin_cycle
+        writeback = self._writeback
+        commit = self._commit
+        trap_sequencer = self._trap_sequencer
+        rename_dispatch = self._rename_dispatch
+        issue = self._issue_stage
+        fetch = self._fetch
         m = self.metrics
-        if m is None:
-            self._rename_dispatch(now)
-        else:
-            # Rename-stall run lengths: consecutive cycles in which a
-            # rename-ready instruction was waiting but none renamed.
-            rob_before = sum(self._rob_per_thread)
-            self._rename_dispatch(now)
-            renamed = sum(self._rob_per_thread) - rob_before
-            if renamed:
-                if self._stall_run:
-                    m.dist("rename.stall_run_len").record(self._stall_run)
-                    self._stall_run = 0
-            elif any(q and q[0][0] <= now for q in self.front):
-                self._stall_run += 1
-        self._issue_stage(now)
-        self._fetch(now)
-        if m is not None:
-            m.dist("pipeline.iq_occupancy").record(self.iq_count)
-            m.dist("pipeline.rob_occupancy").record(
-                sum(self._rob_per_thread))
-            astq = self._astq
-            if astq is not None:
-                m.dist("astq.occupancy").record(len(astq.queue))
-            m.tick(now, committed=self.stats.committed)
-        self.cycle = now + 1
+
+        def step() -> None:
+            now = self.cycle
+            reset_ports()
+            engine_begin()
+            writeback(now)
+            commit(now)
+            if (self._trap_phase is not None
+                    or engine.trap_request is not None):
+                trap_sequencer(now)
+            if m is None:
+                rename_dispatch(now)
+            else:
+                # Rename-stall run lengths: consecutive cycles in which
+                # a rename-ready instruction was waiting but none
+                # renamed.
+                rob_before = sum(map(len, self.rob))
+                rename_dispatch(now)
+                renamed = sum(map(len, self.rob)) - rob_before
+                if renamed:
+                    if self._stall_run:
+                        m.dist("rename.stall_run_len").record(
+                            self._stall_run)
+                        self._stall_run = 0
+                elif any(q and q[0][0] <= now for q in self.front):
+                    self._stall_run += 1
+            issue(now)
+            fetch(now)
+            if m is not None:
+                m.dist("pipeline.iq_occupancy").record(self.iq_count)
+                m.dist("pipeline.rob_occupancy").record(
+                    sum(map(len, self.rob)))
+                astq = self._astq
+                if astq is not None:
+                    m.dist("astq.occupancy").record(len(astq.queue))
+                m.tick(now, committed=self.stats.committed)
+            self.cycle = now + 1
+
+        return step
 
     def _writeback(self, now: int) -> None:
-        """Drain this cycle's completion events and tick the ASTQ."""
+        """Drain this cycle's completion events and tick the ASTQ.
+
+        Each event is a ``(handler, argument)`` pair: a bound
+        ``_complete_*`` method and what it completes.
+        """
         events = self._wheel.pop(now, None)
         if events is not None:
-            for event in events:
-                kind = event[0]
-                if kind == "exec":
-                    self._complete_exec(event[1])
-                elif kind == "loaddata":
-                    self._complete_load(event[1], from_forward=False)
-                elif kind == "fwd":
-                    self._complete_load(event[1], from_forward=True)
-                elif kind == "trapload":
-                    _, lidx, addr = event
-                    self._trap_outstanding -= 1
-                    self.engine.apply_trap_load(
-                        lidx, self.hierarchy.read_word(addr))
-                elif kind == "trapstore":
-                    self._trap_outstanding -= 1
+            for handler, arg in events:
+                handler(arg)
         astq = self._astq
         if astq is not None and astq.in_flight:
             astq.tick(now, self._wakeup)
@@ -384,28 +404,28 @@ class Pipeline:
             if not eligible:
                 return
             # ICOUNT: fetch for the thread with the fewest in-flight
-            # instructions.
-            t = min(eligible, key=lambda th: (th.inflight, th.tid))
+            # instructions (fetched, and neither committed nor squashed).
+            tstats = self.stats.threads
+            t = min(eligible, key=lambda th: (
+                tstats[th.tid].fetched - tstats[th.tid].committed
+                - tstats[th.tid].squashed, th.tid))
         tid = t.tid
         code = t.program.code
         n_code = len(code)
-        self._il1_access(_ICACHE_BASE + t.next_pc * 8,
-                         write=False, kind="ifetch")
+        pc = t.next_pc
+        self._il1_access(_ICACHE_BASE + pc * 8, write=False, kind="ifetch")
         predictor = self.predictor
         tr = self.trace
         tr_on = tr.enabled
         ready_at = now + self._front_latency
         pool = self._pool
-        queue = front[tid]
-        enqueue = queue.append
-        tstats = self.stats.threads[tid]
-        seq = self._seq
-        fetched = 0
+        enqueue = front[tid].append
+        first_seq = seq = self._seq
         for _ in range(self._width):
-            pc = t.next_pc
-            if not 0 <= pc < n_code:
-                # Wrong-path fetch ran off the program; wait for the
-                # redirect from the mispredicted branch.
+            if pc >= n_code:
+                # Wrong-path fetch ran off the program (no PC is ever
+                # negative); wait for the redirect from the mispredicted
+                # branch.
                 t.fetch_halted = True
                 break
             ins = code[pc]
@@ -418,9 +438,10 @@ class Pipeline:
             if tr_on:
                 tr.emit(now, tid, "fetch", seq=d.seq, pc=pc,
                         asm=ins.disassemble())
-            next_pc = pc + 1
+            enqueue((ready_at, d))
             kind = ins.ctrl_kind
             if kind:
+                next_pc = pc + 1
                 if kind == CTRL_COND:
                     taken, cp = predictor.predict(pc)
                     d.pred_cp = cp
@@ -439,18 +460,18 @@ class Pipeline:
                     if kind == CTRL_RET:
                         next_pc = predictor.ras.pop()
                     # JMP falls through to pc+1 (always mispredicts).
-            d.pred_next_pc = next_pc
-            t.next_pc = next_pc
-            fetched += 1
-            enqueue((ready_at, d))
-            if ins.is_halt:
+                if next_pc != pc + 1:
+                    # Taken-predicted control: redirect next cycle.
+                    # (reinit predicted pc + 1 for everything else.)
+                    d.pred_next_pc = pc = next_pc
+                    break
+            elif ins.is_halt:
                 t.fetch_halted = True
+                pc += 1
                 break
-            if next_pc != pc + 1:
-                break  # taken-predicted control: redirect next cycle
-        if fetched:
-            t.inflight += fetched
-            tstats.fetched += fetched
+            pc += 1
+        t.next_pc = pc
+        self.stats.threads[tid].fetched += seq - first_seq
         self._seq = seq
 
     # ==================================================================
@@ -476,10 +497,10 @@ class Pipeline:
         iq_size = cfg.iq_size
         lsq_size = cfg.lsq_size
         rob_share = self._rob_share
-        rob_per_thread = self._rob_per_thread
         rob = self.rob
         stalls = engine.stalls
         try_rename = engine.try_rename
+        waiters = self._waiters
         tr = self.trace
         tr_on = tr.enabled
         for i in range(n):
@@ -487,6 +508,7 @@ class Pipeline:
             if tid >= n:
                 tid -= n
             queue = front[tid]
+            robq = rob[tid]
             while budget and queue:
                 ready_at, d = queue[0]
                 if ready_at > now:
@@ -495,7 +517,7 @@ class Pipeline:
                     queue.popleft()
                     continue
                 ins = d.instr
-                if rob_per_thread[tid] >= rob_share:
+                if len(robq) >= rob_share:
                     stalls["rob_full"] += 1
                     break
                 simple = ins.is_simple
@@ -508,50 +530,45 @@ class Pipeline:
                 if not try_rename(d):
                     break
                 queue.popleft()
-                d.renamed_at = now
                 if tr_on:
                     tr.emit(now, tid, "rename", seq=d.seq)
-                rob[tid].append(d)
-                rob_per_thread[tid] += 1
+                robq.append(d)
+                budget -= 1
                 if simple:
                     d.done = True
                 else:
-                    self._dispatch(d)
-                budget -= 1
+                    # Dispatch into the IQ (and the LSQ): wait on each
+                    # source register that is not ready yet.
+                    unready = 0
+                    p = d.p_rs1
+                    if p is not None and not p.ready:
+                        w = waiters.get(p.idx)
+                        if w is None:
+                            waiters[p.idx] = [d]
+                        else:
+                            w.append(d)
+                        unready = 1
+                    p = d.p_rs2
+                    if p is not None and not p.ready:
+                        w = waiters.get(p.idx)
+                        if w is None:
+                            waiters[p.idx] = [d]
+                        else:
+                            w.append(d)
+                        unready += 1
+                    d.n_unready = unready
+                    d.in_iq = True
+                    self.iq_count += 1
+                    if ins.is_mem:
+                        self.lsq_count += 1
+                        if ins.is_store:
+                            self._stores[tid].append(d)
+                    if not unready:
+                        heappush(self._ready, (d.seq, d))
                 if engine.trap_request is not None:
                     return  # underflow: stall rename behind this return
             if not budget:
                 break
-
-    def _dispatch(self, d: DynInst) -> None:
-        unready = 0
-        waiters = self._waiters
-        p = d.p_rs1
-        if p is not None and not p.ready:
-            w = waiters.get(p.idx)
-            if w is None:
-                waiters[p.idx] = [d]
-            else:
-                w.append(d)
-            unready += 1
-        p = d.p_rs2
-        if p is not None and not p.ready:
-            w = waiters.get(p.idx)
-            if w is None:
-                waiters[p.idx] = [d]
-            else:
-                w.append(d)
-            unready += 1
-        d.n_unready = unready
-        d.in_iq = True
-        self.iq_count += 1
-        ins = d.instr
-        if ins.is_mem:
-            self.lsq_count += 1
-            if ins.is_store:
-                self._stores[d.tid].append(d)
-        if unready == 0:
-            heappush(self._ready, (d.seq, d))
 
     def _wakeup(self, preg) -> None:
         waiters = self._waiters.pop(preg.idx, None)
@@ -582,6 +599,7 @@ class Pipeline:
         tr_on = tr.enabled
         wheel = self._wheel
         latencies = self._latency
+        complete_exec = self._complete_exec
         while budget and ready:
             _, d = heappop(ready)
             if d.squashed or d.issued:
@@ -611,9 +629,9 @@ class Pipeline:
             when = now + latency
             slot = wheel.get(when)
             if slot is None:
-                wheel[when] = [("exec", d)]
+                wheel[when] = [(complete_exec, d)]
             else:
-                slot.append(("exec", d))
+                slot.append((complete_exec, d))
             budget -= 1
         if deferred:
             for d in deferred:
@@ -631,7 +649,7 @@ class Pipeline:
         res = fn(p1.value if p1 is not None else 0,
                  p2.value if p2 is not None else 0, d.pc)
         if ins.is_load:
-            d.mem_addr = res.mem_addr
+            d.mem_addr = res
             loads = self._pending_loads
             if loads and loads[-1].seq > d.seq:
                 self._loads_dirty = True
@@ -639,26 +657,28 @@ class Pipeline:
             return
         tr = self.trace
         if ins.is_store:
-            d.mem_addr = res.mem_addr
-            d.store_val = res.store_val
+            d.mem_addr, d.store_val = res
             d.done = True  # the data-cache write happens at commit
             if tr.enabled:
                 tr.emit(self.cycle, d.tid, "writeback", seq=d.seq)
             return
-        d.result = res.result
+        is_branch = ins.is_branch
+        if is_branch:
+            result, taken, target = res
+        else:
+            result = res
         pdst = d.pdst
         if pdst is not None:
-            pdst.value = res.result
+            pdst.value = result
             pdst.ready = True
             self._wakeup(pdst)
         d.done = True
         if tr.enabled:
             tr.emit(self.cycle, d.tid, "writeback", seq=d.seq)
-        if ins.is_branch:
-            d.actual_taken = res.taken
-            d.actual_target = (res.target if res.taken else d.pc + 1)
-            if d.actual_target != d.pred_next_pc:
-                d.mispredicted = True
+        if is_branch:
+            d.actual_taken = taken
+            d.actual_target = target
+            if target != d.pred_next_pc:
                 self._recover(d)
 
     # -- loads ------------------------------------------------------------
@@ -694,6 +714,8 @@ class Pipeline:
         wheel = self._wheel
         hierarchy = self.hierarchy
         try_acquire = hierarchy.dl1_ports.try_acquire
+        complete_load = self._complete_load
+        complete_forward = self._complete_forward
         fwd_slot = None
         for d in loads:
             if d.squashed:
@@ -712,14 +734,13 @@ class Pipeline:
                             keep(d)  # forwarding store, data pending
                             continue
                         d.lsq_wait = None
-                        d.forwarded = True
                         d.result = st.store_val
                         if fwd_slot is None:
                             when = now + 1
                             fwd_slot = wheel.get(when)
                             if fwd_slot is None:
                                 fwd_slot = wheel[when] = []
-                        fwd_slot.append(("fwd", d))
+                        fwd_slot.append((complete_forward, d))
                         continue
                 d.lsq_wait = None  # stale: rescan the store queue
             if not d.lsq_clear:
@@ -747,14 +768,13 @@ class Pipeline:
                         d.lsq_wait_seq = match.seq
                         keep(d)  # store data not ready yet
                         continue
-                    d.forwarded = True
                     d.result = match.store_val
                     if fwd_slot is None:
                         when = now + 1
                         fwd_slot = wheel.get(when)
                         if fwd_slot is None:
                             fwd_slot = wheel[when] = []
-                    fwd_slot.append(("fwd", d))
+                    fwd_slot.append((complete_forward, d))
                     continue
                 d.lsq_clear = True
             if try_acquire():
@@ -764,14 +784,22 @@ class Pipeline:
                 when = now + latency
                 slot = wheel.get(when)
                 if slot is None:
-                    wheel[when] = [("loaddata", d)]
+                    wheel[when] = [(complete_load, d)]
                 else:
-                    slot.append(("loaddata", d))
+                    slot.append((complete_load, d))
             else:
                 keep(d)  # no port; retry next cycle
         self._pending_loads = still
 
-    def _complete_load(self, d: DynInst, from_forward: bool) -> None:
+    def _complete_forward(self, d: DynInst) -> None:
+        self._complete_load(d, from_forward=True)
+
+    def _complete_trap_load(self, transfer) -> None:
+        lidx, addr = transfer
+        self._trap_outstanding -= 1
+        self.engine.apply_trap_load(lidx, self.hierarchy.read_word(addr))
+
+    def _complete_load(self, d: DynInst, from_forward: bool = False) -> None:
         if d.squashed:
             return
         if d.pdst is not None:
@@ -795,45 +823,50 @@ class Pipeline:
         budget = self._width
         if n == 1:
             if rob[0]:
-                self._commit_thread(now, rob[0], budget)
+                self._commit_thread(now, 0, budget)
             return
         for i in range(n):
             tid = rr + i
             if tid >= n:
                 tid -= n
-            q = rob[tid]
-            if q:
-                budget = self._commit_thread(now, q, budget)
+            if rob[tid]:
+                budget = self._commit_thread(now, tid, budget)
                 if not budget:
                     break
 
-    def _commit_thread(self, now: int, rob: deque, budget: int) -> int:
+    def _commit_thread(self, now: int, tid: int, budget: int) -> int:
+        """Commit up to ``budget`` of thread ``tid``'s oldest
+        instructions; returns the budget left."""
+        rob = self.rob[tid]
         stats = self.stats
+        t = stats.threads[tid]
+        th = self.threads[tid]
         engine = self.engine
         on_commit = engine.on_commit
         hierarchy = self.hierarchy
         ports = self._dl1_ports
-        threads = self.threads
-        rob_per_thread = self._rob_per_thread
+        stores = self._stores[tid]
         pool = self._pool
+        # The window-trap sequencer may still hold a reference to a
+        # committed instruction (a conventional underflow's trap
+        # request pins the committed return until the trap fires or
+        # is cancelled), so that one is not recycled.
+        req = engine.trap_request
+        pinned = req.din if req is not None else None
         tr = self.trace
         tr_on = tr.enabled
         hook = self.commit_hook
+        start = budget
         while budget and rob:
             d = rob[0]
-            if d.squashed:
-                rob.popleft()
-                continue
             if not d.done:
                 break
             ins = d.instr
-            tid = d.tid
             if ins.is_store:
                 if not ports.try_acquire():
                     break  # no store port this cycle; retry
                 hierarchy.dl1_access(d.mem_addr, write=True, kind="store")
                 hierarchy.write_word(d.mem_addr, d.store_val)
-                stores = self._stores[tid]
                 if not stores or stores[0] is not d:  # pragma: no cover
                     raise SimulationError("store commit out of LSQ order")
                 stores.pop(0)
@@ -845,9 +878,7 @@ class Pipeline:
                 hook(d)
             if tr_on:
                 tr.emit(now, tid, "commit", seq=d.seq, pc=d.pc)
-            t = stats.threads[tid]
             t.committed += 1
-            threads[tid].inflight -= 1
             if ins.is_cond_branch:
                 stats.cond_branches += 1
                 t.cond_branches += 1
@@ -862,24 +893,17 @@ class Pipeline:
             elif ins.is_call:
                 t.calls += 1
             elif ins.is_halt:
-                th = threads[tid]
                 th.halted = True
                 th.fetch_halted = True
                 t.halted = True
                 t.halted_at = now
                 self._halted_count += 1
             rob.popleft()
-            rob_per_thread[tid] -= 1
-            self._last_commit = now
             budget -= 1
-            # Recycle the retired instance unless the window-trap
-            # sequencer still holds a reference to it (a conventional
-            # underflow's trap request pins the committed return until
-            # the trap fires or is cancelled).
-            if len(pool) < _DYNINST_POOL:
-                req = engine.trap_request
-                if req is None or req.din is not d:
-                    pool.append(d)
+            if len(pool) < _DYNINST_POOL and d is not pinned:
+                pool.append(d)
+        if budget != start:
+            self._last_commit = now
         return budget
 
     # ==================================================================
@@ -903,7 +927,6 @@ class Pipeline:
             d = entry[1]
             if d.seq > seq:
                 d.squashed = True
-                t.inflight -= 1
                 self.stats.threads[tid].squashed += 1
                 if tr.enabled:
                     tr.emit(self.cycle, tid, "squash", seq=d.seq)
@@ -937,7 +960,6 @@ class Pipeline:
             d.squashed = True
             if tr.enabled:
                 tr.emit(self.cycle, tid, "squash", seq=d.seq)
-            self._rob_per_thread[d.tid] -= 1
             if d.instr.is_cond_branch:
                 self.predictor.undo_spec(d.pred_cp)
             self.engine.on_squash(d)
@@ -946,7 +968,6 @@ class Pipeline:
                 self.iq_count -= 1
             if d.instr.is_mem:
                 self.lsq_count -= 1
-            t.inflight -= 1
             self.stats.threads[tid].squashed += 1
         if victims:
             self.rob[tid] = deque(d for d in self.rob[tid]
@@ -1006,6 +1027,6 @@ class Pipeline:
                 else:
                     self._trap_outstanding += 1
                     self._wheel.setdefault(now + latency, []).append(
-                        ("trapload", payload, addr))
+                        (self._complete_trap_load, (payload, addr)))
             if not self._trap_transfers and self._trap_outstanding == 0:
                 self._trap_phase = None

@@ -23,19 +23,28 @@ class DynInst:
         "pred_cp",
         # rename
         "p_rs1", "p_rs2", "pdst", "prev_pdst", "dest_key", "ctx_delta",
-        "renamed_at",
         # scheduling
         "n_unready", "in_iq", "issued", "done", "squashed", "committed",
-        # execution
+        # execution ("result" is a load's data: an ALU result goes
+        # straight to the destination register)
         "result", "mem_addr", "store_val", "actual_taken",
-        "actual_target", "mispredicted", "forwarded",
-        # structures
-        "lsq_slot", "trap_op",
+        "actual_target",
         # pending-load scan cache (see Pipeline._service_pending_loads):
         # the store this load is waiting on (with its seq captured to
         # detect recycling), or a proof that no older store can match.
         "lsq_wait", "lsq_wait_seq", "lsq_clear",
     )
+
+    pred_cp: Optional[PredictorCheckpoint]
+    p_rs1: Optional[PhysReg]
+    p_rs2: Optional[PhysReg]
+    pdst: Optional[PhysReg]
+    prev_pdst: Optional[PhysReg]
+    result: float
+    mem_addr: Optional[int]
+    store_val: float
+    actual_target: Optional[int]
+    lsq_wait: Optional["DynInst"]
 
     def __init__(self, seq: int, tid: int, pc: int,
                  instr: Instruction) -> None:
@@ -47,47 +56,34 @@ class DynInst:
 
         Factored out of ``__init__`` so the pipeline can recycle retired
         instances through an object pool instead of allocating a new
-        29-field object per fetched instruction.
+        object per fetched instruction.  Every slot is one more store
+        per fetched instruction, wrong-path ones included, so a field
+        nothing reads does not get a slot.
         """
         self.seq = seq
         self.tid = tid
         self.pc = pc
         self.instr = instr
-        self.pred_taken = False
         self.pred_next_pc = pc + 1
-        self.pred_cp: Optional[PredictorCheckpoint] = None
-
-        self.p_rs1: Optional[PhysReg] = None
-        self.p_rs2: Optional[PhysReg] = None
-        self.pdst: Optional[PhysReg] = None
-        self.prev_pdst: Optional[PhysReg] = None
-        self.dest_key = None
-        self.ctx_delta = 0
-        self.renamed_at = -1
-
-        self.n_unready = 0
-        self.in_iq = False
-        self.issued = False
-        self.done = False
-        self.squashed = False
-        self.committed = False
-
-        self.result: float = 0
-        self.mem_addr: Optional[int] = None
-        self.store_val: float = 0
-        self.actual_taken = False
-        self.actual_target: Optional[int] = None
-        self.mispredicted = False
-        self.forwarded = False
-
-        self.lsq_slot = None
-        #: Marks transfers injected by the conventional register-window
-        #: trap handler; they bypass rename and the branch machinery.
-        self.trap_op = False
-
-        self.lsq_wait: Optional["DynInst"] = None
-        self.lsq_wait_seq = -1
-        self.lsq_clear = False
+        # The rest are constants, reset by unpacking one constant tuple:
+        # two bytecodes a field instead of three, per fetched
+        # instruction.  Each line of names pairs with a line of values.
+        (self.pred_taken, self.pred_cp,
+         self.p_rs1, self.p_rs2, self.pdst, self.prev_pdst, self.dest_key,
+         self.ctx_delta,
+         self.n_unready, self.in_iq, self.issued, self.done, self.squashed,
+         self.committed,
+         self.result, self.mem_addr, self.store_val, self.actual_taken,
+         self.actual_target,
+         self.lsq_wait, self.lsq_wait_seq, self.lsq_clear) = (
+            False, None,
+            None, None, None, None, None,
+            0,
+            0, False, False, False, False,
+            False,
+            0, None, 0, False,
+            None,
+            None, -1, False)
 
     # ------------------------------------------------------------------
     def src_value(self, which: int) -> float:

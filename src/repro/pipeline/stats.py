@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List
 
 
@@ -24,6 +25,9 @@ class ThreadStats:
 
     def ipc(self, cycles: int) -> float:
         return self.committed / cycles if cycles else 0.0
+
+
+_COMMITTED = attrgetter("committed")
 
 
 @dataclass
@@ -54,7 +58,8 @@ class SimStats:
 
     @property
     def committed(self) -> int:
-        return sum(t.committed for t in self.threads)
+        # A sampled run tests this every cycle: map() keeps it in C.
+        return sum(map(_COMMITTED, self.threads))
 
     @property
     def ipc(self) -> float:

@@ -61,35 +61,35 @@ class ConventionalRename(RenameEngine):
     # ------------------------------------------------------------------
     def try_rename(self, d) -> bool:
         ins = d.instr
-        m = self.maps[d.tid]
-        dest = ins.dest()
-        pdst = None
+        dest = ins.dest_reg
         if dest is not None:
+            # alloc() returns a register not yet ready.
             pdst = self.regfile.alloc()
             if pdst is None:
                 self.stalls["no_preg"] += 1
                 return False
-        if ins.rs1 is not None and ins.rs1 != 31:
-            d.p_rs1 = m[ins.rs1]
-        if ins.rs2 is not None and ins.rs2 != 31:
-            d.p_rs2 = m[ins.rs2]
+        m = self.maps[d.tid]
+        rs1 = ins.rs1
+        if rs1 is not None and rs1 != 31:
+            d.p_rs1 = m[rs1]
+        rs2 = ins.rs2
+        if rs2 is not None and rs2 != 31:
+            d.p_rs2 = m[rs2]
         if dest is not None:
             d.prev_pdst = m[dest]
-            d.dest_key = (d.tid, dest)
-            pdst.ready = False
             m[dest] = pdst
             d.pdst = pdst
         return True
 
     def on_commit(self, d) -> None:
-        if d.pdst is not None:
-            d.pdst.committed = True
+        p = d.pdst
+        if p is not None:
+            p.committed = True
             self.regfile.free(d.prev_pdst)
 
     def on_squash(self, d) -> None:
         if d.pdst is not None:
-            _, dest = d.dest_key
-            self.maps[d.tid][dest] = d.prev_pdst
+            self.maps[d.tid][d.instr.dest_reg] = d.prev_pdst
             self.regfile.free(d.pdst)
 
     def arch_value(self, tid: int, reg: int) -> float:

@@ -102,12 +102,21 @@ class PhysRegFile:
         reg.last_use = self.now
 
     def alloc(self) -> Optional[PhysReg]:
-        """Take a register off the free list, or ``None`` if empty."""
+        """Take a register off the free list, or ``None`` if empty.
+
+        The result is in :meth:`PhysReg.reset` state with ``last_use``
+        stamped now.  :meth:`free` and :meth:`unfree` already leave a
+        listed register unmapped, unpinned, uncommitted, clean, not
+        ready and not doomed, so only the two fields they do not clear
+        are reset here (every rename allocates, so the full reset is
+        not repeated).
+        """
         free = self._free
         if not free:
             return None
         reg = self.regs[free.pop()]
-        reg.reset()
+        reg.value = 0
+        reg.from_fill = False
         reg.is_free = False
         reg.last_use = self.now
         self.allocs += 1
@@ -124,7 +133,7 @@ class PhysRegFile:
         """
         if reg.is_free:
             raise RuntimeError(f"double free of register {reg!r}")
-        if reg.pinned:
+        if reg.refcount > 0:  # reg.pinned, inlined: commit frees per insn
             raise RuntimeError(f"freeing pinned register {reg!r}")
         if reg.in_table:
             raise RuntimeError(f"freeing mapped register {reg!r}")

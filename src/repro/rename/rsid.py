@@ -11,6 +11,7 @@ has been flushed to memory (spilled if dirty) and unmapped.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 
@@ -27,7 +28,8 @@ class RsidTable:
         self._upper_of: List[Optional[int]] = [None] * n_entries
         self._rsid_of: Dict[int, int] = {}
         self._last_use = [0] * n_entries
-        self._clock = 0
+        #: The LRU use clock: each call returns the next stamp (1, 2, ...).
+        self._tick = count(1).__next__
         self.misses = 0
         self.flushes = 0
 
@@ -41,8 +43,7 @@ class RsidTable:
         upper = addr >> self.offset_bits
         rsid = self._rsid_of.get(upper)
         if rsid is not None:
-            self._clock += 1
-            self._last_use[rsid] = self._clock
+            self._last_use[rsid] = self._tick()
         return upper, (addr & self._offset_mask) >> 3, rsid
 
     # ------------------------------------------------------------------
@@ -50,8 +51,7 @@ class RsidTable:
         """RSID for ``upper``, touching LRU state; None on miss."""
         rsid = self._rsid_of.get(upper)
         if rsid is not None:
-            self._clock += 1
-            self._last_use[rsid] = self._clock
+            self._last_use[rsid] = self._tick()
         return rsid
 
     @property
@@ -68,8 +68,7 @@ class RsidTable:
         rsid = self._upper_of.index(None)
         self._upper_of[rsid] = upper
         self._rsid_of[upper] = rsid
-        self._clock += 1
-        self._last_use[rsid] = self._clock
+        self._last_use[rsid] = self._tick()
         return rsid
 
     def lru_victim(self) -> int:

@@ -10,12 +10,16 @@ not, and a set full of pinned entries stalls rename.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .regfile import PhysReg, PhysRegFile
 
 #: A rename-table key: (rsid, register-space word offset).
 Key = Tuple[int, int]
+
+_LAST_USE = attrgetter("last_use")
 
 
 class VcaRenameTable:
@@ -29,14 +33,13 @@ class VcaRenameTable:
         self.n_sets = n_sets
         self.assoc = assoc
         self.regfile = regfile
-        self._sets: List[Dict[Key, int]] = [{} for _ in range(n_sets)]
+        # Each set maps key -> register in insertion order, the order
+        # victim searches break LRU ties in.
+        self._sets: List[Dict[Key, PhysReg]] = [{} for _ in range(n_sets)]
         self._set_mask = n_sets - 1
-        self.lookups = 0
-        self.misses = 0
-        self.conflict_evictions = 0
 
     # ------------------------------------------------------------------
-    def _set_of(self, key: Key) -> Dict[Key, int]:
+    def _set_of(self, key: Key) -> Dict[Key, PhysReg]:
         # The index folds in the frame bits (woff >> 6) and the RSID:
         # register-window frames are a whole number of sets apart and
         # different threads use identical register-space offsets, so
@@ -47,21 +50,10 @@ class VcaRenameTable:
         return self._sets[idx]
 
     def lookup(self, key: Key) -> Optional[PhysReg]:
-        self.lookups += 1
-        rsid, woff = key  # inlined _set_of: this is the hottest probe
-        s = self._sets[(woff ^ (woff >> 6) ^ (rsid * 21)) & self._set_mask]
-        idx = s.get(key)
-        if idx is None:
-            self.misses += 1
-            return None
-        return self.regfile.regs[idx]
-
-    def peek(self, key: Key) -> Optional[PhysReg]:
-        """Lookup without stats (internal bookkeeping paths)."""
-        rsid, woff = key
-        s = self._sets[(woff ^ (woff >> 6) ^ (rsid * 21)) & self._set_mask]
-        idx = s.get(key)
-        return None if idx is None else self.regfile.regs[idx]
+        """The register ``key`` maps to, or None.  The rename path
+        inlines this probe; with a metrics registry attached it counts
+        hits and misses as ``rename.tag_hit``/``rename.tag_miss``."""
+        return self._set_of(key).get(key)
 
     # ------------------------------------------------------------------
     def set_mapping(self, key: Key, reg: PhysReg) -> None:
@@ -72,14 +64,12 @@ class VcaRenameTable:
         if old is None and len(s) >= self.assoc:
             raise RuntimeError(f"set full for key {key}")
         if old is not None:
-            self.regfile.regs[old].in_table = False
-        s[key] = reg.idx
+            old.in_table = False
+        s[key] = reg
         reg.in_table = True
 
     def remove(self, key: Key) -> None:
-        s = self._set_of(key)
-        idx = s.pop(key)
-        self.regfile.regs[idx].in_table = False
+        self._set_of(key).pop(key).in_table = False
 
     def has_room(self, key: Key) -> bool:
         s = self._set_of(key)
@@ -100,40 +90,27 @@ class VcaRenameTable:
         fill-evict-fill thrash loop); rename stalls instead.
         """
         horizon = self.regfile.now - min_age
-        best: Optional[Tuple[int, Key, int]] = None
-        for k, idx in self._set_of(key).items():
-            reg = self.regfile.regs[idx]
+        best: Optional[Tuple[Key, PhysReg]] = None
+        for k, reg in self._set_of(key).items():
             if reg is exclude or reg.last_use > horizon:
                 continue
-            if reg.cached and (best is None or reg.last_use < best[0]):
-                best = (reg.last_use, k, idx)
-        if best is None:
-            return None
-        return best[1], self.regfile.regs[best[2]]
+            if reg.cached and (best is None
+                               or reg.last_use < best[1].last_use):
+                best = k, reg
+        return best
 
     def find_global_victim(self, exclude: Optional[PhysReg] = None,
                            min_age: int = 0
                            ) -> Optional[Tuple[Key, PhysReg]]:
         """LRU evictable entry across the whole table (used when the
-        free list is empty but the target set still has room)."""
-        horizon = self.regfile.now - min_age
-        best: Optional[Tuple[int, Key, int]] = None
-        for s in self._sets:
-            for k, idx in s.items():
-                reg = self.regfile.regs[idx]
-                if reg is exclude or reg.last_use > horizon:
-                    continue
-                if reg.cached and (best is None or reg.last_use < best[0]):
-                    best = (reg.last_use, k, idx)
-        if best is None:
-            return None
-        return best[1], self.regfile.regs[best[2]]
+        free list is empty but the target set still has room).  Ties
+        go to the first entry in set order, then insertion order."""
+        return _lru_cached(self._sets, exclude, self.regfile.now - min_age)
 
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[Tuple[Key, PhysReg]]:
         for s in self._sets:
-            for k, idx in list(s.items()):
-                yield k, self.regfile.regs[idx]
+            yield from list(s.items())
 
     def entries_for_rsid(self, rsid: int) -> List[Tuple[Key, PhysReg]]:
         return [(k, r) for k, r in self.entries() if k[0] == rsid]
@@ -141,3 +118,35 @@ class VcaRenameTable:
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
+
+
+def _lru_cached(sets: List[Dict[Key, PhysReg]], exclude: Optional[PhysReg],
+                horizon: int) -> Optional[Tuple[Key, PhysReg]]:
+    """The least recently used cached register (``PhysReg.cached``)
+    other than ``exclude`` and last used no later than ``horizon``,
+    with its key; the first in ``sets`` order wins a tie, as in
+    :meth:`VcaRenameTable.find_set_victim`'s scan of one set.
+
+    A scan of the whole table would visit every entry in Python, so
+    the entries and their ``last_use`` stamps are gathered by C-level
+    iteration and only candidates are tested, oldest first.  Usually
+    the oldest entry is a cached value and is the only one tested.
+    """
+    regs = list(chain.from_iterable(map(dict.values, sets)))
+    uses = list(map(_LAST_USE, regs))
+    if not uses or min(uses) > horizon:
+        return None
+    i = uses.index(min(uses))
+    reg = regs[i]
+    if reg is exclude or not reg.cached:
+        # Every candidate in last-use order; the sort is stable, so
+        # equal stamps stay in set order, then insertion order.
+        for i in sorted(range(len(regs)), key=uses.__getitem__):
+            reg = regs[i]
+            if reg.last_use > horizon:
+                return None
+            if reg is not exclude and reg.cached:
+                break
+        else:
+            return None
+    return next(islice(chain.from_iterable(map(dict.keys, sets)), i, None)), reg

@@ -76,6 +76,14 @@ class VcaRename(RenameEngine):
                               hierarchy, self.regfile)
         self.contexts: Dict[int, ThreadContext] = {}
         self._ports_used = 0
+        self._rename_ports = cfg.vca_rename_ports
+        #: The rename probe's translation of each logical address it
+        #: has seen: ``laddr -> (rsid, table key, table set)``, valid
+        #: while the address's register space keeps its RSID (cleared
+        #: whenever an RSID is evicted).
+        self._probes: Dict[int, Tuple[int, Tuple[int, int], dict]] = {}
+        #: True when a tracer or metrics registry wants rename events.
+        self._observed = False
         #: Scratch journal reused across try_rename calls (its entries
         #: never escape the call).
         self._journal: List[Undo] = []
@@ -99,6 +107,7 @@ class VcaRename(RenameEngine):
     # -- observability -------------------------------------------------------
     def attach_obs(self, tracer, metrics, clock) -> None:
         super().attach_obs(tracer, metrics, clock)
+        self._observed = tracer.enabled or metrics is not None
         if self._astq is not None:
             self._astq.attach_obs(tracer, metrics, clock)
 
@@ -297,6 +306,7 @@ class VcaRename(RenameEngine):
             self.regfile.free(reg)
         if not blocked and not self.table.entries_for_rsid(self._flush_rsid):
             self.rsid.evict(self._flush_rsid)
+            self._probes.clear()
             self.rsid.flushes += 1
             self._flush_rsid = None
 
@@ -359,7 +369,9 @@ class VcaRename(RenameEngine):
         without the shield the global LRU scan could evict and
         reallocate the very register recovery needs as ``prev_pdst``.
         ``sset`` lets the caller pass ``key``'s already-probed table
-        set to avoid re-deriving it (the rename hot path).
+        set to avoid re-deriving it (the rename hot path).  A caller
+        that may still fail after the allocation journals the returned
+        register as ``("unfree", p)``.
         """
         min_age = self._protect_age
         if sset is None:
@@ -383,7 +395,6 @@ class VcaRename(RenameEngine):
             if p is None:  # the evicted way was in our (full) set
                 self.stalls["no_preg"] += 1
                 return None
-        journal.append(("unfree", p))
         return p
 
     # -- rename proper ------------------------------------------------------------
@@ -397,10 +408,22 @@ class VcaRename(RenameEngine):
             astq._writes_at_instr_start = astq._writes_this_cycle
             astq._queue_at_instr_start = len(astq.queue)
         journal = self._journal
-        journal.clear()
+        if journal:
+            journal.clear()
+        ports = self._ports_used
         if self._rename_inner(d, journal):
             return True
+        # Roll back.  The operand references and the port budget are
+        # not journaled: each reference is on d.p_rs1/d.p_rs2, and is
+        # dropped before the journal unwinds past its allocation.
+        p = d.p_rs1
+        if p is not None:
+            p.refcount -= 1
+        p = d.p_rs2
+        if p is not None:
+            p.refcount -= 1
         self._undo_all(journal)
+        self._ports_used = ports
         d.p_rs1 = d.p_rs2 = d.pdst = d.prev_pdst = None
         d.dest_key = None
         d.ctx_delta = 0
@@ -412,18 +435,10 @@ class VcaRename(RenameEngine):
         regfile = self.regfile
         for entry in reversed(journal):
             tag = entry[0]
-            if tag == "ref":
-                entry[1].refcount -= 1
-            elif tag == "unfree":
+            if tag == "unfree":
                 regfile.unfree(entry[1])
             elif tag == "unmap":
                 table.remove(entry[1])
-            elif tag == "dest":
-                _, key, prev = entry
-                if prev is not None:
-                    table.set_mapping(key, prev)
-                else:
-                    table.remove(key)
             elif tag == "unpush":
                 self._astq.unpush(entry[1])
             elif tag == "evict":
@@ -433,10 +448,9 @@ class VcaRename(RenameEngine):
                 (reg.value, reg.ready, reg.committed, reg.dirty,
                  reg.laddr, reg.from_fill, reg.last_use) = snapshot
                 table.set_mapping(key, reg)
-            elif tag == "ports":
-                self._ports_used = entry[1]
             elif tag == "rsid":
                 self.rsid.evict(entry[1])
+                self._probes.clear()
             elif tag == "pop":
                 entry[1].pop_window()
             else:  # "push"
@@ -488,6 +502,7 @@ class VcaRename(RenameEngine):
 
         ideal = self.ideal
         # Rename-table port budget: reads of the same register combine.
+        # try_rename restores the budget if the rename fails.
         if not ideal:
             need = len(src_laddrs)
             if need == 2 and src_laddrs[0] == src_laddrs[1]:
@@ -495,89 +510,45 @@ class VcaRename(RenameEngine):
             if dest_laddr is not None and dest_laddr not in src_laddrs:
                 need += 1
             used = self._ports_used
-            if used and used + need > self.cfg.vca_rename_ports:
+            if used and used + need > self._rename_ports:
                 self.stalls["rename_ports"] += 1
                 return False
             self._ports_used = used + need
-            journal.append(("ports", used))
 
-        table = self.table
-        astq = self._astq
-        tr = self.trace
-        tr_on = tr.enabled
-        m = self.metrics
-        regfile = self.regfile
-        rf_now = regfile.now
-        regs = regfile.regs
+        observed = self._observed
+        rf_now = self.regfile.now
         # Rename runs for every fetched instruction (and re-runs on
-        # every stalled retry), so the RSID hit path and the tagged
-        # rename-table probe are inlined here rather than dispatched
-        # through RsidTable.split_lookup / VcaRenameTable.lookup; the
-        # counters those methods maintain are updated identically.
-        tbl_sets = table._sets
-        tbl_mask = table._set_mask
+        # every stalled retry), so the RSID translation and the tagged
+        # rename-table probe are inlined here: a seen address's key and
+        # table set come from _probes, and only its RSID LRU stamp is
+        # taken, as RsidTable.split_lookup would.
+        probes_get = self._probes.get
         rsid_tab = self.rsid
         if rsid_tab is not None:
-            rsid_get = rsid_tab._rsid_of.get
+            rsid_tick = rsid_tab._tick
             rsid_last = rsid_tab._last_use
-            rsid_bits = rsid_tab.offset_bits
-            rsid_mask = rsid_tab._offset_mask
 
-        # Sources: lookup, filling on miss.  RSID install/flush misses
-        # fall back to _key_for (the cold path).
+        # Sources: lookup, filling on miss.
         if vsrcs:
             rs1 = ins.rs1
             first = True
             for (reg, _windowed, _off), laddr in zip(vsrcs, src_laddrs):
-                if rsid_tab is None:
-                    rs_k = 0
-                    woff_k = laddr >> 3
-                else:
-                    rs_k = rsid_get(laddr >> rsid_bits)
-                    if rs_k is not None:
-                        clk = rsid_tab._clock + 1
-                        rsid_tab._clock = clk
-                        rsid_last[rs_k] = clk
-                        woff_k = (laddr & rsid_mask) >> 3
-                    else:
-                        key = self._key_for(laddr, journal)
-                        if key is None:
-                            self.stalls["rsid_flush"] += 1
-                            return False
-                        rs_k, woff_k = key
-                key = (rs_k, woff_k)
-                sset = tbl_sets[(woff_k ^ (woff_k >> 6) ^ (rs_k * 21))
-                                & tbl_mask]
-                idx = sset.get(key)
-                table.lookups += 1
-                if idx is None:
-                    table.misses += 1
-                    p = None
-                else:
-                    p = regs[idx]
-                if tr_on:
-                    tr.emit(self.clock(), d.tid,
-                            "tag_hit" if p is not None else "tag_miss",
-                            laddr=laddr, reg=reg)
-                if m is not None:
-                    m.inc("rename.tag_hit" if p is not None
-                          else "rename.tag_miss")
-                if p is None:
-                    if astq is not None and not astq.can_write(1):
-                        self.stalls["astq_full"] += 1
+                probe = probes_get(laddr)
+                if probe is None:
+                    probe = self._translate(laddr, journal)
+                    if probe is None:
                         return False
-                    p = self._alloc(key, journal, sset=sset)
+                elif rsid_tab is not None:
+                    rsid_last[probe[0]] = rsid_tick()
+                _, key, sset = probe
+                p = sset.get(key)
+                if observed:
+                    self._obs_probe(d, laddr, reg, p is not None)
+                if p is None:
+                    p = self._fill_miss(key, laddr, sset, journal)
                     if p is None:
                         return False
-                    p.laddr = laddr
-                    p.committed = False
-                    table.set_mapping(key, p)
-                    journal.append(("unmap", key))
-                    self._fill(p, laddr)
-                    if not ideal:
-                        journal.append(("unpush", astq.queue[-1]))
                 p.refcount += 1
-                journal.append(("ref", p))
                 p.last_use = rf_now
                 if first and reg == rs1:
                     d.p_rs1 = p
@@ -585,29 +556,18 @@ class VcaRename(RenameEngine):
                     d.p_rs2 = p
                 first = False
 
-        # Destination.
+        # Destination.  Nothing after its allocation can fail, so it
+        # is not journaled.
         if dest_laddr is not None:
-            if rsid_tab is None:
-                rs_k = 0
-                woff_k = dest_laddr >> 3
-            else:
-                rs_k = rsid_get(dest_laddr >> rsid_bits)
-                if rs_k is not None:
-                    clk = rsid_tab._clock + 1
-                    rsid_tab._clock = clk
-                    rsid_last[rs_k] = clk
-                    woff_k = (dest_laddr & rsid_mask) >> 3
-                else:
-                    key = self._key_for(dest_laddr, journal)
-                    if key is None:
-                        self.stalls["rsid_flush"] += 1
-                        return False
-                    rs_k, woff_k = key
-            key = (rs_k, woff_k)
-            sset = tbl_sets[(woff_k ^ (woff_k >> 6) ^ (rs_k * 21))
-                            & tbl_mask]
-            idx = sset.get(key)  # peek: no lookup-counter update
-            prev = None if idx is None else regs[idx]
+            probe = probes_get(dest_laddr)
+            if probe is None:
+                probe = self._translate(dest_laddr, journal)
+                if probe is None:
+                    return False
+            elif rsid_tab is not None:
+                rsid_last[probe[0]] = rsid_tick()
+            _, key, sset = probe
+            prev = sset.get(key)  # not a probe: no tag_hit/tag_miss
             p = self._alloc(key, journal, exclude=prev, sset=sset)
             if p is None:
                 return False
@@ -616,17 +576,60 @@ class VcaRename(RenameEngine):
             p.committed = False
             p.refcount = 1
             # set_mapping, inlined: _alloc guaranteed a way, and the
-            # entry at ``key`` (prev) is shielded from eviction, so
-            # ``idx`` still identifies the displaced mapping.
-            if idx is not None:
+            # entry at ``key`` (prev) is shielded from eviction, so it
+            # is still the displaced mapping.
+            if prev is not None:
                 prev.in_table = False
-            sset[key] = p.idx
+            sset[key] = p
             p.in_table = True
-            journal.append(("dest", key, prev))
             d.pdst = p
             d.prev_pdst = prev
             d.dest_key = key
         return True
+
+    def _translate(self, laddr: int, journal: List[Undo]):
+        """The rename probe's cold path: translate ``laddr`` through the
+        RSID table (installing an RSID if one is free) and remember the
+        result in ``_probes``.  Returns ``(rsid, key, table set)``, or
+        None when an RSID flush must run first (a stall)."""
+        key = self._key_for(laddr, journal)
+        if key is None:
+            self.stalls["rsid_flush"] += 1
+            return None
+        probe = (key[0], key, self.table._set_of(key))
+        self._probes[laddr] = probe
+        return probe
+
+    def _obs_probe(self, d, laddr: int, reg: int, hit: bool) -> None:
+        tr = self.trace
+        if tr.enabled:
+            tr.emit(self.clock(), d.tid, "tag_hit" if hit else "tag_miss",
+                    laddr=laddr, reg=reg)
+        m = self.metrics
+        if m is not None:
+            m.inc("rename.tag_hit" if hit else "rename.tag_miss")
+
+    def _fill_miss(self, key: Tuple[int, int], laddr: int, sset: dict,
+                   journal: List[Undo]) -> Optional[PhysReg]:
+        """A source that missed in the rename table: allocate a
+        register, map it and queue its fill, journaling each step.
+        None means a stall."""
+        astq = self._astq
+        if astq is not None and not astq.can_write(1):
+            self.stalls["astq_full"] += 1
+            return None
+        p = self._alloc(key, journal, sset=sset)
+        if p is None:
+            return None
+        journal.append(("unfree", p))
+        p.laddr = laddr
+        p.committed = False
+        self.table.set_mapping(key, p)
+        journal.append(("unmap", key))
+        self._fill(p, laddr)
+        if astq is not None:
+            journal.append(("unpush", astq.queue[-1]))
+        return p
 
     # -- retire / recover -----------------------------------------------------------
     def on_commit(self, d) -> None:
@@ -709,7 +712,7 @@ class VcaRename(RenameEngine):
             if rs is None:  # space not resident: the value is in memory
                 return self.hierarchy.read_word(laddr)
             key = (rs, woff)
-        p = self.table.peek(key)
+        p = self.table.lookup(key)
         if p is not None:
             return p.value
         # An evicted committed value whose spill has not issued yet

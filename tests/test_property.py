@@ -16,8 +16,9 @@ from repro.mem.hierarchy import MemoryHierarchy
 from repro.models import build_engine
 from repro.pipeline.alu import execute
 from repro.pipeline.dyninst import DynInst
-from repro.rename.regfile import PhysRegFile
+from repro.rename.regfile import PhysReg, PhysRegFile
 from repro.rename.rsid import RsidTable
+from repro.rename.table import VcaRenameTable
 
 u64 = st.integers(min_value=0, max_value=MASK64)
 small = st.integers(min_value=0, max_value=1 << 20)
@@ -192,6 +193,88 @@ class TestRegfileProperties:
                 rf.unpin(pinned.pop())
             rf.check_invariants()
         assert rf.n_free + rf.n_in_use == 8
+
+
+    @given(ops=st.lists(st.sampled_from(["alloc", "use", "free",
+                                         "unfree"]),
+                        min_size=1, max_size=200))
+    @settings(max_examples=100)
+    def test_alloc_returns_a_reset_register(self, ops):
+        # alloc() resets only the fields free() and unfree() leave
+        # stale, so whatever a register went through, it must come
+        # back as PhysReg.reset() leaves it.
+        fields = ("value", "ready", "committed", "dirty", "refcount",
+                  "laddr", "doomed", "in_table", "from_fill")
+        fresh = [getattr(PhysReg(0), f) for f in fields]
+        rf = PhysRegFile(4)
+        live = []
+        for op in ops:
+            rf.now += 1
+            if op == "alloc":
+                p = rf.alloc()
+                if p is not None:
+                    assert [getattr(p, f) for f in fields] == fresh
+                    assert p.last_use == rf.now and not p.is_free
+                    live.append(p)
+            elif op == "use" and live:
+                p = live[-1]
+                p.value, p.ready, p.committed, p.dirty = 2.5, True, True, True
+                p.laddr, p.doomed, p.from_fill = 64, True, True
+            elif op == "free" and live:
+                rf.free(live.pop(0))
+            elif op == "unfree" and live:
+                rf.unfree(live.pop())
+
+
+def _scan_victim(sets, regfile, exclude, min_age):
+    """Per-entry reference for the rename table's victim searches: the
+    least recently used cached register, the first in set order then
+    insertion order on a tie."""
+    horizon = regfile.now - min_age
+    best = None
+    for s in sets:
+        for k, reg in s.items():
+            if reg is exclude or reg.last_use > horizon:
+                continue
+            if reg.cached and (best is None
+                               or reg.last_use < best[1].last_use):
+                best = k, reg
+    return best
+
+
+class TestRenameTableVictims:
+    @given(entries=st.lists(st.tuples(
+               st.integers(0, 63), st.integers(0, 6),
+               st.sampled_from([True, True, True, False]),
+               st.sampled_from([0, 0, 0, 1, 2]),
+               st.sampled_from([False, False, False, True])),
+               max_size=60),
+           now=st.integers(0, 8), min_age=st.integers(0, 3),
+           exclude_at=st.integers(0, 40))
+    @settings(max_examples=200)
+    def test_victims_match_an_entry_scan(self, entries, now, min_age,
+                                         exclude_at):
+        # Few distinct stamps and mostly cached values, so most
+        # searches break a tie between candidates.
+        rf = PhysRegFile(64)
+        t = VcaRenameTable(8, 4, rf)
+        for woff, last_use, committed, refcount, doomed in entries:
+            key = (woff % 3, woff)
+            if not t.has_room(key):
+                continue
+            p = rf.alloc()
+            p.last_use, p.committed = last_use, committed
+            p.refcount, p.doomed = refcount, doomed
+            t.set_mapping(key, p)
+        rf.now = now
+        regs = [r for _, r in t.entries()]
+        exclude = regs[exclude_at] if exclude_at < len(regs) else None
+        assert (t.find_global_victim(exclude, min_age)
+                == _scan_victim(t._sets, rf, exclude, min_age))
+        for key in {k for k, _ in t.entries()}:
+            assert (t.find_set_victim(key, exclude, min_age)
+                    == _scan_victim([t._set_of(key)], rf, exclude,
+                                    min_age))
 
 
 class TestRsidProperties:

@@ -157,7 +157,7 @@ class TestVca:
         call = dyn(make_call(10), seq=0)
         eng.try_rename(call)
         # RA's current laddr (new window) maps to the call's dest.
-        assert eng.table.peek(eng._key_for(ctx.laddr(RA_REG), [])) is call.pdst
+        assert eng.table.lookup(eng._key_for(ctx.laddr(RA_REG), [])) is call.pdst
 
     def test_ret_source_read_in_old_window(self):
         eng = make_engine("vca", abi="windowed")
