@@ -456,9 +456,11 @@ def seed_machine(machine: Pipeline, program: Program,
         lo = base + max(0, ckpt.depth - 8) * WINDOW_STRIDE_BYTES
         hi = base + (ckpt.depth + 2) * WINDOW_STRIDE_BYTES
         hierarchy.warm(lo, hi)
-    # Recently touched data, oldest first so the LRU order of the
-    # warmed sets matches recency (install never counts stats).  The
-    # traces are bounded at capture (``WARMUP_WINDOW`` entries).
+    # Recently touched data, oldest first (install never counts
+    # stats).  A block goes in as MRU on its first install and keeps
+    # its place after that, so a warmed set is ordered by each
+    # block's oldest touch in the trace, not its latest.  The traces
+    # are bounded at capture (``WARMUP_WINDOW`` entries).
     hierarchy.l2.install(warm.mem)
     hierarchy.dl1.install(warm.mem)
     # The replay mirrors misprediction recovery, so the global history

@@ -98,6 +98,18 @@ class TestCache:
         assert c.stats.accesses == 0
         assert c.access(0x40, write=False) == 3  # warm hit
 
+    def test_install_leaves_a_resident_block_in_place(self):
+        # Installing does not promote: re-installing a resident block
+        # leaves its set's LRU order as it was, so a warmup trace
+        # installed oldest first does not order a set by recency.
+        c = Cache("t", self.cfg(), mem_latency=100)
+        c.install([0, 1024])  # one set: 1024 is MRU, 0 is LRU
+        before = [list(e) for e in c._sets[0]]
+        c.install([0])
+        assert c._sets[0] == before
+        c.access(2048, write=False)  # a miss in the full set
+        assert not c.contains(0) and c.contains(1024)
+
     def test_flush(self):
         c = Cache("t", self.cfg(), mem_latency=100)
         c.access(0, write=False)
