@@ -9,6 +9,7 @@ buffer — not added to the requester's latency).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -70,8 +71,10 @@ class Cache:
             raise ValueError("block size must be a power of two")
         self._hit_latency = cfg.hit_latency
         self._assoc = cfg.assoc
-        # Each set: ordered list of [tag, dirty]; index 0 = MRU.
-        self._sets: List[List[List]] = [[] for _ in range(n_sets)]
+        # Each set: ordered list of [tag, dirty]; index 0 = MRU.  Sets
+        # are created on first touch: a machine is built per sampled
+        # interval, and most of the L2's 4096 sets stay empty in one.
+        self._sets: Dict[int, List[List]] = defaultdict(list)
 
     # ------------------------------------------------------------------
     def access(self, addr: int, write: bool, kind: str = "load") -> int:
@@ -117,8 +120,9 @@ class Cache:
         """Insert each address's block as clean, in order, without
         counting stats.
 
-        A block already present keeps its place; a new one goes in as
-        MRU, evicting the LRU way of a full set without a writeback.
+        A block already present keeps its place (installing does not
+        promote it to MRU); a new one goes in as MRU, evicting the LRU
+        way of a full set without a writeback.
         Used for warm-start: the paper warms every simulation for 5M
         instructions, which our complete-but-short synthetic runs
         cannot afford; pre-installing each thread's data segment
@@ -150,9 +154,8 @@ class Cache:
         block = addr >> self._block_shift
         idx = block & self._set_mask
         tag = block >> (self._set_mask.bit_length())
-        return any(e[0] == tag for e in self._sets[idx])
+        return any(e[0] == tag for e in self._sets.get(idx, ()))
 
     def flush(self) -> None:
         """Invalidate every block (no writebacks; testing aid)."""
-        for ways in self._sets:
-            ways.clear()
+        self._sets.clear()
