@@ -66,14 +66,23 @@ def _has_metrics(workloads) -> bool:
 
 def load_result(path) -> Dict:
     """A ``python -m bench run --out`` file.  A run with a failed
-    operation measured a different program, so it is refused."""
+    operation measured a different program, so it is refused, and so
+    is a file that does not say how many failed (a history entry
+    copied out of ``BENCH_perf.json`` has no failure count)."""
     doc = _read_json(path)
     if not (isinstance(doc, dict) and "provenance" in doc
             and _has_metrics(doc.get("workloads"))):
         raise BenchDataError(f"{path}: not a `python -m bench run --out` "
                              f"result")
+    uncounted = [name for name, res in doc["workloads"].items()
+                 if "failed" not in res]
+    if uncounted:
+        raise BenchDataError(f"{path}: no failure count (`failed`) for "
+                             f"{', '.join(uncounted)}; is it a history "
+                             f"entry rather than a `python -m bench run "
+                             f"--out` result?")
     failed = [name for name, res in doc["workloads"].items()
-              if res.get("failed") != 0]
+              if res["failed"] != 0]
     if failed:
         raise BenchDataError(f"{path}: operations failed in "
                              f"{', '.join(failed)}")

@@ -661,6 +661,22 @@ class TestBenchDiff:
             assert bench_diff(fine, other, report_only=True) == 2
         capsys.readouterr()
 
+    def test_result_without_failure_counts_is_refused_by_name(
+            self, tmp_path, capsys):
+        # A history entry has params and metrics but no failure count:
+        # refused, with a message that says what is missing rather
+        # than reporting failures that never happened.
+        from repro.experiments.benchdiff import bench_diff, load_history
+        hist = _history(tmp_path, _bench_result({"wall_s": 10.0}),
+                        _bench_result({"wall_s": 9.0}, "figures-smt"))
+        entry = dict(load_history(hist)[0])
+        entry["workloads"].update(load_history(hist)[1]["workloads"])
+        assert bench_diff(_write(tmp_path, entry), hist) == 2
+        err = capsys.readouterr().err
+        assert "no failure count (`failed`) for figures-rw, " \
+               "figures-smt" in err
+        assert "operations failed" not in err
+
     def test_record_refuses_and_leaves_history_untouched(self, tmp_path,
                                                          capsys):
         from repro.experiments.benchdiff import bench_record
