@@ -129,6 +129,11 @@ class Pipeline:
         self.rob: List[deque] = [deque() for _ in programs]
         self._rename_rr = 0
         self._commit_rr = 0
+        # Rename and commit visit the threads round-robin: order ``rr``
+        # starts at thread ``rr``.
+        n = len(programs)
+        self._rr_orders = [tuple((rr + i) % n for i in range(n))
+                           for rr in range(n)]
         self.iq_count = 0
         self.lsq_count = 0
         self._ready: List = []          # heap of (seq, DynInst)
@@ -415,8 +420,7 @@ class Pipeline:
         pc = t.next_pc
         self._il1_access(_ICACHE_BASE + pc * 8, write=False, kind="ifetch")
         predictor = self.predictor
-        tr = self.trace
-        tr_on = tr.enabled
+        tr_on = self.trace.enabled
         ready_at = now + self._front_latency
         pool = self._pool
         enqueue = front[tid].append
@@ -436,8 +440,8 @@ class Pipeline:
                 d = DynInst(seq, tid, pc, ins)
             seq += 1
             if tr_on:
-                tr.emit(now, tid, "fetch", seq=d.seq, pc=pc,
-                        asm=ins.disassemble())
+                self.trace.emit(now, tid, "fetch", seq=d.seq, pc=pc,
+                                asm=ins.disassemble())
             enqueue((ready_at, d))
             kind = ins.ctrl_kind
             if kind:
@@ -498,15 +502,15 @@ class Pipeline:
         lsq_size = cfg.lsq_size
         rob_share = self._rob_share
         rob = self.rob
-        stalls = engine.stalls
         try_rename = engine.try_rename
         waiters = self._waiters
-        tr = self.trace
-        tr_on = tr.enabled
-        for i in range(n):
-            tid = rr + i
-            if tid >= n:
-                tid -= n
+        tr_on = self.trace.enabled
+        # The IQ and LSQ occupancy counts live in locals until the stage
+        # ends; a full IQ or LSQ, or a window trap, ends it for every
+        # thread (budget = 0).
+        iq_count = self.iq_count
+        lsq_count = self.lsq_count
+        for tid in self._rr_orders[rr]:
             queue = front[tid]
             robq = rob[tid]
             while budget and queue:
@@ -518,20 +522,22 @@ class Pipeline:
                     continue
                 ins = d.instr
                 if len(robq) >= rob_share:
-                    stalls["rob_full"] += 1
+                    engine.stalls["rob_full"] += 1
                     break
                 simple = ins.is_simple
-                if not simple and self.iq_count >= iq_size:
-                    stalls["iq_full"] += 1
-                    return
-                if ins.is_mem and self.lsq_count >= lsq_size:
-                    stalls["lsq_full"] += 1
-                    return
+                if not simple and iq_count >= iq_size:
+                    engine.stalls["iq_full"] += 1
+                    budget = 0
+                    break
+                if ins.is_mem and lsq_count >= lsq_size:
+                    engine.stalls["lsq_full"] += 1
+                    budget = 0
+                    break
                 if not try_rename(d):
                     break
                 queue.popleft()
                 if tr_on:
-                    tr.emit(now, tid, "rename", seq=d.seq)
+                    self.trace.emit(now, tid, "rename", seq=d.seq)
                 robq.append(d)
                 budget -= 1
                 if simple:
@@ -558,17 +564,21 @@ class Pipeline:
                         unready += 1
                     d.n_unready = unready
                     d.in_iq = True
-                    self.iq_count += 1
+                    iq_count += 1
                     if ins.is_mem:
-                        self.lsq_count += 1
+                        lsq_count += 1
                         if ins.is_store:
                             self._stores[tid].append(d)
                     if not unready:
                         heappush(self._ready, (d.seq, d))
                 if engine.trap_request is not None:
-                    return  # underflow: stall rename behind this return
+                    # Underflow: stall rename behind this return.
+                    budget = 0
+                    break
             if not budget:
                 break
+        self.iq_count = iq_count
+        self.lsq_count = lsq_count
 
     def _wakeup(self, preg) -> None:
         waiters = self._waiters.pop(preg.idx, None)
@@ -595,8 +605,7 @@ class Pipeline:
         int_slots = self._int_alus
         fp_slots = self._fp_units
         deferred = None
-        tr = self.trace
-        tr_on = tr.enabled
+        tr_on = self.trace.enabled
         wheel = self._wheel
         latencies = self._latency
         complete_exec = self._complete_exec
@@ -621,9 +630,8 @@ class Pipeline:
                 int_slots -= 1
             d.issued = True
             d.in_iq = False
-            self.iq_count -= 1
             if tr_on:
-                tr.emit(now, d.tid, "issue", seq=d.seq)
+                self.trace.emit(now, d.tid, "issue", seq=d.seq)
             # Loads/stores take one AGU cycle; the cache access follows.
             latency = 1 if ins.is_mem else latencies[ins.latency_class]
             when = now + latency
@@ -633,6 +641,7 @@ class Pipeline:
             else:
                 slot.append((complete_exec, d))
             budget -= 1
+        self.iq_count -= self._width - budget  # one per issued
         if deferred:
             for d in deferred:
                 heappush(ready, (d.seq, d))
@@ -655,12 +664,11 @@ class Pipeline:
                 self._loads_dirty = True
             loads.append(d)
             return
-        tr = self.trace
         if ins.is_store:
             d.mem_addr, d.store_val = res
             d.done = True  # the data-cache write happens at commit
-            if tr.enabled:
-                tr.emit(self.cycle, d.tid, "writeback", seq=d.seq)
+            if self.trace.enabled:
+                self.trace.emit(self.cycle, d.tid, "writeback", seq=d.seq)
             return
         is_branch = ins.is_branch
         if is_branch:
@@ -673,8 +681,8 @@ class Pipeline:
             pdst.ready = True
             self._wakeup(pdst)
         d.done = True
-        if tr.enabled:
-            tr.emit(self.cycle, d.tid, "writeback", seq=d.seq)
+        if self.trace.enabled:
+            self.trace.emit(self.cycle, d.tid, "writeback", seq=d.seq)
         if is_branch:
             d.actual_taken = taken
             d.actual_target = target
@@ -825,10 +833,7 @@ class Pipeline:
             if rob[0]:
                 self._commit_thread(now, 0, budget)
             return
-        for i in range(n):
-            tid = rr + i
-            if tid >= n:
-                tid -= n
+        for tid in self._rr_orders[rr]:
             if rob[tid]:
                 budget = self._commit_thread(now, tid, budget)
                 if not budget:
@@ -838,23 +843,17 @@ class Pipeline:
         """Commit up to ``budget`` of thread ``tid``'s oldest
         instructions; returns the budget left."""
         rob = self.rob[tid]
-        stats = self.stats
-        t = stats.threads[tid]
-        th = self.threads[tid]
+        t = self.stats.threads[tid]
         engine = self.engine
         on_commit = engine.on_commit
-        hierarchy = self.hierarchy
-        ports = self._dl1_ports
-        stores = self._stores[tid]
-        pool = self._pool
+        pool_append = self._pool.append
         # The window-trap sequencer may still hold a reference to a
         # committed instruction (a conventional underflow's trap
         # request pins the committed return until the trap fires or
         # is cancelled), so that one is not recycled.
         req = engine.trap_request
         pinned = req.din if req is not None else None
-        tr = self.trace
-        tr_on = tr.enabled
+        tr_on = self.trace.enabled
         hook = self.commit_hook
         start = budget
         while budget and rob:
@@ -863,10 +862,12 @@ class Pipeline:
                 break
             ins = d.instr
             if ins.is_store:
-                if not ports.try_acquire():
+                if not self._dl1_ports.try_acquire():
                     break  # no store port this cycle; retry
+                hierarchy = self.hierarchy
                 hierarchy.dl1_access(d.mem_addr, write=True, kind="store")
                 hierarchy.write_word(d.mem_addr, d.store_val)
+                stores = self._stores[tid]
                 if not stores or stores[0] is not d:  # pragma: no cover
                     raise SimulationError("store commit out of LSQ order")
                 stores.pop(0)
@@ -877,10 +878,9 @@ class Pipeline:
             if hook is not None:
                 hook(d)
             if tr_on:
-                tr.emit(now, tid, "commit", seq=d.seq, pc=d.pc)
-            t.committed += 1
+                self.trace.emit(now, tid, "commit", seq=d.seq, pc=d.pc)
             if ins.is_cond_branch:
-                stats.cond_branches += 1
+                self.stats.cond_branches += 1
                 t.cond_branches += 1
                 self.predictor.train(d.pred_cp, d.actual_taken,
                                      d.pred_taken)
@@ -893,6 +893,7 @@ class Pipeline:
             elif ins.is_call:
                 t.calls += 1
             elif ins.is_halt:
+                th = self.threads[tid]
                 th.halted = True
                 th.fetch_halted = True
                 t.halted = True
@@ -900,10 +901,15 @@ class Pipeline:
                 self._halted_count += 1
             rob.popleft()
             budget -= 1
-            if len(pool) < _DYNINST_POOL and d is not pinned:
-                pool.append(d)
+            if d is not pinned:
+                pool_append(d)
         if budget != start:
+            t.committed += start - budget
             self._last_commit = now
+            # Keep the pool bounded (recycling only saves allocations).
+            pool = self._pool
+            if len(pool) > _DYNINST_POOL:
+                del pool[_DYNINST_POOL:]
         return budget
 
     # ==================================================================
