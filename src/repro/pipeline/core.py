@@ -70,14 +70,23 @@ _SEQ_KEY = attrgetter("seq")
 class ThreadState:
     """Fetch-side state of one hardware thread."""
 
-    __slots__ = ("tid", "program", "next_pc", "fetch_halted", "halted")
+    __slots__ = ("tid", "program", "stats", "next_pc", "fetch_halted",
+                 "halted")
 
-    def __init__(self, tid: int, program: Program) -> None:
+    def __init__(self, tid: int, program: Program,
+                 stats: ThreadStats) -> None:
         self.tid = tid
         self.program = program
+        self.stats = stats
         self.next_pc = program.entry
         self.fetch_halted = False
         self.halted = False
+
+    def icount(self):
+        """ICOUNT's fetch priority: instructions in flight (fetched,
+        and neither committed nor squashed), then the thread id."""
+        s = self.stats
+        return s.fetched - s.committed - s.squashed, self.tid
 
 
 class Pipeline:
@@ -101,7 +110,9 @@ class Pipeline:
         hierarchy.attach_obs(self.trace, metrics, clock)
         self._stall_run = 0         # rename-stall run-length tracking
         self.predictor = HybridPredictor()
-        self.threads = [ThreadState(i, p) for i, p in enumerate(programs)]
+        self.stats = SimStats(threads=[ThreadStats() for _ in programs])
+        self.threads = [ThreadState(i, p, self.stats.threads[i])
+                        for i, p in enumerate(programs)]
         for t in self.threads:
             hierarchy.memory.load_image(t.program.data)
             hierarchy.warm(t.program.data_base, t.program.data_end)
@@ -110,7 +121,6 @@ class Pipeline:
         self.cycle = 0
         self._seq = 0
         self._last_commit = 0
-        self.stats = SimStats(threads=[ThreadStats() for _ in programs])
         #: Optional callable invoked with each DynInst as it commits,
         #: in program order (per thread).  Used by the differential
         #: co-simulation tests to compare the commit stream against the
@@ -409,11 +419,8 @@ class Pipeline:
             if not eligible:
                 return
             # ICOUNT: fetch for the thread with the fewest in-flight
-            # instructions (fetched, and neither committed nor squashed).
-            tstats = self.stats.threads
-            t = min(eligible, key=lambda th: (
-                tstats[th.tid].fetched - tstats[th.tid].committed
-                - tstats[th.tid].squashed, th.tid))
+            # instructions.
+            t = min(eligible, key=ThreadState.icount)
         tid = t.tid
         code = t.program.code
         n_code = len(code)
@@ -475,7 +482,7 @@ class Pipeline:
                 break
             pc += 1
         t.next_pc = pc
-        self.stats.threads[tid].fetched += seq - first_seq
+        t.stats.fetched += seq - first_seq
         self._seq = seq
 
     # ==================================================================
