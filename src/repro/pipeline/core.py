@@ -473,7 +473,8 @@ class Pipeline:
                     # JMP falls through to pc+1 (always mispredicts).
                 if next_pc != pc + 1:
                     # Taken-predicted control: redirect next cycle.
-                    # (reinit predicted pc + 1 for everything else.)
+                    # Every other instruction keeps the pc + 1
+                    # prediction reinit gave it.
                     d.pred_next_pc = pc = next_pc
                     break
             elif ins.is_halt:

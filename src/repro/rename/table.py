@@ -103,9 +103,40 @@ class VcaRenameTable:
                            min_age: int = 0
                            ) -> Optional[Tuple[Key, PhysReg]]:
         """LRU evictable entry across the whole table (used when the
-        free list is empty but the target set still has room).  Ties
-        go to the first entry in set order, then insertion order."""
-        return _lru_cached(self._sets, exclude, self.regfile.now - min_age)
+        free list is empty but the target set still has room): the
+        victim :meth:`find_set_victim`'s scan would pick from one set
+        holding every entry, in set order then insertion order.
+
+        Scanning every entry in Python would cost a visit per entry,
+        so the entries and their ``last_use`` stamps are gathered by
+        C-level iteration and only candidates are tested, oldest first.
+        Usually the oldest entry is a cached value and the only one
+        tested.
+        """
+        horizon = self.regfile.now - min_age
+        sets = self._sets
+        regs = list(chain.from_iterable(map(dict.values, sets)))
+        if not regs:
+            return None
+        uses = list(map(_LAST_USE, regs))
+        oldest = min(uses)
+        if oldest > horizon:
+            return None
+        i = uses.index(oldest)
+        reg = regs[i]
+        if reg is exclude or not reg.cached:
+            # Every candidate in last-use order; the sort is stable, so
+            # equal stamps stay in set order, then insertion order.
+            for i in sorted(range(len(regs)), key=uses.__getitem__):
+                reg = regs[i]
+                if reg.last_use > horizon:
+                    return None
+                if reg is not exclude and reg.cached:
+                    break
+            else:
+                return None
+        keys = chain.from_iterable(map(dict.keys, sets))
+        return next(islice(keys, i, None)), reg
 
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[Tuple[Key, PhysReg]]:
@@ -119,34 +150,3 @@ class VcaRenameTable:
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
 
-
-def _lru_cached(sets: List[Dict[Key, PhysReg]], exclude: Optional[PhysReg],
-                horizon: int) -> Optional[Tuple[Key, PhysReg]]:
-    """The least recently used cached register (``PhysReg.cached``)
-    other than ``exclude`` and last used no later than ``horizon``,
-    with its key; the first in ``sets`` order wins a tie, as in
-    :meth:`VcaRenameTable.find_set_victim`'s scan of one set.
-
-    A scan of the whole table would visit every entry in Python, so
-    the entries and their ``last_use`` stamps are gathered by C-level
-    iteration and only candidates are tested, oldest first.  Usually
-    the oldest entry is a cached value and is the only one tested.
-    """
-    regs = list(chain.from_iterable(map(dict.values, sets)))
-    uses = list(map(_LAST_USE, regs))
-    if not uses or min(uses) > horizon:
-        return None
-    i = uses.index(min(uses))
-    reg = regs[i]
-    if reg is exclude or not reg.cached:
-        # Every candidate in last-use order; the sort is stable, so
-        # equal stamps stay in set order, then insertion order.
-        for i in sorted(range(len(regs)), key=uses.__getitem__):
-            reg = regs[i]
-            if reg.last_use > horizon:
-                return None
-            if reg is not exclude and reg.cached:
-                break
-        else:
-            return None
-    return next(islice(chain.from_iterable(map(dict.keys, sets)), i, None)), reg

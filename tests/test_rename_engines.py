@@ -157,7 +157,8 @@ class TestVca:
         call = dyn(make_call(10), seq=0)
         eng.try_rename(call)
         # RA's current laddr (new window) maps to the call's dest.
-        assert eng.table.lookup(eng._key_for(ctx.laddr(RA_REG), [])) is call.pdst
+        key = eng._key_for(ctx.laddr(RA_REG), [])
+        assert eng.table.lookup(key) is call.pdst
 
     def test_ret_source_read_in_old_window(self):
         eng = make_engine("vca", abi="windowed")
