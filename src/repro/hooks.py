@@ -35,12 +35,17 @@ class NullTracer:
     identity) when tracing is off.
     """
 
-    __slots__ = ()
+    __slots__ = ("enabled",)
 
-    #: Instrumentation sites check this before building any event.
-    enabled: bool = False
     #: No sinks; compatible with code that iterates ``tracer.sinks``.
     sinks: tuple = ()
+
+    def __init__(self) -> None:
+        #: Instrumentation sites check this before building any event.
+        #: An instance slot rather than a class attribute: reading a
+        #: slot is the cheaper of the two, and untraced runs read it
+        #: several times per simulated instruction.  Never set it.
+        self.enabled = False
 
     def emit(self, cycle: int, tid: int, kind: str, **fields) -> None:
         """Discard the event (tracing is off)."""
