@@ -2,9 +2,10 @@
 
 :class:`StageProfile` wraps the pipeline's stage methods
 (``_writeback`` … ``_fetch``) with ``perf_counter`` timers on a single
-:class:`~repro.pipeline.core.Pipeline` *instance* — ``Pipeline.step``
-deliberately looks each stage up through ``self`` so this works
-without subclassing or touching the hot path of unprofiled runs.
+:class:`~repro.pipeline.core.Pipeline` *instance* — each run looks
+the stages up through ``self`` once, when it starts, so a profile
+attached before ``run()`` works without subclassing or touching the
+hot path of unprofiled runs.
 
 The timers answer "where does wall-clock time go *per simulated
 cycle*": each stage's share of the measured stage time is converted
