@@ -87,7 +87,9 @@ class VcaRenameTable:
         recently used values: a cached register touched within the
         last ``min_age`` cycles is part of the live working set, and
         evicting it would only trigger an immediate refill (the
-        fill-evict-fill thrash loop); rename stalls instead.
+        fill-evict-fill thrash loop); rename stalls instead.  A set
+        holds at most ``assoc`` entries, so a plain scan is cheaper
+        here than :meth:`find_global_victim`'s gathering.
         """
         horizon = self.regfile.now - min_age
         best: Optional[Tuple[Key, PhysReg]] = None
