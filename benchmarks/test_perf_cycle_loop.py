@@ -5,7 +5,7 @@ Simulated cycles per wall-clock second must be at least
 ``fib`` diagnostic and a generator workload (``gzip_graphic``).  The
 pre-optimization tree is commit ``BASELINE_COMMIT``: the test extracts
 its ``src/`` with ``git archive`` and times the same :func:`_machine`
-runs there, in a subprocess, on the same host in the same session, so
+runs there, in a subprocess, on the same host during the same test, so
 the ratio does not depend on which machine runs the test.  That tree
 has the same ``MachineConfig``/``build_machine``/``benchmark_program``
 API.
