@@ -4,12 +4,12 @@ from .interp import (
     FUNCTIONAL_MODES, MASK64, FunctionalError, FunctionalSim,
     FunctionalStats, to_signed,
 )
-from .blocks import BlockTable, advance_blocks, block_table, run_blocks
+from .blocks import BlockTable, advance, block_table, run_blocks
 from .pathlength import PathLengthResult, measure_path_length
 
 __all__ = [
     "FUNCTIONAL_MODES", "MASK64", "FunctionalError", "FunctionalSim",
     "FunctionalStats", "to_signed",
-    "BlockTable", "advance_blocks", "block_table", "run_blocks",
+    "BlockTable", "advance", "block_table", "run_blocks",
     "PathLengthResult", "measure_path_length",
 ]

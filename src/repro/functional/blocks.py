@@ -31,14 +31,13 @@ Correctness contract (kept bit-exact vs. the interpreter; enforced by
 * ``FunctionalStats`` and architectural state (``save_state``) are
   identical to interp-mode execution at every block boundary, and any
   instruction boundary is reachable exactly because bounded execution
-  (:func:`advance_blocks`) falls back to per-instruction ``step()``
-  for a partial block.
+  (:func:`advance`) falls back to per-instruction ``step()`` for a
+  partial block.
 * ``CheckpointingSim`` capture still works: memory traffic flows
   through the *bound* ``read_mem``/``write_mem`` methods, and branch /
   return-address-stack capture is emitted into the terminators behind
-  the ``sim._cap`` flag that :func:`repro.sampling.checkpoint.fast_forward`
-  raises, mirroring interp mode where capture is a fast-forward
-  feature.
+  the ``sim._cap`` class attribute, which ``CheckpointingSim`` sets
+  and whose ``step()`` captures the same outcomes per instruction.
 * On a raised :class:`FunctionalError` (unaligned access, bad PC, ...)
   statistics and ``sim.pc`` reflect the last completed block boundary
   rather than the faulting instruction.  These paths are fatal in both
@@ -56,7 +55,7 @@ and therefore invalidates too.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.asm.program import Program
 from repro.functional.interp import (FunctionalError, FunctionalSim,
@@ -64,8 +63,8 @@ from repro.functional.interp import (FunctionalError, FunctionalSim,
 from repro.isa.opcodes import Op
 from repro.isa.registers import WINDOW_REGS, is_windowed, window_slot
 
-__all__ = ["BlockTable", "block_table", "run_blocks", "advance_blocks",
-           "run_intervals", "advance_bbv", "MAX_BLOCK_LEN"]
+__all__ = ["BlockTable", "block_table", "run_blocks", "advance",
+           "MAX_BLOCK_LEN", "BBV_BUCKET"]
 
 SIGN64 = 1 << 63
 TWO64 = 1 << 64
@@ -74,6 +73,10 @@ TWO64 = 1 << 64
 #: transfer, emitting a synthetic fall-through terminator; bounds the
 #: size of any one compiled function.
 MAX_BLOCK_LEN = 256
+
+#: Static-code granularity of the basic-block vector: instruction
+#: indices are bucketed by ``pc // BBV_BUCKET``.
+BBV_BUCKET = 8
 
 #: Ops whose interp arm does ``st.fp_ops += 1``.
 _FP_STAT_OPS = (Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV, Op.FCMPLT,
@@ -98,36 +101,26 @@ class _Binding:
 
 
 class BlockDesc:
-    """One decoded basic block: its compiled body plus static facts."""
+    """One decoded basic block: its compiled body plus static facts.
 
-    __slots__ = ("start", "n", "fn", "_bucket_runs")
+    ``bbv_runs`` holds the ``(bucket_id, count)`` run-lengths of the
+    block's PCs.  PCs are consecutive, so bucket ids are increasing
+    and the pair order equals the first-touch order a per-instruction
+    profiler would produce: BBV dicts built from these runs are
+    identical, insertion order included, to interp-mode profiling.
+    """
+
+    __slots__ = ("start", "n", "fn", "bbv_runs")
 
     def __init__(self, start: int, n: int, fn) -> None:
         self.start = start
         self.n = n
         self.fn = fn
-        self._bucket_runs: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-
-    def bucket_runs(self, bucket: int) -> Tuple[Tuple[int, int], ...]:
-        """``(bucket_id, count)`` run-lengths of this block's PCs.
-
-        PCs are consecutive, so bucket ids are non-decreasing and the
-        pair order equals the first-touch order a per-instruction
-        profiler would produce — BBV dicts built from these runs are
-        identical (including insertion order) to interp-mode profiling.
-        """
-        runs = self._bucket_runs.get(bucket)
-        if runs is None:
-            pairs: List[List[int]] = []
-            for pc in range(self.start, self.start + self.n):
-                b = pc // bucket
-                if pairs and pairs[-1][0] == b:
-                    pairs[-1][1] += 1
-                else:
-                    pairs.append([b, 1])
-            runs = tuple((b, c) for b, c in pairs)
-            self._bucket_runs[bucket] = runs
-        return runs
+        end = start + n
+        self.bbv_runs = tuple(
+            (b, min(end, (b + 1) * BBV_BUCKET) - max(start, b * BBV_BUCKET))
+            for b in range(start // BBV_BUCKET,
+                           (end - 1) // BBV_BUCKET + 1))
 
 
 class BlockTable:
@@ -425,38 +418,35 @@ def _binding(sim: FunctionalSim) -> _Binding:
     return b
 
 
-def _step_tail(sim: FunctionalSim, k: int, table: BlockTable) -> None:
-    """Run up to ``k`` instructions through ``step()``.
+def _step_tail(sim: FunctionalSim, k: int, table: BlockTable,
+               bbv: Optional[Dict[int, int]]) -> None:
+    """Run up to ``k`` instructions through ``step()``, counting each
+    PC's bucket into ``bbv`` when one is given.
 
     Used when the next block is longer than the remaining budget, so
-    any instruction boundary is reachable bit-exactly.  Replicates
-    ``fast_forward``'s per-step branch/RAS capture when ``sim._cap``
-    is set.
+    any instruction boundary is reachable bit-exactly.
     """
-    cap = sim._cap
-    code = table.code
     done = 0
     while done < k and not sim.halted:
-        pc = sim.pc
-        ins = code[pc] if 0 <= pc < len(code) else None
+        if bbv is not None:
+            b = sim.pc // BBV_BUCKET
+            bbv[b] = bbv.get(b, 0) + 1
         sim.step()
         done += 1
-        if cap and ins is not None and ins.is_branch:
-            if ins.is_cond_branch:
-                sim.branch_trace.append((pc, sim.pc != pc + 1))
-            elif ins.is_call:
-                sim.ras_trace.append(pc + 1)
-            elif ins.is_ret and sim.ras_trace:
-                sim.ras_trace.pop()
     table.stepped += done
 
 
-def _advance(sim: FunctionalSim, limit: int) -> None:
+def advance(sim: FunctionalSim, limit: int,
+            bbv: Optional[Dict[int, int]] = None) -> None:
     """Execute until ``stats.instructions == limit`` or ``HALT``.
 
     Whole blocks run through their compiled bodies; a block that would
     overshoot the limit falls back to per-instruction stepping, so the
-    stop point is exact.
+    stop point is exact.  Given a ``bbv`` dict, each replayed block
+    adds its :attr:`BlockDesc.bbv_runs` and each stepped instruction
+    its PC's bucket.  Splitting an interval across several calls
+    yields the same dict, content and insertion order, as one call:
+    buckets are added in PC visit order either way.
     """
     st = sim.stats
     table = block_table(sim.program)
@@ -479,11 +469,14 @@ def _advance(sim: FunctionalSim, limit: int) -> None:
                 blk = table.decode(pc)
             if blk.n > room:
                 sim.pc = pc
-                _step_tail(sim, room, table)
+                _step_tail(sim, room, table, bbv)
                 pc = sim.pc
                 continue
             pc = blk.fn(sim, st, regs, frames[-1], rdm, wrm)
             replays += 1
+            if bbv is not None:
+                for b, c in blk.bbv_runs:
+                    bbv[b] = bbv.get(b, 0) + c
     finally:
         sim.pc = pc
         table.replays += replays
@@ -497,124 +490,5 @@ def run_blocks(sim: FunctionalSim, max_instructions: int):
             raise FunctionalError(
                 f"exceeded {max_instructions} instructions "
                 f"(runaway program?)")
-        _advance(sim, max_instructions)
+        advance(sim, max_instructions)
     return st
-
-
-def advance_blocks(sim: FunctionalSim, n: int) -> int:
-    """Blocks-mode equivalent of
-    :func:`repro.sampling.checkpoint.fast_forward`'s bounded stepping:
-    execute up to ``n`` instructions, stopping early at ``HALT``;
-    returns how many actually ran."""
-    start = sim.stats.instructions
-    if n > 0 and not sim.halted:
-        _advance(sim, start + n)
-    return sim.stats.instructions - start
-
-
-def advance_bbv(sim: FunctionalSim, limit: int, bucket: int,
-                bbv: Dict[int, int]) -> None:
-    """Execute until ``stats.instructions == limit`` (or ``HALT``),
-    accumulating bucketed-PC counts into ``bbv``.
-
-    The bounded-BBV primitive of the sampler's combined
-    profile-and-checkpoint pass: :func:`run_intervals`' inner loop
-    with an absolute stop, plus ``sim._cap``-gated branch/RAS capture
-    in the per-instruction tail (replayed terminators already emit it)
-    so one pass can collect BBVs *and* checkpoint warmup traces.
-
-    Splitting an interval across several calls yields the same BBV
-    dict — content and insertion order — as one continuous pass:
-    bucket ids are appended in PC visit order either way, and
-    run-length accumulation is associative over the split.
-    """
-    st = sim.stats
-    table = block_table(sim.program)
-    blocks = table.blocks
-    bind = _binding(sim)
-    regs, rdm, wrm = bind.regs, bind.rdm, bind.wrm
-    frames = sim.frames
-    code = table.code
-    code_len = len(code)
-    cap = sim._cap
-    while not sim.halted:
-        room = limit - st.instructions
-        if room <= 0:
-            return
-        pc = sim.pc
-        if not 0 <= pc < code_len:
-            raise FunctionalError(f"PC {pc} out of range")
-        blk = blocks[pc]
-        if blk is None:
-            blk = table.decode(pc)
-        if blk.n > room:
-            done = 0
-            while done < room and not sim.halted:
-                p = sim.pc
-                b = p // bucket
-                bbv[b] = bbv.get(b, 0) + 1
-                ins = code[p] if 0 <= p < code_len else None
-                sim.step()
-                done += 1
-                if cap and ins is not None and ins.is_branch:
-                    if ins.is_cond_branch:
-                        sim.branch_trace.append((p, sim.pc != p + 1))
-                    elif ins.is_call:
-                        sim.ras_trace.append(p + 1)
-                    elif ins.is_ret and sim.ras_trace:
-                        sim.ras_trace.pop()
-            table.stepped += done
-            continue
-        sim.pc = pc
-        next_pc = blk.fn(sim, st, regs, frames[-1], rdm, wrm)
-        sim.pc = next_pc
-        table.replays += 1
-        for b, c in blk.bucket_runs(bucket):
-            bbv[b] = bbv.get(b, 0) + c
-
-
-def run_intervals(sim: FunctionalSim, interval_len: int, bucket: int):
-    """Yield ``(count, bbv)`` per fixed-length interval until ``HALT``.
-
-    Bit-identical (including BBV dict insertion order) to the
-    per-instruction loop in
-    :func:`repro.sampling.sampler.profile_intervals`: whole blocks are
-    replayed and their precomputed bucket run-lengths accumulated; a
-    block straddling the interval boundary is stepped per instruction.
-    """
-    st = sim.stats
-    table = block_table(sim.program)
-    blocks = table.blocks
-    bind = _binding(sim)
-    regs, rdm, wrm = bind.regs, bind.rdm, bind.wrm
-    frames = sim.frames
-    code_len = len(table.code)
-    while not sim.halted:
-        start = st.instructions
-        bbv: Dict[int, int] = {}
-        while not sim.halted:
-            room = interval_len - (st.instructions - start)
-            if room <= 0:
-                break
-            pc = sim.pc
-            if not 0 <= pc < code_len:
-                raise FunctionalError(f"PC {pc} out of range")
-            blk = blocks[pc]
-            if blk is None:
-                blk = table.decode(pc)
-            if blk.n > room:
-                for _ in range(room):
-                    if sim.halted:
-                        break
-                    b = sim.pc // bucket
-                    bbv[b] = bbv.get(b, 0) + 1
-                    sim.step()
-                    table.stepped += 1
-                continue
-            sim.pc = pc
-            next_pc = blk.fn(sim, st, regs, frames[-1], rdm, wrm)
-            sim.pc = next_pc
-            table.replays += 1
-            for b, c in blk.bucket_runs(bucket):
-                bbv[b] = bbv.get(b, 0) + c
-        yield st.instructions - start, bbv

@@ -17,7 +17,7 @@ in a single frame shared by all activations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.asm.program import Program
 from repro.isa.opcodes import Op
@@ -28,10 +28,10 @@ MASK64 = (1 << 64) - 1
 SIGN64 = 1 << 63
 
 #: Execution modes of :class:`FunctionalSim`.  ``interp`` is the
-#: per-instruction ``step()`` loop — the golden model, and the only
-#: path that records traces; ``blocks`` replays decoded basic blocks
-#: (``repro.functional.blocks``) and is the default, being
-#: bit-identical to ``interp`` (``tests/test_functional_blocks.py``).
+#: per-instruction ``step()`` loop — the golden model; ``blocks``
+#: replays decoded basic blocks (``repro.functional.blocks``) and is
+#: the default, being bit-identical to ``interp``
+#: (``tests/test_functional_blocks.py``).
 FUNCTIONAL_MODES = ("interp", "blocks")
 
 
@@ -78,20 +78,17 @@ class FunctionalSim:
 
     Args:
         program: the assembled binary.
-        trace: if true, record ``(pc, disassembly)`` tuples (slow; for
-            debugging only — tracing always uses the interp path).
         mode: execution mode (:data:`FUNCTIONAL_MODES`).  Both modes
             are architecturally bit-identical; ``blocks`` runs
             :meth:`run` through the decoded basic-block cache.
     """
 
-    #: Set by ``fast_forward`` and the sampler's pass while branch/RAS
-    #: capture is wanted; the compiled block terminators check it (interp
-    #: mode captures externally, per step, inside ``fast_forward``).
+    #: Whether this class records branch outcomes and the return
+    #: address stack.  The compiled block terminators check it;
+    #: ``CheckpointingSim`` sets it and captures in its ``step()``.
     _cap = False
 
-    def __init__(self, program: Program, trace: bool = False,
-                 mode: str = "blocks") -> None:
+    def __init__(self, program: Program, mode: str = "blocks") -> None:
         if mode not in FUNCTIONAL_MODES:
             raise ValueError(
                 f"unknown functional mode {mode!r} "
@@ -101,7 +98,6 @@ class FunctionalSim:
         self.stats = FunctionalStats()
         self.halted = False
         self.pc = program.entry
-        self.trace: Optional[List[str]] = [] if trace else None
         self.mode = mode
         # Epoch of the mutable state objects below; load_state bumps
         # it so the block executor rebinds (repro.functional.blocks).
@@ -181,7 +177,7 @@ class FunctionalSim:
     # ------------------------------------------------------------------
     def run(self, max_instructions: int = 50_000_000) -> FunctionalStats:
         """Execute until ``HALT``; returns the statistics."""
-        if self.mode != "interp" and self.trace is None:
+        if self.mode != "interp":
             from repro.functional.blocks import run_blocks
             return run_blocks(self, max_instructions)
         while not self.halted:
@@ -198,8 +194,6 @@ class FunctionalSim:
         if not 0 <= self.pc < len(program.code):
             raise FunctionalError(f"PC {self.pc} out of range")
         ins = program.code[self.pc]
-        if self.trace is not None:
-            self.trace.append(f"{self.pc:6d} {ins.disassemble()}")
         st = self.stats
         st.instructions += 1
         op = ins.op

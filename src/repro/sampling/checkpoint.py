@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Tuple
 
 from repro.asm.program import Program
+from repro.functional.blocks import advance
 from repro.functional.interp import FunctionalSim
 from repro.isa.registers import is_windowed, window_slot
 
@@ -174,12 +175,16 @@ class CheckpointingSim(FunctionalSim):
     """Functional interpreter that records a bounded warmup trace.
 
     Memory accesses are captured by overriding the interpreter's
-    read/write hooks; branch outcomes and the return-address stack are
-    derived by :func:`fast_forward`, which inspects each instruction
-    around :meth:`step`.  The capture windows are deques bounded at
+    read/write hooks, and branch outcomes and the return-address stack
+    by overriding :meth:`step`; in blocks mode the compiled terminators
+    capture the same outcomes because :attr:`_cap` is set.  So every
+    driver — :meth:`run`, :func:`fast_forward`, the sampler's pass —
+    records the same trace.  The capture windows are deques bounded at
     :data:`WARMUP_WINDOW` entries so arbitrarily long fast-forwards
     stay O(window).
     """
+
+    _cap = True
 
     def __init__(self, program: Program) -> None:
         super().__init__(program)
@@ -196,6 +201,18 @@ class CheckpointingSim(FunctionalSim):
         self.mem_trace.append(addr)
         super().write_mem(addr, v)
 
+    def step(self) -> None:
+        pc = self.pc
+        super().step()
+        ins = self.program.code[pc]
+        if ins.is_branch:
+            if ins.is_cond_branch:
+                self.branch_trace.append((pc, self.pc != pc + 1))
+            elif ins.is_call:
+                self.ras_trace.append(pc + 1)
+            elif ins.is_ret and self.ras_trace:
+                self.ras_trace.pop()
+
     def warmup_trace(self) -> WarmupTrace:
         """Freeze the current capture windows into a trace."""
         return WarmupTrace(mem=tuple(self.mem_trace),
@@ -206,42 +223,21 @@ class CheckpointingSim(FunctionalSim):
 def fast_forward(sim: FunctionalSim, n: int) -> int:
     """Execute up to ``n`` instructions; returns how many actually ran.
 
-    Stops early at ``HALT``.  When ``sim`` is a
-    :class:`CheckpointingSim` the conditional-branch outcomes and the
-    call stack are recorded as a side effect.
-
-    In blocks mode the bounded run goes through the decoded
-    basic-block cache (``repro.functional.blocks``): whole blocks are
-    replayed and the final partial block is stepped per instruction,
-    so the stop boundary — and the captured traces — are bit-identical
-    to interp mode.  The ``_cap`` flag scopes the block terminators'
-    branch/RAS capture to the fast-forward, mirroring how interp-mode
-    capture only happens inside this function.
+    Stops early at ``HALT``.  In blocks mode the bounded run goes
+    through the decoded basic-block cache (:func:`advance`): whole
+    blocks are replayed and the final partial block is stepped per
+    instruction, so the stop boundary — and a
+    :class:`CheckpointingSim`'s captured traces — are bit-identical to
+    interp mode, which steps every instruction.
     """
-    capture = isinstance(sim, CheckpointingSim)
-    if sim.mode != "interp" and sim.trace is None:
-        from repro.functional.blocks import advance_blocks
-        if capture:
-            sim._cap = True
-        try:
-            return advance_blocks(sim, n)
-        finally:
-            if capture:
-                sim._cap = False
-    code = sim.program.code
+    if sim.mode != "interp":
+        start = sim.stats.instructions
+        advance(sim, start + n)
+        return sim.stats.instructions - start
     done = 0
     while done < n and not sim.halted:
-        pc = sim.pc
-        ins = code[pc]
         sim.step()
         done += 1
-        if capture and ins.is_branch:
-            if ins.is_cond_branch:
-                sim.branch_trace.append((pc, sim.pc != pc + 1))
-            elif ins.is_call:
-                sim.ras_trace.append(pc + 1)
-            elif ins.is_ret and sim.ras_trace:
-                sim.ras_trace.pop()
     return done
 
 

@@ -33,6 +33,7 @@ from repro.asm.layout import WINDOW_STRIDE_BYTES, thread_window_base
 from repro.asm.program import Program
 from repro.config import MachineConfig
 from repro.hooks import current_spans
+from repro.functional.blocks import BBV_BUCKET, advance
 from repro.functional.interp import FunctionalSim, FunctionalStats
 from repro.models.factory import build_machine
 from repro.pipeline.core import _ICACHE_BASE, Pipeline
@@ -54,10 +55,6 @@ SAMPLING_MODES = ("systematic", "bbv", "bbv+mem")
 #: Metrics whose relative standard error drives the adaptive loop by
 #: default (overridable per run via ``rse_metrics``).
 DEFAULT_RSE_METRICS = ("ipc", "spills", "fills")
-
-#: Static-code granularity of the basic-block vector: instruction
-#: indices are bucketed by ``pc // BBV_BUCKET``.
-BBV_BUCKET = 8
 
 
 class SamplingError(ValueError):
@@ -224,8 +221,9 @@ def profile_intervals(program: Program, interval_len: int,
     it still gets a BBV and is a legitimate representative.
 
     ``mode`` picks the functional engine (``blocks`` or the reference
-    ``interp``).  Blocks mode replays decoded basic
-    blocks and accumulates their precomputed bucket run-lengths; the
+    ``interp``).  Blocks mode runs each interval through
+    :func:`~repro.functional.blocks.advance`, which replays decoded
+    basic blocks and adds their precomputed bucket run-lengths; the
     counts, BBVs (including dict insertion order) and totals are
     bit-identical to the per-instruction loop, which
     ``tests/test_functional_blocks.py`` asserts.  The sampler itself
@@ -238,20 +236,17 @@ def profile_intervals(program: Program, interval_len: int,
     sim = FunctionalSim(program, mode=mode)
     counts: List[int] = []
     bbvs: List[Dict[int, int]] = []
-    if sim.mode != "interp":
-        from repro.functional.blocks import run_intervals
-        for count, bbv in run_intervals(sim, interval_len, BBV_BUCKET):
-            counts.append(count)
-            bbvs.append(bbv)
-        return IntervalProfile(counts=counts, bbvs=bbvs, total=sim.stats)
     while not sim.halted:
         start = sim.stats.instructions
         bbv: Dict[int, int] = {}
-        while not sim.halted and \
-                sim.stats.instructions - start < interval_len:
-            bucket = sim.pc // BBV_BUCKET
-            bbv[bucket] = bbv.get(bucket, 0) + 1
-            sim.step()
+        if sim.mode != "interp":
+            advance(sim, start + interval_len, bbv)
+        else:
+            while not sim.halted and \
+                    sim.stats.instructions - start < interval_len:
+                bucket = sim.pc // BBV_BUCKET
+                bbv[bucket] = bbv.get(bucket, 0) + 1
+                sim.step()
         counts.append(sim.stats.instructions - start)
         bbvs.append(bbv)
     return IntervalProfile(counts=counts, bbvs=bbvs, total=sim.stats)
@@ -280,15 +275,10 @@ def profile_with_checkpoints(program: Program, scfg: SamplingConfig,
     ``bbv+mem`` selection; without one the simulator's memory hot path
     is untouched.
     """
-    from repro.functional.blocks import advance_bbv
-
     interval_len = scfg.interval_len
     warmup = scfg.warmup_insns
     sim = (MemCaptureCheckpointingSim(program, collector)
            if collector is not None else CheckpointingSim(program))
-    # Branch/RAS capture for the checkpoints' warmup traces, for the
-    # whole pass (fast_forward scopes the same flag to its own run).
-    sim._cap = True
     counts: List[int] = []
     bbvs: List[Dict[int, int]] = []
     mem: Optional[List[MemSketch]] = \
@@ -302,7 +292,7 @@ def profile_with_checkpoints(program: Program, scfg: SamplingConfig,
             ckpts.append(take_checkpoint(sim))
             continue
         boundary = (len(counts) + 1) * interval_len
-        advance_bbv(sim, min(ckpt_at, boundary), BBV_BUCKET, bbv)
+        advance(sim, min(ckpt_at, boundary), bbv)
         pos = sim.stats.instructions
         if sim.halted or pos == boundary:
             counts.append(pos - len(counts) * interval_len)

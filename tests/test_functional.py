@@ -262,10 +262,3 @@ class TestWindowedSemantics:
         sim = FunctionalSim(prog)
         sim.run()
         assert sim.read_mem(out) == 0
-
-    def test_trace_records_instructions(self):
-        prog = fib_builder(3)().assemble("flat")
-        sim = FunctionalSim(prog, trace=True)
-        sim.run()
-        assert len(sim.trace) == sim.stats.instructions
-        assert "call" in " ".join(sim.trace)

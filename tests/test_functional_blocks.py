@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.functional import (
-    FunctionalError, FunctionalSim, advance_blocks, block_table,
+    FUNCTIONAL_MODES, FunctionalError, FunctionalSim, advance,
+    block_table,
 )
 from repro.sampling.checkpoint import (
     Checkpoint, CheckpointingSim, fast_forward, take_checkpoint,
@@ -116,7 +117,7 @@ def test_capture_parity(profile, budgets):
     """CheckpointingSim's warmup traces (memory addresses, branch
     outcomes, return-address stack) are identical in both modes, so
     checkpoints taken at any fast-forward boundary serialise to the
-    same dict."""
+    same dict, and identical whichever driver ran the simulator."""
     program = build_program(profile, "windowed")
     ref = CheckpointingSim(program)
     ref.mode = "interp"
@@ -127,6 +128,19 @@ def test_capture_parity(profile, budgets):
         fast_forward(sim, n)
         assert (canon(take_checkpoint(sim).to_dict())
                 == canon(take_checkpoint(ref).to_dict()))
+    # Capture belongs to the simulator, not to the driver: running to
+    # HALT with run() records the same trace as fast-forwarding there.
+    traces = []
+    for mode in FUNCTIONAL_MODES:
+        for drive in (CheckpointingSim.run,
+                      lambda s: fast_forward(s, 1 << 30)):
+            s = CheckpointingSim(program)
+            s.mode = mode
+            drive(s)
+            assert s.halted
+            traces.append(s.warmup_trace())
+    assert traces[0].branches
+    assert all(t == traces[0] for t in traces)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +151,7 @@ def test_load_state_reexecution_is_bit_exact():
     program = benchmark_program("fib", abi="windowed", scale=1.0,
                                 seed=0)
     sim = FunctionalSim(program, mode="blocks")
-    advance_blocks(sim, 500)
+    advance(sim, 500)
     mid = sim.save_state()
     final = sim.run()
     end = sim.save_state()
@@ -219,17 +233,6 @@ def test_mode_validation():
     assert FunctionalSim(program, mode="interp").mode == "interp"
     with pytest.raises(ValueError):
         FunctionalSim(program, mode="nope")
-
-
-def test_trace_forces_interp_path():
-    """A tracing simulator must keep the per-instruction path: the
-    trace callback fires once per instruction, which whole-block
-    replay could not honour."""
-    program = benchmark_program("fib", abi="windowed", scale=1.0,
-                                seed=0)
-    sim = FunctionalSim(program, trace=True, mode="blocks")
-    stats = sim.run()
-    assert len(sim.trace) == stats.instructions
 
 
 # ---------------------------------------------------------------------------
