@@ -26,11 +26,10 @@ Layers (bottom-up):
   accesses) and result tables.
 """
 
-from repro.config import CacheConfig, MachineConfig, RenameModel, WindowModel
+from repro.config import CacheConfig, MachineConfig
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "CacheConfig", "MachineConfig", "RenameModel", "WindowModel",
-    "__version__",
+    "CacheConfig", "MachineConfig", "__version__",
 ]

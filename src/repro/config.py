@@ -8,37 +8,12 @@ table, and the architectural state transfer queue (ASTQ).
 All timing experiments in :mod:`repro` are parameterised by a single
 :class:`MachineConfig` instance; the four machine models of the paper
 (baseline, conventional register windows, ideal register windows, and
-VCA) are selected with :class:`RenameModel` / :class:`WindowModel`.
+VCA) are selected by model name (:mod:`repro.models.factory`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
-
-
-class RenameModel(enum.Enum):
-    """Which register-rename engine the core uses."""
-
-    #: Conventional map table + free list (the paper's baseline).
-    CONVENTIONAL = "conventional"
-    #: The virtual context architecture (Section 2).
-    VCA = "vca"
-
-
-class WindowModel(enum.Enum):
-    """How register windows are provided, if at all."""
-
-    #: Flat ABI; no windows (the paper's non-windowed baseline).
-    NONE = "none"
-    #: Windowed ABI on an expanded logical register file with
-    #: trap-based overflow/underflow handling (Section 4.1).
-    CONVENTIONAL = "conventional"
-    #: Windowed ABI with instantaneous, traffic-free spills and fills
-    #: (the paper's idealised lower bound).
-    IDEAL = "ideal"
-    #: Windowed ABI implemented by VCA base-pointer updates.
-    VCA = "vca"
 
 
 @dataclass(frozen=True)
@@ -84,9 +59,7 @@ class MachineConfig:
     mem_latency: int = 250             # cycles
     phys_regs: int = 256
 
-    # --- model selection ------------------------------------------
-    rename_model: RenameModel = RenameModel.CONVENTIONAL
-    window_model: WindowModel = WindowModel.NONE
+    # --- threads --------------------------------------------------
     n_threads: int = 1
 
     # --- VCA structures (Sections 2.2 and 3) -----------------------
@@ -170,19 +143,3 @@ class MachineConfig:
         if self.vca_table_assoc:
             return self.vca_table_assoc
         return {1: 3, 2: 5, 4: 6, 8: 8}[self.n_threads]
-
-    @property
-    def front_latency(self) -> int:
-        """Cycles an instruction spends between fetch and rename entry.
-
-        The paper charges VCA one extra rename stage (Fig. 1, stage
-        R2); we account for it here so ``pipeline_depth`` stays the
-        quoted fetch-to-execute depth for the baseline.
-        """
-        # fetch..execute = front_latency + rename(1) + dispatch(1) + issue(1)
-        extra = 1 if self.rename_model is RenameModel.VCA else 0
-        return self.pipeline_depth - 3 + extra
-
-    @property
-    def uses_windowed_abi(self) -> bool:
-        return self.window_model is not WindowModel.NONE

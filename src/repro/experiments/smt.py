@@ -102,16 +102,6 @@ def select_workloads(n_threads: int, k: int,
     return [candidates[i] for i in result.representatives]
 
 
-def reference_ipcs(scale: Optional[float] = None, engine=None
-                   ) -> Dict[str, float]:
-    """Single-thread baseline (256 regs) IPC per benchmark."""
-    scale = default_scale() if scale is None else scale
-    outcomes = (engine or SerialEngine()).run(
-        vectors_plan(scale).points())
-    return {name: outcomes[_ref_point(name, scale)].result().ipc
-            for name in ALL_BENCHMARKS}
-
-
 def _flat_equiv_ipc(r: RunResult, tid: int, windowed: bool) -> float:
     ipc = r.thread_ipcs[tid]
     if windowed:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.asm.program import Program
-from repro.config import MachineConfig, RenameModel, WindowModel
+from repro.config import MachineConfig
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.pipeline.core import Pipeline
 from repro.rename.base import RenameEngine
@@ -26,20 +26,19 @@ from repro.rename.vca import VcaRename
 from repro.windows.conventional import ConventionalWindowRename
 from repro.windows.ideal import IdealWindowRename
 
-#: model name -> (RenameModel, WindowModel, required ABI)
+#: model name -> the ABI (``flat``/``windowed``) its binaries use
 MODELS = {
-    "baseline": (RenameModel.CONVENTIONAL, WindowModel.NONE, "flat"),
-    "conventional-rw": (RenameModel.CONVENTIONAL, WindowModel.CONVENTIONAL,
-                        "windowed"),
-    "ideal-rw": (RenameModel.VCA, WindowModel.IDEAL, "windowed"),
-    "vca": (RenameModel.VCA, WindowModel.NONE, "flat"),
-    "vca-rw": (RenameModel.VCA, WindowModel.VCA, "windowed"),
+    "baseline": "flat",
+    "conventional-rw": "windowed",
+    "ideal-rw": "windowed",
+    "vca": "flat",
+    "vca-rw": "windowed",
 }
 
 
 def model_abi(model: str) -> str:
     """The ABI (``flat``/``windowed``) a model's binaries must use."""
-    return MODELS[model][2]
+    return MODELS[model]
 
 
 def build_engine(model: str, cfg: MachineConfig,
@@ -67,13 +66,11 @@ def build_machine(model: str, cfg: MachineConfig,
     """A ready-to-run pipeline for ``model`` and ``programs``.
 
     Every program's ABI must match the model; the config's
-    rename/window model fields are normalised to the model chosen.
-    ``tracer``/``metrics`` (see :mod:`repro.obs`) attach observability
+    ``n_threads`` is set to the number of programs.  ``tracer``/``metrics`` (see :mod:`repro.obs`) attach observability
     to the whole machine; both default to off.
     """
-    rename_model, window_model, abi = MODELS[model]
-    cfg = cfg.with_(rename_model=rename_model, window_model=window_model,
-                    n_threads=len(programs))
+    abi = MODELS[model]
+    cfg = cfg.with_(n_threads=len(programs))
     for p in programs:
         if p.abi != abi:
             raise ValueError(

@@ -85,14 +85,6 @@ class DynInst:
             None,
             None, -1, False)
 
-    # ------------------------------------------------------------------
-    def src_value(self, which: int) -> float:
-        """Value of source operand 1 or 2 (zero register reads as 0)."""
-        preg = self.p_rs1 if which == 1 else self.p_rs2
-        if preg is None:
-            return 0
-        return preg.value
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = "".join(c for c, f in (
             ("I", self.issued), ("D", self.done), ("C", self.committed),

@@ -87,10 +87,6 @@ class BenchmarkProfile:
         if fracs > 0.95:
             raise ValueError("op fractions leave no room for ALU ops")
 
-    @property
-    def total_locals(self) -> int:
-        return self.locals_int + self.locals_fp
-
 
 def _p(**kw) -> BenchmarkProfile:
     return BenchmarkProfile(**kw)

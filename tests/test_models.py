@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import ProgramBuilder
-from repro.config import MachineConfig, RenameModel, WindowModel
+from repro.config import MachineConfig
 from repro.models import MODELS, build_engine, build_machine, model_abi
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.rename.conventional import ConventionalRename
@@ -53,8 +53,6 @@ class TestFactory:
     def test_config_normalised_to_model(self):
         machine = build_machine("vca-rw", MachineConfig.baseline(),
                                 [prog("windowed")])
-        assert machine.cfg.rename_model is RenameModel.VCA
-        assert machine.cfg.window_model is WindowModel.VCA
         assert machine.cfg.n_threads == 1
 
     def test_thread_count_follows_programs(self):
