@@ -708,19 +708,22 @@ class Pipeline:
             loads.sort(key=_SEQ_KEY)
             self._loads_dirty = False
         # Each load resolves against the LSQ (an older store with an
-        # unknown address blocks it; an address match forwards once the
-        # store data is ready) and otherwise arbitrates for a DL1 port.
-        # Waiting loads retry every cycle, making this the single
-        # most-executed loop in the model, so the store-queue scan
-        # result is cached on the load (``lsq_wait``/``lsq_clear``):
+        # unknown address blocks it; an address match forwards the
+        # store's data) and otherwise arbitrates for a DL1 port.  A
+        # store's address and data are written in the same
+        # ``_complete_exec`` call that marks it done, so a store whose
+        # address is known always has its data.  Waiting loads retry
+        # every cycle, making this the single most-executed loop in the
+        # model, so the store-queue scan result is cached on the load
+        # (``lsq_wait``/``lsq_clear``):
         #
-        # * While a load waits on a specific store (address unknown, or
-        #   matched with data pending), no store older than the load can
-        #   appear (dispatch is program-ordered) and resolved store
-        #   addresses never change, so the outcome only changes when
-        #   that store itself changes state.  ``lsq_wait_seq`` and the
-        #   committed bit detect the store retiring (and possibly being
-        #   recycled by the DynInst pool) so the load rescans.
+        # * While a load waits on a store whose address is unknown, no
+        #   store older than the load can appear (dispatch is
+        #   program-ordered) and resolved store addresses never change,
+        #   so the outcome only changes when that store itself changes
+        #   state.  ``lsq_wait_seq`` and the committed bit detect the
+        #   store retiring (and possibly being recycled by the DynInst
+        #   pool) so the load rescans.
         # * Once a scan proves no older store can match (``lsq_clear``),
         #   that holds for the load's lifetime: only the DL1 port
         #   arbitration needs retrying.
@@ -746,9 +749,6 @@ class Pipeline:
                         keep(d)  # still blocked on an unknown address
                         continue
                     if st_addr == d_addr:
-                        if not st.done:
-                            keep(d)  # forwarding store, data pending
-                            continue
                         d.lsq_wait = None
                         d.result = st.store_val
                         if fwd_slot is None:
@@ -779,11 +779,6 @@ class Pipeline:
                     keep(d)
                     continue
                 if match is not None:
-                    if not match.done:
-                        d.lsq_wait = match
-                        d.lsq_wait_seq = match.seq
-                        keep(d)  # store data not ready yet
-                        continue
                     d.result = match.store_val
                     if fwd_slot is None:
                         when = now + 1
