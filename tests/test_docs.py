@@ -1,5 +1,6 @@
-"""Documentation health: links resolve, doctest examples run, and
-the CLI reference's flag rows match the parser.
+"""Documentation health: links resolve, doctest examples run, the
+CLI reference's flag rows match the parser, and no prose cites a
+``file.py:NNN`` line anchor.
 
 Thin pytest wrapper over ``tools/check_docs.py`` (the same checks the
 CI ``docs`` job runs standalone), plus coverage of the checker's own
@@ -50,6 +51,11 @@ class TestRepoDocs:
     def test_cli_flag_rows_match_the_parser(self):
         assert check_docs.check_cli_flags(REPO) == []
 
+    def test_no_line_anchors(self):
+        errors = [e for f in check_docs.doc_files(REPO)
+                  for e in check_docs.check_line_anchors(f)]
+        assert errors == []
+
 
 class TestCheckerCatchesBreakage:
     def test_dead_link_detected(self, tmp_path):
@@ -59,6 +65,16 @@ class TestCheckerCatchesBreakage:
         errors = check_docs.check_links(f)
         assert len(errors) == 1
         assert "no/such/file.md" in errors[0]
+
+    def test_line_anchor_detected_outside_fences(self, tmp_path):
+        f = tmp_path / "page.md"
+        f.write_text("See `engine.py:447` and `Worker` in `engine.py`.\n"
+                     "```\nTraceback: src/repro/x.py:12\n```\n"
+                     "Port `:5000` is not an anchor.\n")
+        errors = check_docs.check_line_anchors(f)
+        assert len(errors) == 1
+        assert errors[0].startswith("page.md:1:")
+        assert "engine.py:447" in errors[0]
 
     def test_fragments_and_anchors_skipped(self, tmp_path):
         (tmp_path / "other.md").write_text("x")

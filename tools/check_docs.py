@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Documentation checker: dead links, orphan pages, fenced doctests,
-CLI flag rows.
+CLI flag rows, line-number anchors.
 
-Four checks over ``README.md`` and the ``docs/*.md`` pages, all
+Five checks over ``README.md`` and the ``docs/*.md`` pages, all
 enforced by ``tests/test_docs.py`` and the CI ``docs`` job:
 
 1. **Links** — every relative markdown link target must exist on
@@ -20,6 +20,9 @@ enforced by ``tests/test_docs.py`` and the CI ``docs`` job:
    ``repro.cli.build_parser()`` accepts, and every accepted option
    except ``--help`` has such a row, so a deleted flag cannot linger
    in the reference and a new one cannot go undocumented.
+5. **Line anchors** — no ``file.py:NNN`` anchor outside fenced code
+   blocks.  Line numbers go stale with any edit above them; prose
+   names the symbol and its file instead.
 
 Stdlib only; run as ``python tools/check_docs.py`` from anywhere in
 the repo (exit status 1 on any failure).
@@ -43,6 +46,8 @@ FENCE_RE = re.compile(r"^```python\s*\n(.*?)^```\s*$",
 _EXTERNAL = ("http://", "https://", "mailto:")
 #: A flag-reference table row: ``| `--flag ...` | meaning |``.
 FLAG_ROW_RE = re.compile(r"^\|\s*`(--[\w-]+)", re.MULTILINE)
+#: A line-number anchor into a Python file: ``engine.py:447``.
+ANCHOR_RE = re.compile(r"[\w/.-]*\.py:\d+")
 
 
 def repo_root() -> Path:
@@ -68,6 +73,22 @@ def check_links(path: Path) -> List[str]:
         if not (path.parent / rel).exists():
             line = text.count("\n", 0, match.start()) + 1
             errors.append(f"{path.name}:{line}: dead link -> {target}")
+    return errors
+
+
+def check_line_anchors(path: Path) -> List[str]:
+    """Line-anchor errors in one markdown file, fenced code blocks
+    excepted (empty = clean)."""
+    errors = []
+    fenced = False
+    for n, line in enumerate(path.read_text().splitlines(), 1):
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            continue
+        if not fenced:
+            errors += [f"{path.name}:{n}: line anchor {m.group(0)}; "
+                       f"name the symbol and its file instead"
+                       for m in ANCHOR_RE.finditer(line)]
     return errors
 
 
@@ -178,7 +199,7 @@ def main() -> int:
         ok = False
         print(err, file=sys.stderr)
     for f in files:
-        errors = check_links(f)
+        errors = check_links(f) + check_line_anchors(f)
         n_links += len(LINK_RE.findall(f.read_text()))
         for err in errors:
             ok = False
