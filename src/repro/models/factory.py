@@ -66,7 +66,8 @@ def build_machine(model: str, cfg: MachineConfig,
     """A ready-to-run pipeline for ``model`` and ``programs``.
 
     Every program's ABI must match the model; the config's
-    ``n_threads`` is set to the number of programs.  ``tracer``/``metrics`` (see :mod:`repro.obs`) attach observability
+    ``n_threads`` is set to the number of programs.
+    ``tracer``/``metrics`` (see :mod:`repro.obs`) attach observability
     to the whole machine; both default to off.
     """
     abi = MODELS[model]
