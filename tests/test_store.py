@@ -123,6 +123,17 @@ class TestSqliteStore:
             assert [r["detail"]["removed"] for r in rows] == [2, 2]
             assert db.claim("p3", owner="c")
 
+    def test_one_store_audit_row_per_write(self, tmp_path):
+        with SqliteStore(tmp_path / "s.sqlite") as db:
+            for i in range(5):
+                db.store(f"k{i}", {"i": i})
+            db.store("k0", {"i": "updated"}, source_hash="deadbeef")
+            rows = db.audit_rows(limit=100)
+            assert [r["action"] for r in rows] == ["store"] * 6
+            assert [r["key"] for r in rows] == \
+                ["k0", "k4", "k3", "k2", "k1", "k0"]
+            assert rows[0]["source_hash"] == "deadbeef"
+
     def test_audit_rows_limit_and_filter(self, tmp_path):
         with SqliteStore(tmp_path / "s.sqlite") as db:
             db.store("k", {"v": 1})
