@@ -19,16 +19,6 @@ def register(sub) -> None:
                          "repo-relative paths")
     ln.add_argument("--json", action="store_true",
                     help="machine-readable findings on stdout")
-    ln.add_argument("--strict", action="store_true",
-                    help="also fail on stale baseline entries")
-    ln.add_argument("--baseline", metavar="FILE", default=None,
-                    help="baseline file "
-                         "(default: tools/lint_baseline.json)")
-    ln.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from current findings")
-    ln.add_argument("--families", metavar="LETTERS", default=None,
-                    help="run only rule families with these id "
-                         "prefixes, e.g. K,F,X (default: all)")
     ln.add_argument("--rules", action="store_true",
                     help="print the rule catalog and exit")
     ln.add_argument("--root", metavar="DIR", default=None,

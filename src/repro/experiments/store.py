@@ -32,10 +32,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-__all__ = [
-    "ResultStore", "FileStore", "SqliteStore", "active_store",
-    "store_self_check",
-]
+__all__ = ["ResultStore", "FileStore", "SqliteStore", "active_store"]
 
 
 class ResultStore:
@@ -447,58 +444,3 @@ def active_store() -> SqliteStore:
     store = SqliteStore(path)
     _active.update(pid=pid, path=path, store=store)
     return store
-
-
-# ----------------------------------------------------------------------
-# self-check (tools/ci_checks.py)
-# ----------------------------------------------------------------------
-def store_self_check(verbose: bool = True) -> int:
-    """An end-to-end integrity exercise of the repository layer.
-
-    Fills a fresh sqlite store in a throwaway directory and verifies:
-    round-trip equality, upsert atomicity (last writer wins, single
-    row), claim exclusivity and release, one audit row per write, and
-    sqlite's own integrity check.  Returns 0 on success — run by
-    ``tools/ci_checks.py store``.
-    """
-    failures: List[str] = []
-
-    def check(name: str, ok: bool) -> None:
-        if verbose:
-            print(f"  store: {name}: {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures.append(name)
-
-    payloads = {f"k{i}": {"i": i, "payload": [i, i * i]}
-                for i in range(5)}
-    with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
-        db = SqliteStore(Path(tmp) / "store.sqlite")
-        try:
-            for key, payload in payloads.items():
-                db.store(key, payload)
-            check("round-trip equality", all(
-                db.load(key) == payload
-                for key, payload in payloads.items()))
-            db.store("k0", {"i": 0, "payload": "updated"},
-                     source_hash="deadbeef")
-            check("upsert keeps one row per key",
-                  db.keys() == sorted(payloads))
-            check("upsert last-writer-wins",
-                  (db.load("k0") or {}).get("payload") == "updated")
-            check("claim exclusivity",
-                  db.claim("point", "a") and not db.claim("point", "b")
-                  and db.claim("point", "a"))
-            db.release("point", "a")
-            check("claim release", db.claim("point", "b"))
-            check("audit trail recorded",
-                  [r["action"] for r in db.audit_rows(limit=100)]
-                  == ["store"] * 6)
-            check("sqlite integrity", db.integrity_ok())
-        finally:
-            db.close()
-    if failures:
-        print(f"store self-check: FAILED: {', '.join(failures)}")
-        return 1
-    if verbose:
-        print("store self-check: OK")
-    return 0

@@ -15,8 +15,7 @@ rationale:
   ``__slots__`` and their pool-reset method reassigns every slot.
 * **S001–S005 schema** — every emitted trace/metric name appears in
   ``repro.obs.schema``, and vice versa.
-* **C001–C002 coverage** — every config field is read somewhere;
-  every CLI flag is documented.
+* **C001 coverage** — every config field is read somewhere.
 * **E001** — no unannotated broad ``except`` handlers.
 * **K001–K003 lock discipline** — shared mutable attributes of
   lock-owning classes stay under the lock, lock acquisition order is
@@ -30,14 +29,12 @@ rationale:
   CFG paths, ``self``-attached resources close in
   ``close()``/``stop()``/``shutdown()``.
 
-Run it as ``repro lint`` (``--json``, ``--strict``, ``--baseline``,
-``--update-baseline``, ``--rules``, ``--families``, ``--root``);
-suppress a finding
-in place with ``# lint: disable=ID`` or mark an intended isolation
-boundary with ``# lint: allow-broad-except``.
+Run it as ``repro lint`` (``--json``, ``--rules``, ``--root``); any
+finding fails it.  The one way to accept a finding is in place, with
+``# lint: disable=ID`` on its line, ``# lint: allow-broad-except`` at
+an intended isolation boundary, or ``# lint: skip-file``.
 """
 
-from .baseline import load_baseline, save_baseline
 from .cli import default_config, find_repo_root, lint_main
 from .core import (
     Finding, LintConfig, LintContext, Rule, SourceFile, default_rules,
@@ -50,6 +47,6 @@ __all__ = [
     "CFG", "Finding", "FunctionInfo", "LintConfig", "LintContext",
     "ProgramIndex", "Rule", "SourceFile", "build_cfg",
     "collect_function", "default_config", "default_rules",
-    "find_repo_root", "lint_main", "lint_tree", "load_baseline",
-    "program_index", "rule_catalog", "save_baseline",
+    "find_repo_root", "lint_main", "lint_tree", "program_index",
+    "rule_catalog",
 ]

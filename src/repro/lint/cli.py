@@ -1,23 +1,17 @@
 """The ``repro lint`` subcommand driver.
 
-Exit codes: 0 — clean (or every finding baselined); 1 — new findings
-(or, under ``--strict``, stale baseline entries); the argument parser
+Exit codes: 0 — clean; 1 — any finding (a ``# lint:`` pragma at the
+finding's line is the one way to accept it); the argument parser
 itself raises for usage errors as usual.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
-from .baseline import load_baseline, save_baseline
-from .core import Finding, LintConfig, default_rules, lint_tree, \
-    rule_catalog
-
-#: Repo-relative location of the checked-in baseline.
-BASELINE_REL = Path("tools") / "lint_baseline.json"
+from .core import LintConfig, lint_tree, rule_catalog
 
 
 def find_repo_root(start: Path) -> Optional[Path]:
@@ -52,61 +46,18 @@ def lint_main(args) -> int:
         return 0
 
     cfg = default_config(Path(args.root) if args.root else None)
-    rules = None
-    families = getattr(args, "families", None)
-    if families:
-        wanted_fams = {f.strip().upper()
-                       for f in families.split(",") if f.strip()}
-        rules = [r for r in default_rules()
-                 if any(i[0] in wanted_fams for i in r.ids)]
-    findings = lint_tree(cfg, rules)
+    findings = lint_tree(cfg)
     if args.paths:
         wanted = [p.rstrip("/") for p in args.paths]
         findings = [f for f in findings
                     if any(f.path == w or f.path.startswith(w + "/")
                            for w in wanted)]
 
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-    elif cfg.repo_root is not None:
-        baseline_path = cfg.repo_root / BASELINE_REL
-    else:
-        baseline_path = None
-
-    if args.update_baseline:
-        if baseline_path is None:
-            print("lint: no baseline path (pass --baseline)",
-                  file=sys.stderr)
-            return 1
-        save_baseline(baseline_path, findings)
-        print(f"lint: wrote {len(findings)} finding(s) to "
-              f"{baseline_path}")
-        return 0
-
-    known = load_baseline(baseline_path) if baseline_path else set()
-    fingerprints = {f.fingerprint() for f in findings}
-    new = [f for f in findings if f.fingerprint() not in known]
-    baselined = len(findings) - len(new)
-    stale = sorted(known - fingerprints)
-
     if args.json:
-        print(json.dumps({
-            "findings": [f.to_dict() for f in new],
-            "baselined": baselined,
-            "stale_baseline_entries": stale,
-        }, indent=2))
+        print(json.dumps({"findings": [f.to_dict() for f in findings]},
+                         indent=2))
     else:
-        for f in new:
+        for f in findings:
             print(f.render())
-        summary = f"lint: {len(new)} finding(s)"
-        if baselined:
-            summary += f", {baselined} baselined"
-        if stale:
-            summary += f", {len(stale)} stale baseline entr(y/ies)"
-        print(summary)
-
-    if new:
-        return 1
-    if stale and args.strict:
-        return 1
-    return 0
+        print(f"lint: {len(findings)} finding(s)")
+    return 1 if findings else 0

@@ -16,7 +16,6 @@ suite can point the same rules at tiny synthetic packages; the
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,23 +63,13 @@ class Finding:
     message: str   #: one-line statement of the defect
     hint: str = ""  #: suggested fix
 
-    def fingerprint(self) -> str:
-        """Stable identity for the baseline file.
-
-        Line numbers are deliberately excluded so unrelated edits
-        above a grandfathered finding do not un-baseline it.
-        """
-        raw = f"{self.rule}|{self.path}|{self.message}"
-        return hashlib.sha1(raw.encode()).hexdigest()[:16]
-
     def render(self) -> str:
         loc = f"{self.path}:{self.line}: {self.rule} {self.message}"
         return f"{loc} [{self.hint}]" if self.hint else loc
 
     def to_dict(self) -> Dict[str, object]:
         return {"rule": self.rule, "path": self.path, "line": self.line,
-                "message": self.message, "hint": self.hint,
-                "fingerprint": self.fingerprint()}
+                "message": self.message, "hint": self.hint}
 
 
 def parse_pragmas(text: str) -> Tuple[Dict[int, Set[str]], bool]:
@@ -149,8 +138,8 @@ class LintConfig:
     package_root: Path
     #: Dotted top-level package name; defaults to the directory name.
     package_name: str = ""
-    #: Repository root (for docs + baseline); ``None`` disables the
-    #: checks that need it.
+    #: Repository root; findings report paths relative to it, or
+    #: package-relative when ``None``.
     repo_root: Optional[Path] = None
     #: Package-relative prefixes excluded from the semantics file set —
     #: shared with ``repro.experiments.runner.source_hash`` so the
@@ -168,9 +157,6 @@ class LintConfig:
     reset_methods: Tuple[str, ...] = ("reinit",)
     #: Modules whose dataclass fields the coverage rule audits.
     config_modules: Tuple[str, ...] = ("config.py",)
-    #: Modules defining the CLI (``add_argument`` sites); entries
-    #: ending in ``/`` match every module under that directory.
-    cli_modules: Tuple[str, ...] = ("cli/", "cli.py")
     #: Package-relative path of the schema registry module.
     schema_rel: str = "obs/schema.py"
     #: Package-relative prefixes the schema scan skips.
@@ -354,7 +340,7 @@ def default_rules() -> Tuple[Rule, ...]:
 
 def rule_catalog() -> Dict[str, str]:
     """id -> summary for every built-in rule (plus F000)."""
-    catalog: Dict[str, str] = {"F000": "file does not parse"}  # predates the F (fork) family; kept for baseline compat
+    catalog: Dict[str, str] = {"F000": "file does not parse"}
     for rule in default_rules():
         catalog.update(rule.ids)
     return dict(sorted(catalog.items()))

@@ -1,9 +1,9 @@
-"""Coverage rules (C001–C002): no dead config knobs, no ghost flags.
+"""Coverage rule (C001): no dead config knobs.
 
 A ``MachineConfig`` field nothing reads is worse than dead code — it
 is an experiment knob that silently does nothing, so a sweep over it
-produces identical points that *look* like a result.  A CLI flag the
-docs never mention is invisible to users and rots unreviewed.
+produces identical points that *look* like a result.  (Every CLI flag
+having a ``docs/cli.md`` row is ``tools/check_docs.py``'s check.)
 """
 
 from __future__ import annotations
@@ -25,17 +25,9 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 
 
 class CoverageRule(Rule):
-    ids = {
-        "C001": "config dataclass field never read anywhere",
-        "C002": "CLI flag not mentioned in README/docs",
-    }
+    ids = {"C001": "config dataclass field never read anywhere"}
 
     def check_tree(self, ctx: LintContext) -> Iterable[Finding]:
-        yield from self._check_config_fields(ctx)
-        yield from self._check_cli_flags(ctx)
-
-    # -- C001 --------------------------------------------------------------
-    def _check_config_fields(self, ctx: LintContext) -> Iterable[Finding]:
         fields: List[Tuple] = []  # (src, class name, field, line)
         for rel in ctx.cfg.config_modules:
             src = ctx.by_rel.get(rel)
@@ -68,44 +60,3 @@ class CoverageRule(Rule):
                     "C001", line,
                     f"config field {cls}.{name} is never read",
                     "wire it into the model or delete the knob")
-
-    # -- C002 --------------------------------------------------------------
-    def _check_cli_flags(self, ctx: LintContext) -> Iterable[Finding]:
-        corpus = self._docs_corpus(ctx)
-        if corpus is None:
-            return
-        matchers = ctx.cfg.cli_modules
-        sources = [f for f in ctx.files
-                   if any(f.rel == m
-                          or (m.endswith("/") and f.rel.startswith(m))
-                          for m in matchers)]
-        for src in sources:
-            for node in ast.walk(src.tree):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "add_argument"):
-                    continue
-                for arg in node.args:
-                    if (isinstance(arg, ast.Constant)
-                            and isinstance(arg.value, str)
-                            and arg.value.startswith("--")
-                            and arg.value not in corpus):
-                        yield src.finding(
-                            "C002", node,
-                            f"CLI flag {arg.value} is not documented "
-                            f"in README.md or docs/",
-                            "add it to docs/cli.md")
-
-    def _docs_corpus(self, ctx: LintContext):
-        repo = ctx.cfg.repo_root
-        if repo is None:
-            return None
-        chunks = []
-        readme = repo / "README.md"
-        if readme.is_file():
-            chunks.append(readme.read_text())
-        docs = repo / "docs"
-        if docs.is_dir():
-            for page in sorted(docs.glob("*.md")):
-                chunks.append(page.read_text())
-        return "\n".join(chunks) if chunks else None

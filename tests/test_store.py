@@ -13,9 +13,7 @@ from contextlib import closing
 import pytest
 
 from repro.experiments.plan import Point
-from repro.experiments.store import (
-    FileStore, SqliteStore, active_store, store_self_check,
-)
+from repro.experiments.store import FileStore, SqliteStore, active_store
 
 SCALE = 0.05
 BENCH = "gzip_graphic"
@@ -304,6 +302,3 @@ class TestConcurrency:
                 key = pt.cache_key()
                 assert db.load(key) == results["a"]["payloads"][key]
 
-
-def test_store_self_check_passes(capsys):
-    assert store_self_check(verbose=False) == 0

@@ -3,21 +3,12 @@
 
 Runs, in order:
 
-* ``lint`` — ``repro lint --strict`` (the simulator-aware static
-  analysis suite, ``docs/linting.md``); strict mode also fails on
-  stale baseline entries so ``tools/lint_baseline.json`` shrinks
-  monotonically.
-* ``docs`` — ``tools/check_docs.py`` (markdown link check + fenced
-  doctest runner over README.md and docs/).
-* ``store`` — the repository layer's end-to-end self-check
-  (``repro.experiments.store.store_self_check``): round-trip, upsert
-  atomicity, claim exclusivity, the audit trail, and sqlite
-  integrity on a throwaway store.
-* ``concurrency`` — ``repro lint --strict --families K,F,X``: just
-  the concurrency families (lock discipline, fork safety, resource
-  lifecycle; ``docs/concurrency.md``). Redundant with ``lint`` when
-  both run, but exposed separately so the concurrency gate can be
-  invoked (and reported) on its own.
+* ``lint`` — ``repro lint`` (the simulator-aware static analysis
+  suite, every rule family, ``docs/linting.md``); any finding fails
+  it.
+* ``docs`` — ``tools/check_docs.py`` (links, orphan pages, fenced
+  doctests, ``docs/cli.md`` flag rows and line anchors over
+  README.md and docs/).
 
 Usage::
 
@@ -41,7 +32,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 def check_lint() -> int:
     from repro.cli import main
-    return main(["lint", "--strict"])
+    return main(["lint"])
 
 
 def check_docs() -> int:
@@ -49,21 +40,9 @@ def check_docs() -> int:
     return check_docs.main()
 
 
-def check_store() -> int:
-    from repro.experiments.store import store_self_check
-    return store_self_check()
-
-
-def check_concurrency() -> int:
-    from repro.cli import main
-    return main(["lint", "--strict", "--families", "K,F,X"])
-
-
 CHECKS = {
     "lint": check_lint,
     "docs": check_docs,
-    "store": check_store,
-    "concurrency": check_concurrency,
 }
 
 
