@@ -15,7 +15,8 @@ rationale:
   ``__slots__`` and their pool-reset method reassigns every slot.
 * **S001–S005 schema** — every emitted trace/metric name appears in
   ``repro.obs.schema``, and vice versa.
-* **C001 coverage** — every config field is read somewhere.
+* **C001 coverage** — every config field is read through a config
+  receiver (``cfg``/``config``) somewhere.
 * **E001** — no unannotated broad ``except`` handlers.
 * **K001–K003 lock discipline** — shared mutable attributes of
   lock-owning classes stay under the lock, lock acquisition order is

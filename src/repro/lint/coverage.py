@@ -9,9 +9,15 @@ having a ``docs/cli.md`` row is ``tools/check_docs.py``'s check.)
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .core import Finding, LintContext, Rule
+
+#: Names a config object goes by.  A field counts as read only through
+#: one of them, bare (``cfg.width``) or as the last attribute
+#: (``self.cfg.width``), so a read on an unrelated object of the same
+#: attribute name does not keep a dead knob alive.
+CONFIG_RECEIVERS = ("cfg", "config")
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -24,11 +30,37 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
+def _is_property(fn: ast.stmt) -> bool:
+    return isinstance(fn, ast.FunctionDef) and any(
+        isinstance(d, ast.Name) and d.id == "property"
+        for d in fn.decorator_list)
+
+
+def _loads(tree: ast.AST, receiver) -> Set[str]:
+    """Attribute names loaded in ``tree`` on a receiver ``receiver``
+    accepts."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load) and receiver(n.value)}
+
+
+def _is_config(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id in CONFIG_RECEIVERS
+            or isinstance(node, ast.Attribute)
+            and node.attr in CONFIG_RECEIVERS)
+
+
+def _is_self(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
 class CoverageRule(Rule):
     ids = {"C001": "config dataclass field never read anywhere"}
 
     def check_tree(self, ctx: LintContext) -> Iterable[Finding]:
         fields: List[Tuple] = []  # (src, class name, field, line)
+        #: config-class property -> attributes it reads through self
+        props: Dict[str, Set[str]] = {}
         for rel in ctx.cfg.config_modules:
             src = ctx.by_rel.get(rel)
             if src is None:
@@ -43,17 +75,21 @@ class CoverageRule(Rule):
                             and not stmt.target.id.startswith("_")):
                         fields.append((src, node.name, stmt.target.id,
                                        stmt.lineno))
+                    elif _is_property(stmt):
+                        props[stmt.name] = _loads(stmt, _is_self)
         if not fields:
             return
         read: Set[str] = set()
-        wanted = {f[2] for f in fields}
         for src in ctx.files:
-            for node in ast.walk(src.tree):
-                if (isinstance(node, ast.Attribute)
-                        and node.attr in wanted):
-                    read.add(node.attr)
-            if read == wanted:
-                break
+            read |= _loads(src.tree, _is_config)
+        # A property read through a config receiver reads what it
+        # reads through self (transitively, for property chains).
+        frontier = [name for name in read if name in props]
+        while frontier:
+            for name in props[frontier.pop()] - read:
+                read.add(name)
+                if name in props:
+                    frontier.append(name)
         for src, cls, name, line in fields:
             if name not in read:
                 yield src.finding(

@@ -253,6 +253,22 @@ class TestCoverage:
         assert "ghost_knob" in findings[0].message
         assert not any("width" in f.message for f in findings)
 
+    def test_reads_count_only_through_a_config_receiver(self, tmp_path):
+        consumer = ("class Core:\n"
+                    "    def __init__(self, cfg):\n"
+                    "        self.cfg = cfg\n"
+                    "        self.issue = cfg.issue\n\n"
+                    "    def step(self, other):\n"
+                    "        return (self.cfg.rate + other.lanes\n"
+                    "                + other.front)\n")
+        cfg = make_pkg(tmp_path, {
+            "config.py": fixture("config_dead_reads.py"),
+            "consumer.py": consumer})
+        findings = [f for f in lint_tree(cfg) if f.rule == "C001"]
+        assert sorted(f.message for f in findings) == [
+            "config field Config.depth is never read",
+            "config field Config.lanes is never read"]
+
 
 # ---------------------------------------------------------------------------
 # broad excepts (E001) and pragmas
