@@ -22,8 +22,8 @@ Layers (bottom-up):
   out-of-order core and the four machine models of the paper.
 * :mod:`repro.workloads` — synthetic SPEC-like benchmark suite and the
   SMT workload-clustering methodology.
-* :mod:`repro.analysis` — metrics (weighted speedup, weighted cache
-  accesses) and result tables.
+* :mod:`repro.analysis` — the evaluation metrics (geomean,
+  flat-equivalent work, weighted speedup) that every figure uses.
 """
 
 from repro.config import CacheConfig, MachineConfig

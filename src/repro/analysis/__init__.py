@@ -1,11 +1,5 @@
-"""Metrics and result aggregation."""
+"""The paper's evaluation metrics, as pure functions of numbers."""
 
-from .metrics import (
-    accesses_per_work, geomean, normalized_time, weighted_cache_accesses,
-    weighted_speedup,
-)
+from .metrics import flat_equivalent, geomean, weighted_speedup
 
-__all__ = [
-    "accesses_per_work", "geomean", "normalized_time",
-    "weighted_cache_accesses", "weighted_speedup",
-]
+__all__ = ["flat_equivalent", "geomean", "weighted_speedup"]

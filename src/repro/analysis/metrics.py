@@ -1,19 +1,22 @@
-"""Evaluation metrics (Sections 3.1-3.2).
+"""Evaluation metrics (Sections 3.1-3.2), as pure functions of numbers.
 
 Complete synthetic programs are simulated end-to-end, so execution
 time is simply the cycle count — the CPI-times-path-length product the
 paper computes falls out directly, including the windowed binaries'
-shorter dynamic path.  SMT runs stop when the first thread finishes
-(the paper stops when one thread commits its quota), and per-thread
-IPCs are measured over that common window.
+shorter dynamic path.  Per-instruction quantities are another matter:
+a windowed binary commits fewer instructions for the same work, so
+Figure 5, Figures 7-8 and Section 4.3 compare flat-equivalent counts,
+each thread's count divided by its windowed/flat path-length ratio
+(1.0 for a flat binary; :func:`repro.experiments.runner.path_ratios`
+gives a result's ratios).  SMT runs stop when the first thread
+finishes (the paper stops when one thread commits its quota), and
+per-thread IPCs are measured over that common window.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence
-
-from repro.pipeline.stats import SimStats
+from typing import Iterable, List, Sequence
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -27,52 +30,26 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
-def normalized_time(cycles: float, base_cycles: float) -> float:
-    """Execution time normalized to a reference machine (Figure 4/6)."""
-    return cycles / base_cycles
+def flat_equivalent(counts: Sequence[float],
+                    ratios: Sequence[float]) -> List[float]:
+    """Per-thread counts in flat-ABI-equivalent instructions: each
+    count divided by its thread's path-length ratio."""
+    return [c / r for c, r in zip(counts, ratios)]
 
 
-def weighted_speedup(smt: SimStats,
+def weighted_speedup(ipcs: Sequence[float], ratios: Sequence[float],
                      single_ipc: Sequence[float]) -> float:
     """Weighted speedup of a multithreaded run (Figures 7-8).
 
     The paper's weighted execution time sums each thread's SMT
     execution time relative to its single-threaded execution time; the
-    plotted speedup is the equivalent sum of per-thread IPC ratios,
-    each measured against the same benchmark running alone on the
-    single-thread reference machine.
+    plotted speedup is the equivalent sum of per-thread IPC ratios:
+    each thread's flat-equivalent IPC over the IPC of the same
+    benchmark running alone on the single-thread reference machine.
     """
-    if len(single_ipc) != len(smt.threads):
-        raise ValueError("one single-thread IPC per thread required")
-    return sum(smt.thread_ipc(i) / ref
-               for i, ref in enumerate(single_ipc))
-
-
-def weighted_cache_accesses(smt: SimStats,
-                            single_apis: Sequence[float]) -> float:
-    """Weighted data-cache accesses (Section 4.2-4.3).
-
-    Computed like weighted speedup but with data-cache accesses per
-    instruction; the machine-wide access count is attributed to
-    threads in proportion to their committed instructions.
-    """
-    total_committed = max(1, smt.committed)
-    api = smt.dl1_accesses / total_committed
-    return sum((api / ref) * (smt.threads[i].committed / total_committed)
-               * len(smt.threads)
-               for i, ref in enumerate(single_apis)) / len(smt.threads)
-
-
-def accesses_per_work(stats: SimStats,
-                      path_ratio: Dict[int, float]) -> float:
-    """Data-cache accesses per unit of flat-ABI-equivalent work.
-
-    Windowed binaries commit fewer instructions for the same work, so
-    comparing accesses per *committed instruction* across ABIs would
-    flatter the flat binary.  Dividing each thread's committed count
-    by its windowed/flat path-length ratio converts to flat-equivalent
-    instructions (ratio 1.0 for flat binaries).
-    """
-    work = sum(t.committed / path_ratio.get(i, 1.0)
-               for i, t in enumerate(stats.threads))
-    return stats.dl1_accesses / max(1.0, work)
+    if not len(ipcs) == len(ratios) == len(single_ipc):
+        raise ValueError("one ratio and one single-thread IPC per "
+                         "thread required")
+    return sum(ipc / ref
+               for ipc, ref in zip(flat_equivalent(ipcs, ratios),
+                                   single_ipc))

@@ -10,8 +10,8 @@ from .engine import (
 from .plan import Point, SweepSpec, unique_points
 from .report import render_series, render_table
 from .runner import (
-    RunResult, cache_dir, default_scale, path_ratio, run_point,
-    source_hash,
+    RunResult, cache_dir, default_scale, path_ratio, path_ratios,
+    run_point, source_hash,
 )
 from .store import ResultStore, SqliteStore, active_store
 from .rw import (
@@ -22,19 +22,19 @@ from .rw import (
 from .smt import (
     SMT_SIZES, fig7_smt, fig8_smt_rw, sec43_cache_traffic,
     select_workloads, smt_plan, smt_speedup_series, vectors_plan,
-    weighted_speedup_of,
 )
 
 __all__ = [
     "EngineError", "ParallelEngine", "PointOutcome", "SerialEngine",
     "SweepProgress", "execute_plan", "Point", "SweepSpec",
     "unique_points", "render_series", "render_table", "RunResult",
-    "cache_dir", "default_scale", "path_ratio", "run_point",
+    "cache_dir", "default_scale", "path_ratio", "path_ratios",
+    "run_point",
     "source_hash", "ResultStore", "SqliteStore", "active_store",
     "REG_SIZES", "RW_MODELS", "fig4_execution_time", "fig4_plan",
     "fig5_cache_accesses", "fig5_plan", "fig6_plan",
     "fig6_single_port", "rw_plan", "rw_sweep", "SMT_SIZES",
     "fig7_smt", "fig8_smt_rw", "sec43_cache_traffic",
     "select_workloads", "smt_plan", "smt_speedup_series",
-    "vectors_plan", "weighted_speedup_of",
+    "vectors_plan",
 ]

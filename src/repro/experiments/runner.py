@@ -344,6 +344,15 @@ def path_ratio(bench: str, use_cache: bool = True) -> float:
     return ratio
 
 
+def path_ratios(result: RunResult) -> List[float]:
+    """Per-thread path-length ratios of ``result``'s binaries:
+    :func:`path_ratio` of each benchmark for a windowed-ABI model, 1.0
+    for a flat one (as :func:`~repro.models.model_abi` reports it)."""
+    if model_abi(result.model) == "flat":
+        return [1.0] * len(result.benches)
+    return [path_ratio(b) for b in result.benches]
+
+
 def default_scale() -> float:
     """Workload scale factor; REPRO_SCALE trades fidelity for speed."""
     return float(os.environ.get("REPRO_SCALE", "1.0"))

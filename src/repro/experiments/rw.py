@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import geomean
+from repro.analysis.metrics import flat_equivalent, geomean
 from repro.workloads.profiles import RW_BENCHMARKS
 
 from .engine import SerialEngine, execute_plan
 from .plan import Point, SweepSpec
-from .runner import RunResult, default_scale, path_ratio
+from .runner import RunResult, default_scale, path_ratios
 
 #: The four machines of Figures 4-6, in the paper's legend order.
 RW_MODELS = ("baseline", "ideal-rw", "conventional-rw", "vca-rw")
@@ -36,15 +36,6 @@ REG_SIZES = (64, 128, 192, 256)
 Series = Dict[str, Dict[int, Optional[float]]]
 
 Grid = Dict[Tuple[str, int], List[RunResult]]
-
-
-def _accesses_per_work(r: RunResult) -> float:
-    """DL1 accesses per flat-ABI-equivalent instruction."""
-    ratio = 1.0
-    if r.model != "baseline":
-        ratio = path_ratio(r.benches[0])
-    work = sum(r.committed) / ratio
-    return r.dl1_accesses / work
 
 
 def rw_plan(models: Sequence[str] = RW_MODELS,
@@ -145,8 +136,12 @@ def fig4_plan(benches: Sequence[str] = RW_BENCHMARKS,
 def fig5_plan(benches: Sequence[str] = RW_BENCHMARKS,
               sizes: Sequence[int] = REG_SIZES,
               scale: Optional[float] = None) -> SweepSpec:
-    return _figure_plan("fig5", _accesses_per_work, benches, sizes,
-                        dl1_ports=2, scale=scale, with_ratios=True)
+    # DL1 accesses per flat-equivalent instruction.
+    return _figure_plan(
+        "fig5",
+        lambda r: r.dl1_accesses / sum(flat_equivalent(r.committed,
+                                                       path_ratios(r))),
+        benches, sizes, dl1_ports=2, scale=scale, with_ratios=True)
 
 
 def fig6_plan(benches: Sequence[str] = RW_BENCHMARKS,

@@ -26,6 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.metrics import flat_equivalent, weighted_speedup
+from repro.models import model_abi
 from repro.workloads.clustering import (
     all_pairs, all_quads, cluster_and_select, workload_vector,
 )
@@ -33,7 +35,7 @@ from repro.workloads.profiles import ALL_BENCHMARKS
 
 from .engine import SerialEngine
 from .plan import Point, SweepSpec
-from .runner import RunResult, default_scale, path_ratio
+from .runner import default_scale, path_ratios
 
 #: Register-file sizes swept in Figures 7-8.
 SMT_SIZES = (64, 128, 192, 256, 320, 384, 448)
@@ -102,21 +104,6 @@ def select_workloads(n_threads: int, k: int,
     return [candidates[i] for i in result.representatives]
 
 
-def _flat_equiv_ipc(r: RunResult, tid: int, windowed: bool) -> float:
-    ipc = r.thread_ipcs[tid]
-    if windowed:
-        ipc /= path_ratio(r.benches[tid])
-    return ipc
-
-
-def weighted_speedup_of(r: RunResult, refs: Dict[str, float],
-                        windowed: bool) -> float:
-    """Paper-style weighted speedup of one run against the
-    single-thread baseline references."""
-    return sum(_flat_equiv_ipc(r, i, windowed) / refs[b]
-               for i, b in enumerate(r.benches))
-
-
 def smt_plan(model: str, workloads: Sequence[Workload],
              sizes: Sequence[int] = SMT_SIZES,
              scale: Optional[float] = None) -> SweepSpec:
@@ -136,7 +123,7 @@ def _series_points(series: Dict[str, Tuple[str, Sequence[Workload]]],
     points: List[Point] = [_ref_point(b, scale) for b in ALL_BENCHMARKS]
     for model, workloads in series.values():
         points.extend(smt_plan(model, workloads, sizes, scale).points())
-        if model.endswith("-rw"):
+        if model_abi(model) == "windowed":
             points.extend(Point.ratio(b)
                           for wl in workloads for b in wl)
     return points
@@ -148,7 +135,6 @@ def _speedup_from(outcomes, model: str, workloads: Sequence[Workload],
     """Mean weighted speedup per size, from resolved outcomes; any
     unrunnable workload blanks the whole size (the paper's "No
     Baseline" regions)."""
-    windowed = model.endswith("-rw")
     out: Dict[int, Optional[float]] = {}
     for size in sizes:
         results = [outcomes[Point.run(model, wl, size,
@@ -157,7 +143,8 @@ def _speedup_from(outcomes, model: str, workloads: Sequence[Workload],
         if any(r.unrunnable for r in results):
             out[size] = None
             continue
-        speedups = [weighted_speedup_of(r, refs, windowed)
+        speedups = [weighted_speedup(r.thread_ipcs, path_ratios(r),
+                                     [refs[b] for b in r.benches])
                     for r in results]
         out[size] = sum(speedups) / len(speedups)
     return out
@@ -243,18 +230,14 @@ def sec43_cache_traffic(scale: Optional[float] = None,
     outcomes = engine.run(points)
 
     def apw(model: str, size: int) -> float:
-        windowed = model.endswith("-rw")
         num = den = 0.0
         for wl in wl4:
             r = outcomes[Point.run(model, wl, size,
                                    scale=scale)].result()
             if r.unrunnable:
                 raise RuntimeError(f"{model}@{size} unrunnable")
-            work = sum(
-                c / (path_ratio(b) if windowed else 1.0)
-                for c, b in zip(r.committed, r.benches))
             num += r.dl1_accesses
-            den += work
+            den += sum(flat_equivalent(r.committed, path_ratios(r)))
         return num / den
 
     return {label: apw(model, size) for label, model, size in machines}

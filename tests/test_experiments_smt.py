@@ -3,10 +3,12 @@ speedup plumbing).  Runs at reduced scale; results are cached."""
 
 import pytest
 
-from repro.experiments.runner import RunResult, run_point
+from repro.analysis import weighted_speedup
+from repro.experiments.runner import (
+    RunResult, path_ratio, path_ratios, run_point,
+)
 from repro.experiments.smt import (
     benchmark_vectors, select_workloads, smt_speedup_series,
-    weighted_speedup_of,
 )
 from repro.workloads import ALL_BENCHMARKS
 
@@ -45,9 +47,21 @@ class TestSpeedup:
         r = RunResult(model="vca", benches=("a", "b"), phys_regs=256,
                       dl1_ports=2, scale=1.0, cycles=100,
                       committed=(50, 50), thread_ipcs=(0.5, 0.5))
-        ws = weighted_speedup_of(r, {"a": 1.0, "b": 0.5},
-                                 windowed=False)
+        assert path_ratios(r) == [1.0, 1.0]
+        ws = weighted_speedup(r.thread_ipcs, path_ratios(r), [1.0, 0.5])
         assert ws == pytest.approx(0.5 / 1.0 + 0.5 / 0.5)
+
+    def test_weighted_speedup_windowed(self):
+        # A windowed model's IPC is divided by the benchmark's
+        # path-length ratio: the same work in flat instructions.
+        r = RunResult(model="vca-rw", benches=("gzip_graphic",),
+                      phys_regs=256, dl1_ports=2, scale=1.0, cycles=100,
+                      committed=(50,), thread_ipcs=(0.5,))
+        ratio = path_ratio("gzip_graphic")
+        assert path_ratios(r) == [ratio] and ratio < 1.0
+        ws = weighted_speedup(r.thread_ipcs, path_ratios(r), [0.5])
+        assert ws == pytest.approx(0.5 / ratio / 0.5)
+        assert ws > 1.0
 
     def test_series_single_size(self):
         wl = [("gzip_graphic", "crafty")]

@@ -4,18 +4,9 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    accesses_per_work, geomean, normalized_time, weighted_speedup,
-)
+from repro.analysis import flat_equivalent, geomean, weighted_speedup
 from repro.experiments.report import render_series, render_table
 from repro.experiments.runner import RunResult, path_ratio, run_point
-from repro.pipeline.stats import SimStats, ThreadStats
-
-
-def smt_stats(cycles, committed):
-    s = SimStats(cycles=cycles,
-                 threads=[ThreadStats(committed=c) for c in committed])
-    return s
 
 
 class TestMetrics:
@@ -27,24 +18,23 @@ class TestMetrics:
         with pytest.raises(ValueError):
             geomean([0.0, 1.0])
 
-    def test_normalized_time(self):
-        assert normalized_time(150, 100) == 1.5
-
     def test_weighted_speedup_definition(self):
-        s = smt_stats(100, [60, 40])
         # Each thread's IPC over its single-thread reference, summed.
-        ws = weighted_speedup(s, [1.0, 0.5])
+        ws = weighted_speedup([0.6, 0.4], [1.0, 1.0], [1.0, 0.5])
         assert ws == pytest.approx(0.6 / 1.0 + 0.4 / 0.5)
+        # A windowed thread's IPC counts as flat-equivalent work.
+        ws = weighted_speedup([0.45, 0.4], [0.9, 1.0], [1.0, 0.5])
+        assert ws == pytest.approx(0.5 / 1.0 + 0.4 / 0.5)
 
     def test_weighted_speedup_requires_matching_refs(self):
         with pytest.raises(ValueError):
-            weighted_speedup(smt_stats(10, [5]), [1.0, 1.0])
+            weighted_speedup([0.5], [1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            weighted_speedup([0.5, 0.5], [1.0], [1.0, 1.0])
 
     def test_accesses_per_work_adjusts_for_path_ratio(self):
-        s = smt_stats(100, [90])
-        s.dl1_accesses = 45
-        flat = accesses_per_work(s, {0: 1.0})
-        windowed = accesses_per_work(s, {0: 0.9})
+        flat = 45 / sum(flat_equivalent([90], [1.0]))
+        windowed = 45 / sum(flat_equivalent([90], [0.9]))
         assert flat == pytest.approx(0.5)
         # The windowed binary's 90 instructions equal 100 flat ones.
         assert windowed == pytest.approx(0.45)
