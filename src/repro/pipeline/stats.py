@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -28,6 +28,21 @@ class ThreadStats:
 
 
 _COMMITTED = attrgetter("committed")
+
+#: Fields of :class:`SimStats` and :class:`ThreadStats` that are not
+#: plain counts: the levels a run holds at its end, a rate derived from
+#: other counts, and the per-thread records and metrics dump.
+LEVELS = ("max_regs_in_use", "l2_miss_rate", "halted", "halted_at")
+DERIVED_RATES = ("dl1_miss_rate",)
+_NOT_COUNTS = LEVELS + DERIVED_RATES + ("threads", "metrics")
+
+
+def count_fields(cls) -> Tuple[str, ...]:
+    """The count fields of ``cls``: each int field and per-kind count
+    dict, which a sampled run differences between two points of a run
+    and scales to the whole run.  A count added to a stats class
+    reaches sampled runs through this alone."""
+    return tuple(f.name for f in fields(cls) if f.name not in _NOT_COUNTS)
 
 
 @dataclass

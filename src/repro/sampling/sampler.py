@@ -37,7 +37,7 @@ from repro.functional.blocks import BBV_BUCKET, advance
 from repro.functional.interp import FunctionalSim, FunctionalStats
 from repro.models.factory import build_machine
 from repro.pipeline.core import _ICACHE_BASE, Pipeline
-from repro.pipeline.stats import SimStats, ThreadStats
+from repro.pipeline.stats import SimStats, ThreadStats, count_fields
 
 from .checkpoint import Checkpoint, CheckpointingSim, take_checkpoint
 from .memfeat import MemCaptureCheckpointingSim, MemSketch, ReuseCollector
@@ -470,40 +470,16 @@ def _measured_window(before: Dict, after: SimStats) -> SimStats:
 
     ``before`` is ``SimStats.to_dict()`` captured when the
     detailed-warmup prefix finished; ``after`` is the same machine's
-    stats at the end of the measured interval.  Every monotonic
-    counter is differenced; occupancy-style metrics
-    (``max_regs_in_use``) and the L2 rate keep the end-of-run value.
+    stats at the end of the measured interval.  Every count
+    (:func:`~repro.pipeline.stats.count_fields`) is differenced; the
+    levels keep the end-of-run value and the miss rate is recomputed.
     """
     window = SimStats(threads=[ThreadStats()])
-    for name in _RATE_FIELDS:
-        setattr(window, name, getattr(after, name) - before[name])
-    window.cond_branches = after.cond_branches \
-        - before["cond_branches"]
-    bt = before["threads"][0]
-    at = after.threads[0]
     t = window.threads[0]
-    t.committed = at.committed - bt["committed"]
-    t.fetched = at.fetched - bt["fetched"]
-    t.squashed = at.squashed - bt["squashed"]
-    t.loads = at.loads - bt["loads"]
-    t.stores = at.stores - bt["stores"]
-    t.calls = at.calls - bt["calls"]
-    t.fp_ops = at.fp_ops - bt["fp_ops"]
-    t.cond_branches = at.cond_branches - bt["cond_branches"]
-    t.halted = at.halted
+    _difference(window, before, after)
+    _difference(t, before["threads"][0], after.threads[0])
+    t.halted = after.threads[0].halted
     t.halted_at = window.cycles
-    for cause, n in after.rename_stalls.items():
-        d = n - before["rename_stalls"].get(cause, 0)
-        if d:
-            window.rename_stalls[cause] = d
-    for kind, n in after.dl1_breakdown.items():
-        d = n - before["dl1_breakdown"].get(kind, 0)
-        if d:
-            window.dl1_breakdown[kind] = d
-    for kind, n in after.dl1_miss_breakdown.items():
-        d = n - before["dl1_miss_breakdown"].get(kind, 0)
-        if d:
-            window.dl1_miss_breakdown[kind] = d
     misses = sum(window.dl1_miss_breakdown.values())
     window.dl1_miss_rate = (misses / window.dl1_accesses
                             if window.dl1_accesses else 0.0)
@@ -512,18 +488,24 @@ def _measured_window(before: Dict, after: SimStats) -> SimStats:
     return window
 
 
+def _difference(window, before: Dict, after) -> None:
+    """Set each count of ``window`` to ``after``'s value less
+    ``before``'s, leaving out per-kind entries that did not change."""
+    for name in count_fields(type(window)):
+        now = getattr(after, name)
+        if isinstance(now, dict):
+            into = getattr(window, name)
+            for kind, n in now.items():
+                d = n - before[name].get(kind, 0)
+                if d:
+                    into[kind] = d
+        else:
+            setattr(window, name, now - before[name])
+
+
 # ======================================================================
 # extrapolation
 # ======================================================================
-#: Timing-dependent SimStats fields extrapolated by weighted
-#: per-instruction rate.  (Exact instruction-mix fields come from the
-#: functional profile instead.)
-_RATE_FIELDS = (
-    "cycles", "branch_mispredicts", "spills", "fills",
-    "window_overflows", "window_underflows", "window_trap_cycles",
-    "dl1_accesses", "dl1_port_conflict_cycles", "rsid_flushes",
-)
-
 #: Metrics whose relative standard error is reported in the metadata.
 _ERROR_FIELDS = ("ipc", "dl1_accesses", "spills", "fills",
                  "branch_mispredicts")
@@ -557,11 +539,10 @@ def _extrapolate(samples: List[SimStats], weights: List[float],
         return math.sqrt(var / len(rates)) / mean
 
     est = SimStats(threads=[ThreadStats()])
-    for name in _RATE_FIELDS:
-        setattr(est, name,
-                scale([getattr(s, name) for s in samples]))
-    # Exact instruction-mix totals from the functional pass.
     t = est.threads[0]
+    _scale_counts(est, samples, scale)
+    _scale_counts(t, [s.threads[0] for s in samples], scale)
+    # Exact instruction-mix totals from the functional pass.
     t.committed = n_total
     t.loads = total.loads
     t.stores = total.stores
@@ -570,18 +551,7 @@ def _extrapolate(samples: List[SimStats], weights: List[float],
     t.cond_branches = total.cond_branches
     t.halted = True
     t.halted_at = est.cycles
-    t.fetched = scale([s.threads[0].fetched for s in samples])
-    t.squashed = scale([s.threads[0].squashed for s in samples])
     est.cond_branches = total.cond_branches
-    # Stall breakdown: weighted-scaled per cause.
-    causes: List[str] = []
-    for s in samples:
-        for cause in s.rename_stalls:
-            if cause not in causes:
-                causes.append(cause)
-    for cause in causes:
-        est.rename_stalls[cause] = scale(
-            [s.rename_stalls.get(cause, 0) for s in samples])
     # Ratio metrics: weighted totals, not averaged rates.
     accesses = sum(w * s.dl1_accesses
                    for w, s in zip(weights, samples))
@@ -590,18 +560,6 @@ def _extrapolate(samples: List[SimStats], weights: List[float],
     est.dl1_miss_rate = misses / accesses if accesses else 0.0
     est.l2_miss_rate = (sum(w * s.l2_miss_rate
                             for w, s in zip(weights, samples)) / wsum)
-    kinds: List[str] = []
-    for s in samples:
-        for kind in s.dl1_breakdown:
-            if kind not in kinds:
-                kinds.append(kind)
-    for kind in kinds:
-        est.dl1_breakdown[kind] = scale(
-            [s.dl1_breakdown.get(kind, 0) for s in samples])
-        miss = scale([s.dl1_miss_breakdown.get(kind, 0)
-                      for s in samples])
-        if miss:
-            est.dl1_miss_breakdown[kind] = miss
     est.max_regs_in_use = max(s.max_regs_in_use for s in samples)
 
     errors = {}
@@ -609,6 +567,22 @@ def _extrapolate(samples: List[SimStats], weights: List[float],
         attr = "cycles" if name == "ipc" else name
         errors[name] = rel_stderr([getattr(s, attr) for s in samples])
     return est, errors
+
+
+def _scale_counts(est, samples: Sequence, scale) -> None:
+    """Set each count of ``est`` to ``scale`` of the samples' values;
+    a per-kind dict gets each kind any sample has, in first-seen
+    order, unless it scales to zero."""
+    for name in count_fields(type(est)):
+        into = getattr(est, name)
+        if isinstance(into, dict):
+            per = [getattr(s, name) for s in samples]
+            for kind in dict.fromkeys(k for d in per for k in d):
+                n = scale([d.get(kind, 0) for d in per])
+                if n:
+                    into[kind] = n
+        else:
+            setattr(est, name, scale([getattr(s, name) for s in samples]))
 
 
 # ======================================================================

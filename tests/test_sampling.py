@@ -287,6 +287,46 @@ def test_run_sampled_carries_exact_instruction_mix():
                                 "fills", "branch_mispredicts"}
 
 
+def test_every_count_reaches_a_sampled_run():
+    """The measured window differences, and extrapolation scales,
+    every count ``count_fields`` names, so a count added to the stats
+    classes reaches sampled runs with no sampler change."""
+    from repro.functional.interp import FunctionalStats
+    from repro.pipeline.stats import SimStats, ThreadStats, count_fields
+    from repro.sampling.sampler import _extrapolate, _measured_window
+
+    def counts(stats):
+        return [(obj, name) for obj in (stats, stats.threads[0])
+                for name in count_fields(type(obj))]
+
+    def filled(n):
+        stats = SimStats(threads=[ThreadStats()])
+        for obj, name in counts(stats):
+            if isinstance(getattr(obj, name), dict):
+                getattr(obj, name)["kind"] = n
+            else:
+                setattr(obj, name, n)
+        return stats
+
+    def assert_all(stats, n):
+        for obj, name in counts(stats):
+            value = getattr(obj, name)
+            assert value == ({"kind": n} if isinstance(value, dict)
+                             else n), name
+
+    window = _measured_window(filled(3).to_dict(), filled(10))
+    assert_all(window, 7)
+    # Two 7-instruction samples of a 14-instruction run scale every
+    # count to 14; the profile's instruction mix is 14 as well.
+    mix = dict.fromkeys(("loads", "stores", "calls", "fp_ops",
+                         "cond_branches"), 14)
+    profile = IntervalProfile(
+        counts=[7, 7], bbvs=[{}, {}],
+        total=FunctionalStats(instructions=14, **mix))
+    est, _ = _extrapolate([window, window], [1.0, 1.0], profile)
+    assert_all(est, 14)
+
+
 def test_run_sampled_bbv_mode():
     pytest.importorskip("numpy")
     program = benchmark_program("fib", "flat", thread=0)
