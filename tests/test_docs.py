@@ -1,10 +1,11 @@
 """Documentation health: links resolve, doctest examples run, the
 CLI reference's flag rows match the parser, and no prose cites a
-``file.py:NNN`` line anchor.
+``file.py:NNN`` or ``file.yml:NNN`` line anchor.
 
 Thin pytest wrapper over ``tools/check_docs.py`` (the same checks the
-CI ``docs`` job runs standalone), plus coverage of the checker's own
-failure detection so a broken checker cannot pass vacuously.
+CI ``lint`` job runs through ``tools/ci_checks.py``), plus coverage of
+the checker's own failure detection so a broken checker cannot pass
+vacuously.
 """
 
 import sys
@@ -19,8 +20,9 @@ import check_docs  # noqa: E402
 class TestRepoDocs:
     def test_expected_pages_exist(self):
         files = {f.name for f in check_docs.doc_files(REPO)}
-        assert {"README.md", "index.md", "architecture.md", "vca.md",
-                "experiments.md", "observability.md"} <= files
+        assert {"README.md", "ROADMAP.md", "index.md",
+                "architecture.md", "vca.md", "experiments.md",
+                "observability.md"} <= files
 
     def test_no_dead_links(self):
         errors = [e for f in check_docs.doc_files(REPO)
@@ -70,11 +72,14 @@ class TestCheckerCatchesBreakage:
         f = tmp_path / "page.md"
         f.write_text("See `engine.py:447` and `Worker` in `engine.py`.\n"
                      "```\nTraceback: src/repro/x.py:12\n```\n"
-                     "Port `:5000` is not an anchor.\n")
+                     "Port `:5000` is not an anchor.\n"
+                     "The step at `ci.yml:260-279` moved.\n")
         errors = check_docs.check_line_anchors(f)
-        assert len(errors) == 1
+        assert len(errors) == 2
         assert errors[0].startswith("page.md:1:")
         assert "engine.py:447" in errors[0]
+        assert errors[1].startswith("page.md:6:")
+        assert "ci.yml:260" in errors[1]
 
     def test_fragments_and_anchors_skipped(self, tmp_path):
         (tmp_path / "other.md").write_text("x")

@@ -2,8 +2,9 @@
 """Documentation checker: dead links, orphan pages, fenced doctests,
 CLI flag rows, line-number anchors.
 
-Five checks over ``README.md`` and the ``docs/*.md`` pages, all
-enforced by ``tests/test_docs.py`` and the CI ``docs`` job:
+Five checks over ``README.md``, ``ROADMAP.md`` and the
+``docs/*.md`` pages, all enforced by ``tests/test_docs.py`` and the
+CI ``lint`` job:
 
 1. **Links** — every relative markdown link target must exist on
    disk (resolved against the linking file's directory; ``#fragment``
@@ -20,9 +21,10 @@ enforced by ``tests/test_docs.py`` and the CI ``docs`` job:
    ``repro.cli.build_parser()`` accepts, and every accepted option
    except ``--help`` has such a row, so a deleted flag cannot linger
    in the reference and a new one cannot go undocumented.
-5. **Line anchors** — no ``file.py:NNN`` anchor outside fenced code
-   blocks.  Line numbers go stale with any edit above them; prose
-   names the symbol and its file instead.
+5. **Line anchors** — no ``file.py:NNN`` or ``file.yml:NNN`` anchor
+   outside fenced code blocks.  Line numbers go stale with any edit
+   above them; prose names the symbol (or CI step) and its file
+   instead.
 
 Stdlib only; run as ``python tools/check_docs.py`` from anywhere in
 the repo (exit status 1 on any failure).
@@ -46,8 +48,9 @@ FENCE_RE = re.compile(r"^```python\s*\n(.*?)^```\s*$",
 _EXTERNAL = ("http://", "https://", "mailto:")
 #: A flag-reference table row: ``| `--flag ...` | meaning |``.
 FLAG_ROW_RE = re.compile(r"^\|\s*`(--[\w-]+)", re.MULTILINE)
-#: A line-number anchor into a Python file: ``engine.py:447``.
-ANCHOR_RE = re.compile(r"[\w/.-]*\.py:\d+")
+#: A line-number anchor into a Python or YAML file: ``engine.py:447``,
+#: ``ci.yml:260``.
+ANCHOR_RE = re.compile(r"[\w/.-]*\.(?:py|yml):\d+")
 
 
 def repo_root() -> Path:
@@ -55,8 +58,10 @@ def repo_root() -> Path:
 
 
 def doc_files(root: Path) -> List[Path]:
-    """The files under check: the README plus every docs page."""
-    return [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+    """The files under check: the README, the ROADMAP and every docs
+    page."""
+    return ([root / "README.md", root / "ROADMAP.md"]
+            + sorted((root / "docs").glob("*.md")))
 
 
 def check_links(path: Path) -> List[str]:
