@@ -29,8 +29,8 @@ __all__ = [
     "SweepProgress", "execute_plan", "Point", "SweepSpec",
     "unique_points", "render_series", "render_table", "RunResult",
     "cache_dir", "default_scale", "path_ratio", "path_ratios",
-    "run_point",
-    "source_hash", "ResultStore", "SqliteStore", "active_store",
+    "run_point", "source_hash", "ResultStore", "SqliteStore",
+    "active_store",
     "REG_SIZES", "RW_MODELS", "fig4_execution_time", "fig4_plan",
     "fig5_cache_accesses", "fig5_plan", "fig6_plan",
     "fig6_single_port", "rw_plan", "rw_sweep", "SMT_SIZES",

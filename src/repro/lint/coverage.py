@@ -30,28 +30,13 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
-def _is_property(fn: ast.stmt) -> bool:
-    return isinstance(fn, ast.FunctionDef) and any(
-        isinstance(d, ast.Name) and d.id == "property"
-        for d in fn.decorator_list)
-
-
-def _loads(tree: ast.AST, receiver) -> Set[str]:
-    """Attribute names loaded in ``tree`` on a receiver ``receiver``
-    accepts."""
+def _loads(tree: ast.AST, receivers: Tuple[str, ...]) -> Set[str]:
+    """Attribute names loaded in ``tree`` on a receiver named one of
+    ``receivers``, bare or as the last attribute."""
     return {n.attr for n in ast.walk(tree)
-            if isinstance(n, ast.Attribute)
-            and isinstance(n.ctx, ast.Load) and receiver(n.value)}
-
-
-def _is_config(node: ast.expr) -> bool:
-    return (isinstance(node, ast.Name) and node.id in CONFIG_RECEIVERS
-            or isinstance(node, ast.Attribute)
-            and node.attr in CONFIG_RECEIVERS)
-
-
-def _is_self(node: ast.expr) -> bool:
-    return isinstance(node, ast.Name) and node.id == "self"
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and (getattr(n.value, "id", None)
+                 or getattr(n.value, "attr", None)) in receivers}
 
 
 class CoverageRule(Rule):
@@ -75,13 +60,15 @@ class CoverageRule(Rule):
                             and not stmt.target.id.startswith("_")):
                         fields.append((src, node.name, stmt.target.id,
                                        stmt.lineno))
-                    elif _is_property(stmt):
-                        props[stmt.name] = _loads(stmt, _is_self)
+                    elif isinstance(stmt, ast.FunctionDef) and any(
+                            getattr(d, "id", None) == "property"
+                            for d in stmt.decorator_list):
+                        props[stmt.name] = _loads(stmt, ("self",))
         if not fields:
             return
         read: Set[str] = set()
         for src in ctx.files:
-            read |= _loads(src.tree, _is_config)
+            read |= _loads(src.tree, CONFIG_RECEIVERS)
         # A property read through a config receiver reads what it
         # reads through self (transitively, for property chains).
         frontier = [name for name in read if name in props]

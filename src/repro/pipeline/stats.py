@@ -30,11 +30,11 @@ class ThreadStats:
 _COMMITTED = attrgetter("committed")
 
 #: Fields of :class:`SimStats` and :class:`ThreadStats` that are not
-#: plain counts: the levels a run holds at its end, a rate derived from
-#: other counts, and the per-thread records and metrics dump.
-LEVELS = ("max_regs_in_use", "l2_miss_rate", "halted", "halted_at")
-DERIVED_RATES = ("dl1_miss_rate",)
-_NOT_COUNTS = LEVELS + DERIVED_RATES + ("threads", "metrics")
+#: plain counts: the levels a run holds at its end, the DL1 miss rate
+#: derived from other counts, and the per-thread records and metrics
+#: dump.
+_NOT_COUNTS = ("max_regs_in_use", "l2_miss_rate", "halted", "halted_at",
+               "dl1_miss_rate", "threads", "metrics")
 
 
 def count_fields(cls) -> Tuple[str, ...]:
