@@ -29,12 +29,11 @@ exists to prevent.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from .core import Finding, LintContext, Rule
-from .execctx import ClassInfo, ProgramIndex, classify_constructor, \
-    program_index
-from .flow import EXIT, FunctionInfo, build_cfg, dotted
+from .execctx import ClassInfo, classify_constructor, program_index
+from .flow import EXIT, FunctionInfo, build_cfg
 
 #: Teardown entry points a close/join path must be reachable from.
 CLOSE_METHODS = ("close", "stop", "shutdown", "terminate",

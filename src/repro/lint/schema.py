@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 import fnmatch
 import re
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from .core import Finding, LintContext, Rule, SourceFile
 
