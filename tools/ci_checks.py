@@ -8,7 +8,7 @@ Runs, in order:
   it.
 * ``docs`` — ``tools/check_docs.py`` (links, orphan pages, fenced
   doctests, ``docs/cli.md`` flag rows and line anchors over
-  README.md and docs/).
+  README.md, ROADMAP.md and docs/).
 
 Usage::
 
