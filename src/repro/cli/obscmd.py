@@ -23,6 +23,19 @@ def _in_cycle_range(ev: dict, lo, hi) -> bool:
             and (hi is None or cycle <= hi))
 
 
+def _cause_counts(events) -> dict:
+    """``<kind>.<cause>`` totals over the events that carry a
+    ``cause`` (every ``spill``, ``fill`` and ``victim``): the per-cause
+    rows of ``--counts``, which sum to their kind's total."""
+    counts: dict = {}
+    for ev in events:
+        cause = ev.get("cause")
+        if cause is not None:
+            key = f"{ev.get('kind', '?')}.{cause}"
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def _fmt_event(ev: dict) -> str:
     rest = " ".join(f"{k}={ev[k]}" for k in sorted(ev)
                     if k not in ("cycle", "tid", "kind"))
@@ -99,7 +112,7 @@ def _cmd_trace(args) -> int:
     if args.cycle_range:
         events = [ev for ev in events if _in_cycle_range(ev, lo, hi)]
     if args.counts:
-        counts = event_counts(events)
+        counts = {**event_counts(events), **_cause_counts(events)}
         width = max((len(k) for k in counts), default=4)
         for kind in sorted(counts):
             print(f"{kind:<{width}}  {counts[kind]}")
@@ -159,7 +172,8 @@ def register(sub) -> None:
     tr.add_argument("--limit", type=int, default=64,
                     help="max instructions to show (default 64)")
     tr.add_argument("--counts", action="store_true",
-                    help="print per-kind event totals instead")
+                    help="print per-kind event totals instead, plus "
+                         "per-cause rows (e.g. spill.set_conflict)")
     tr.add_argument("--follow", action="store_true",
                     help="tail the trace live, printing events as the "
                          "simulator appends them")

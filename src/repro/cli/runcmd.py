@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import sys
 
-from repro.config import MachineConfig
 from repro.models import MODELS, build_machine, model_abi
 from repro.workloads import (
     ALL_BENCHMARKS, DIAG_BENCHMARKS, RW_BENCHMARKS, TABLE2_RATIOS,
@@ -38,11 +37,9 @@ def _cmd_run(args) -> int:
 
     benches = args.bench_pos or args.bench
     traced = args.trace_out is not None
-    live = traced or args.metrics_interval is not None
-    if args.ledger and live:
+    if args.ledger and traced:
         print("repro run: --ledger records engine runs; --trace-out "
-              "and --metrics-interval need a live machine",
-              file=sys.stderr)
+              "needs a live machine", file=sys.stderr)
         return 2
     if args.sample and traced:
         print("repro run: --sample simulates disjoint windows; "
@@ -58,15 +55,13 @@ def _cmd_run(args) -> int:
     (point,) = points
 
     tracer = None
-    if live:
+    if traced:
         from repro.experiments.runner import run_point
-        from repro.obs import MetricsRegistry, build_tracer
+        from repro.obs import build_tracer
         tracer = build_tracer(out=args.trace_out)
-        metrics = (MetricsRegistry(args.metrics_interval)
-                   if args.metrics_interval is not None else None)
         try:
             result = run_point(**point.run_args(), use_cache=False,
-                               tracer=tracer, metrics=metrics)
+                               tracer=tracer)
         finally:
             tracer.close()
     else:
@@ -137,33 +132,29 @@ def _run_engine_point(point, ledger_path):
 def _cmd_profile(args) -> int:
     """Where does simulation wall-clock time go?
 
-    Two passes over the same configuration: a clean timing pass with
-    per-stage wall-clock attribution (repro.obs.profile), then —
-    unless ``--top 0`` — a second pass under cProfile for per-function
-    hot spots.  Two passes because cProfile's tracing overhead would
-    distort the stage timings and the cycles/sec headline.
+    Two passes over the machine ``run_point`` simulates for this
+    configuration (both built from ``point_inputs``): a clean timing
+    pass with per-stage wall-clock attribution (repro.obs.profile),
+    then — unless ``--top 0`` — a second pass under cProfile for
+    per-function hot spots.  Two passes because cProfile's tracing
+    overhead would distort the stage timings and the cycles/sec
+    headline.
     """
     import cProfile
     import pstats
 
-    from repro.obs import MetricsRegistry, profile_machine
-    from repro.workloads.generator import benchmark_program
+    from repro.experiments.runner import point_inputs
+    from repro.obs import profile_machine
 
     benches = args.bench_pos or args.bench
-    abi = model_abi(args.model)
 
     def machine():
-        programs = [benchmark_program(b, abi, thread=i,
-                                      scale=args.scale, seed=args.seed)
-                    for i, b in enumerate(benches)]
-        cfg = MachineConfig.baseline(phys_regs=args.regs,
-                                     dl1_ports=args.ports)
+        programs, cfg = point_inputs(args.model, benches, args.regs,
+                                     args.ports, args.scale, args.seed)
         return build_machine(args.model, cfg, programs)
 
-    registry = MetricsRegistry()
     stats, prof = profile_machine(machine(),
-                                  stop_at_first_halt=len(benches) > 1,
-                                  registry=registry)
+                                  stop_at_first_halt=len(benches) > 1)
     cps = stats.cycles / prof.total_seconds if prof.total_seconds else 0
     attributed = prof.cycle_attribution(stats.cycles)
 
@@ -217,7 +208,6 @@ def _cmd_profile(args) -> int:
             "cycles": stats.cycles, "committed": stats.committed,
             "cycles_per_sec": cps,
             "profile": prof.to_dict(stats.cycles),
-            "metrics": registry.to_dict(),
             "top_functions": top,
         }
         from pathlib import Path
@@ -259,10 +249,6 @@ def register(sub) -> None:
                           "fixed per-benchmark streams)")
     run.add_argument("--trace-out", metavar="PATH", default=None,
                      help="write pipeline events as JSONL")
-    run.add_argument("--metrics-interval", type=int, default=None,
-                     metavar="N",
-                     help="enable the metrics registry, snapshotting "
-                          "counters every N cycles (0: final only)")
     run.add_argument("--json", metavar="PATH", default=None,
                      help="also write full stats as JSON")
     run.add_argument("--ledger", metavar="PATH", default=None,

@@ -4,8 +4,8 @@
 table shows, one row per (series, x) point — directly loadable by
 pandas/gnuplot/Excel.  ``python -m repro run ... --json out.json``
 writes the full :meth:`SimStats.to_dict` record, the single schema
-shared by benchmark artifacts, the ``stats`` field of the experiment
-runner's stored results and the metrics registry.
+shared by benchmark artifacts and the ``stats`` field of the
+experiment runner's stored results.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.pipeline.stats import SimStats
 #: Version stamped into every exported artifact.  Bump when a field is
 #: renamed/removed or its meaning changes; adding fields is not a
 #: version bump (readers must tolerate unknown keys).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 #: ``schema`` value of a ``repro run --json`` record.
 STATS_SCHEMA = "repro.run-stats"
 #: ``schema`` value of each ``repro sweep --csv`` row.
@@ -88,7 +88,7 @@ def write_series_csv(path: str, x_name: str,
 
 
 #: Per-point columns of a sweep-outcome CSV (``repro sweep --csv``).
-#: ``schema`` carries the ``repro.sweep-outcomes/v1`` tag on every row
+#: ``schema`` carries the ``repro.sweep-outcomes/v2`` tag on every row
 #: (CSV has no header metadata, so the tag rides in a column).
 OUTCOME_FIELDS: Tuple[str, ...] = (
     "status", "kind", "model", "benches", "phys_regs", "dl1_ports",

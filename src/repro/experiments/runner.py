@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro
+from repro.asm.program import Program
 from repro.config import MachineConfig
 from repro.hooks import current_spans
 from repro.functional import measure_path_length
@@ -226,6 +227,24 @@ def sampling_config(sample_interval: int = 2000, sample_count: int = 8,
         max_detailed=sample_max)
 
 
+def point_inputs(model: str, benches: Sequence[str], phys_regs: int,
+                 dl1_ports: int = 2, scale: float = 1.0,
+                 seed: Optional[int] = None
+                 ) -> Tuple[List[Program], MachineConfig]:
+    """The programs and the machine configuration of one point: one
+    ``model``-ABI program per benchmark (hardware thread), and the
+    Table 1 machine at ``phys_regs`` registers and ``dl1_ports`` DL1
+    ports.  :func:`run_point` simulates exactly these, and ``repro
+    profile`` times them."""
+    abi = model_abi(model)
+    programs = [benchmark_program(name, abi, thread=i, scale=scale,
+                                  seed=seed)
+                for i, name in enumerate(benches)]
+    cfg = MachineConfig.baseline(phys_regs=phys_regs,
+                                 dl1_ports=dl1_ports)
+    return programs, cfg
+
+
 def run_point(model: str, benches: Sequence[str], phys_regs: int,
               dl1_ports: int = 2, scale: float = 1.0,
               use_cache: bool = True, sample: bool = False,
@@ -236,7 +255,7 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
               sample_max: int = 64,
               sample_mem_weight: float = 0.5,
               seed: Optional[int] = None,
-              tracer=None, metrics=None) -> RunResult:
+              tracer=None) -> RunResult:
     """Simulate one configuration (cached under :func:`run_key`).
 
     ``benches`` holds one benchmark name per hardware thread, and
@@ -248,9 +267,9 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
     With ``sample`` the run goes through checkpointed sampled
     simulation (``repro.sampling``, single-thread only) configured by
     :func:`sampling_config`; otherwise the ``sample_*`` parameters are
-    ignored.  ``tracer`` and ``metrics`` (see :mod:`repro.obs`) attach
-    to the live machine; pass them with ``use_cache=False``, so the run
-    simulates and its observed record is not stored.
+    ignored.  ``tracer`` (see :mod:`repro.obs`) traces the live
+    machine; pass it with ``use_cache=False``, so the run simulates and
+    its traced record is not stored.
     """
     benches = tuple(benches)
     if sample and len(benches) != 1:
@@ -268,12 +287,8 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
         if cached is not None:
             return cached
 
-    abi = model_abi(model)
-    programs = [benchmark_program(name, abi, thread=i, scale=scale,
-                                  seed=seed)
-                for i, name in enumerate(benches)]
-    cfg = MachineConfig.baseline(phys_regs=phys_regs,
-                                 dl1_ports=dl1_ports)
+    programs, cfg = point_inputs(model, benches, phys_regs, dl1_ports,
+                                 scale, seed)
     smeta = None
     try:
         if sample:
@@ -283,11 +298,9 @@ def run_point(model: str, benches: Sequence[str], phys_regs: int,
                                    sample_rse_metrics, sample_max,
                                    sample_mem_weight)
             stats, smeta = run_sampled(model, cfg.with_(n_threads=1),
-                                       programs[0], scfg,
-                                       metrics=metrics)
+                                       programs[0], scfg)
         else:
-            machine = build_machine(model, cfg, programs,
-                                    tracer=tracer, metrics=metrics)
+            machine = build_machine(model, cfg, programs, tracer=tracer)
             # The span tracer holds the clocks; this module stays
             # deterministic (D002) and only names the phase.
             sp = current_spans()

@@ -124,26 +124,15 @@ class BlockDesc:
 
 
 class BlockTable:
-    """Decode cache for one :class:`Program` (shared across sims).
+    """Decode cache for one :class:`Program` (shared across sims)."""
 
-    Attributes:
-        decoded: static blocks compiled so far (cache misses).
-        replays: dynamic visits served by a compiled block (hits).
-        stepped: instructions run through the per-instruction
-            ``step()`` fallback (partial blocks at budget boundaries).
-    """
-
-    __slots__ = ("code", "windowed", "blocks", "globals",
-                 "decoded", "replays", "stepped")
+    __slots__ = ("code", "windowed", "blocks", "globals")
 
     def __init__(self, program: Program) -> None:
         self.code = program.code
         self.windowed = program.windowed
         self.blocks: List[Optional[BlockDesc]] = [None] * len(program.code)
         self.globals = {"FunctionalError": FunctionalError}
-        self.decoded = 0
-        self.replays = 0
-        self.stepped = 0
 
     # -- operand rendering ------------------------------------------------
     def _raw(self, r: int) -> str:
@@ -396,7 +385,6 @@ class BlockTable:
         exec(compile(src, f"<block@{start}>", "exec"), g)  # noqa: S102
         desc = BlockDesc(start, n, g.pop("_bf"))
         self.blocks[start] = desc
-        self.decoded += 1
         return desc
 
 
@@ -418,7 +406,7 @@ def _binding(sim: FunctionalSim) -> _Binding:
     return b
 
 
-def _step_tail(sim: FunctionalSim, k: int, table: BlockTable,
+def _step_tail(sim: FunctionalSim, k: int,
                bbv: Optional[Dict[int, int]]) -> None:
     """Run up to ``k`` instructions through ``step()``, counting each
     PC's bucket into ``bbv`` when one is given.
@@ -433,7 +421,6 @@ def _step_tail(sim: FunctionalSim, k: int, table: BlockTable,
             bbv[b] = bbv.get(b, 0) + 1
         sim.step()
         done += 1
-    table.stepped += done
 
 
 def advance(sim: FunctionalSim, limit: int,
@@ -456,7 +443,6 @@ def advance(sim: FunctionalSim, limit: int,
     frames = sim.frames
     code_len = len(table.code)
     pc = sim.pc
-    replays = 0
     try:
         while not sim.halted:
             room = limit - st.instructions
@@ -469,17 +455,15 @@ def advance(sim: FunctionalSim, limit: int,
                 blk = table.decode(pc)
             if blk.n > room:
                 sim.pc = pc
-                _step_tail(sim, room, table, bbv)
+                _step_tail(sim, room, bbv)
                 pc = sim.pc
                 continue
             pc = blk.fn(sim, st, regs, frames[-1], rdm, wrm)
-            replays += 1
             if bbv is not None:
                 for b, c in blk.bbv_runs:
                     bbv[b] = bbv.get(b, 0) + c
     finally:
         sim.pc = pc
-        table.replays += replays
 
 
 def run_blocks(sim: FunctionalSim, max_instructions: int):

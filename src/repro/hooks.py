@@ -1,12 +1,12 @@
 """Instrumentation hook points shared by the simulation layers.
 
 The timing model (``isa``/``asm``/``mem``/``rename``/``pipeline``/...)
-carries optional observability hooks — a tracer, a metrics registry
-and a span tracer — but must not depend on :mod:`repro.obs` at module
-level: the obs package is presentation-side code, excluded from the
-semantics source hash that keys the experiment result cache, and the
-lint layering rule (L001, see ``docs/linting.md``) forbids upward
-imports from the simulation layers.  This leaf module holds the
+carries optional observability hooks — an event tracer and a span
+tracer — but must not depend on :mod:`repro.obs` at module level: the
+obs package is presentation-side code, excluded from the semantics
+source hash that keys the experiment result cache, and the lint
+layering rule (L001, see ``docs/linting.md``) forbids upward imports
+from the simulation layers.  This leaf module holds the
 objects both sides need: the shared inert tracers instrumented code
 defaults to, and the process-wide *current span tracer* slot that the
 experiment engine activates around point execution so lower layers

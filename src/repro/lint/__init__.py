@@ -8,13 +8,13 @@ rationale:
   reads, set-iteration order, or ``id()`` values in the semantics-
   bearing modules (the same file set ``source_hash`` keys the result
   cache with).
-* **L001–L002 layering** — the module-level import graph stays a DAG
+* **L001–L003 layering** — the module-level import graph stays a DAG
   and never points from simulation semantics up into ``obs``,
-  ``experiments`` or the CLI.
+  ``experiments`` or the CLI, and no module-level import goes unread.
 * **H001–H002 hot-path hygiene** — pooled classes declare
   ``__slots__`` and their pool-reset method reassigns every slot.
-* **S001–S005 schema** — every emitted trace/metric name appears in
-  ``repro.obs.schema``, and vice versa.
+* **S001, S003–S006 schema** — every emitted trace event and span
+  name appears in ``repro.obs.schema``, and vice versa.
 * **C001 coverage** — every config field is read through a config
   receiver (``cfg``/``config``) somewhere.
 * **E001** — no unannotated broad ``except`` handlers.

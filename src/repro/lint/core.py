@@ -164,10 +164,8 @@ class LintConfig:
     #: Event kind -> permitted field names; ``None`` loads
     #: ``repro.obs.schema.EVENTS`` lazily.
     events: Optional[Mapping[str, Tuple[str, ...]]] = None
-    #: Counter / distribution / span name patterns (``*`` wildcards);
-    #: ``None`` loads the ``repro.obs.schema`` tuples lazily.
-    counters: Optional[Sequence[str]] = None
-    dists: Optional[Sequence[str]] = None
+    #: Span name patterns (``*`` wildcards); ``None`` loads
+    #: ``repro.obs.schema.SPANS`` lazily.
     spans: Optional[Sequence[str]] = None
 
     def __post_init__(self) -> None:
@@ -176,21 +174,15 @@ class LintConfig:
             self.package_name = self.package_root.name
 
     def resolved_schema(self):
-        """The ``(events, counters, dists, spans)`` registry in force."""
-        events, counters = self.events, self.counters
-        dists, spans = self.dists, self.spans
-        if (events is None or counters is None or dists is None
-                or spans is None):
+        """The ``(events, spans)`` registry in force."""
+        events, spans = self.events, self.spans
+        if events is None or spans is None:
             from repro.obs import schema as _default
             if events is None:
                 events = _default.EVENTS
-            if counters is None:
-                counters = _default.COUNTERS
-            if dists is None:
-                dists = _default.DISTS
             if spans is None:
                 spans = _default.SPANS
-        return events, tuple(counters), tuple(dists), tuple(spans)
+        return events, tuple(spans)
 
 
 class LintContext:

@@ -1,13 +1,12 @@
-"""Schema rules (S001–S006): the observability vocabulary is closed.
+"""Schema rules (S001, S003–S006): the observability vocabulary is closed.
 
-Emission sites (``tracer.emit(cycle, tid, kind, ...)``,
-``registry.inc/set/dist(name, ...)``, and span starts
+Emission sites (``tracer.emit(cycle, tid, kind, ...)`` and span starts
 ``spans.begin/span/record(name, ...)``) are checked against the
 registry in ``repro.obs.schema`` in both directions: a name the
-registry doesn't know fails lint (S001/S002/S006), and a registry
-entry no site can produce is stale (S003).  Dynamically built names
-(f-strings, ``"prefix." + var``) are extracted as ``*`` patterns and
-must match a registry pattern verbatim.
+registry doesn't know fails lint (S001/S006), and a registry entry no
+site can produce is stale (S003).  Dynamically built names (f-strings,
+``"prefix." + var``) are extracted as ``*`` patterns and must match a
+registry pattern verbatim.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ from __future__ import annotations
 import ast
 import fnmatch
 import re
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from .core import Finding, LintContext, Rule, SourceFile
 
-#: Receiver names that identify a tracer / metrics call even when the
-#: name argument cannot be statically resolved.
+#: Receiver names that identify a tracer call even when the name
+#: argument cannot be statically resolved.
 _TRACER_NAMES = frozenset({"tr", "tracer", "trace"})
-_METRICS_NAMES = frozenset({"m", "metrics", "registry"})
 _SPAN_NAMES = frozenset({"sp", "spans", "span_tracer", "tracer"})
 
 #: Method names that open/synthesize a span; the first positional
@@ -83,19 +81,15 @@ def _receiver_looks_like(func: ast.Attribute,
 class SchemaRule(Rule):
     ids = {
         "S001": "trace event kind missing from the schema registry",
-        "S002": "metric counter/distribution name missing from the "
-                "schema registry",
         "S003": "schema registry entry no emission site produces",
-        "S004": "tracer/metrics name that cannot be statically resolved",
+        "S004": "tracer/span name that cannot be statically resolved",
         "S005": "trace event field not declared in the schema registry",
         "S006": "span name missing from the schema registry",
     }
 
     def check_tree(self, ctx: LintContext) -> Iterable[Finding]:
-        events, counters, dists, spans = ctx.cfg.resolved_schema()
+        events, spans = ctx.cfg.resolved_schema()
         seen_kinds: List[str] = []
-        seen_counters: List[str] = []
-        seen_dists: List[str] = []
         seen_spans: List[str] = []
         findings: List[Finding] = []
 
@@ -106,8 +100,7 @@ class SchemaRule(Rule):
             if src.rel == ctx.cfg.schema_rel:
                 continue
             findings.extend(self._scan_file(
-                src, events, counters, dists, spans,
-                seen_kinds, seen_counters, seen_dists, seen_spans))
+                src, events, spans, seen_kinds, seen_spans))
 
         # S003: stale registry entries — only meaningful when the tree
         # actually carries the registry module.
@@ -117,14 +110,6 @@ class SchemaRule(Rule):
                 if not any(_matches(s, kind) for s in seen_kinds):
                     findings.append(self._stale(
                         schema_src, f"event kind '{kind}'"))
-            for entry in counters:
-                if not any(_matches(s, entry) for s in seen_counters):
-                    findings.append(self._stale(
-                        schema_src, f"counter '{entry}'"))
-            for entry in dists:
-                if not any(_matches(s, entry) for s in seen_dists):
-                    findings.append(self._stale(
-                        schema_src, f"distribution '{entry}'"))
             for entry in spans:
                 if not any(_matches(s, entry) for s in seen_spans):
                     findings.append(self._stale(
@@ -143,8 +128,7 @@ class SchemaRule(Rule):
             f"emission site produces it",
             "delete the stale entry or restore the instrumentation")
 
-    def _scan_file(self, src: SourceFile, events, counters, dists,
-                   spans, seen_kinds, seen_counters, seen_dists,
+    def _scan_file(self, src: SourceFile, events, spans, seen_kinds,
                    seen_spans) -> Iterable[Finding]:
         for node in ast.walk(src.tree):
             if not (isinstance(node, ast.Call)
@@ -181,12 +165,6 @@ class SchemaRule(Rule):
                             f"schema registry",
                             "add it to repro.obs.schema.EVENTS and "
                             "docs/observability.md")
-            elif attr in ("inc", "set") and node.args:
-                yield from self._check_metric(
-                    node, src, counters, seen_counters, "counter")
-            elif attr == "dist" and node.args:
-                yield from self._check_metric(
-                    node, src, dists, seen_dists, "distribution")
             elif (attr in _SPAN_METHODS and node.args
                   and _receiver_looks_like(node.func, _SPAN_NAMES)):
                 # ``begin``/``span``/``record`` are common method
@@ -209,25 +187,3 @@ class SchemaRule(Rule):
                             f"registry",
                             "add it to repro.obs.schema.SPANS and "
                             "docs/observability.md")
-
-    def _check_metric(self, node: ast.Call, src: SourceFile,
-                      registry: Sequence[str], seen: List[str],
-                      what: str) -> Iterable[Finding]:
-        pats = name_patterns(node.args[0])
-        if pats is None:
-            if _receiver_looks_like(node.func, _METRICS_NAMES):
-                yield src.finding(
-                    "S004", node,
-                    f"metrics {what} name is not a static string",
-                    "build names from literal prefixes so they match "
-                    "a registry pattern")
-            return
-        for pat in pats:
-            seen.append(pat)
-            if not any(_matches(pat, entry) for entry in registry):
-                yield src.finding(
-                    "S002", node,
-                    f"metrics {what} '{pat}' is not in the schema "
-                    f"registry",
-                    "add it to repro.obs.schema and "
-                    "docs/observability.md")

@@ -30,15 +30,12 @@ class MemoryHierarchy:
         self.dl1_ports = PortArbiter(cfg.dl1_ports)
         #: Observability hooks; inert until :meth:`attach_obs`.
         self.trace = NULL_TRACER
-        self.metrics = None
         self.clock: Callable[[], int] = lambda: 0
         self._traced_rejections = 0
 
-    def attach_obs(self, tracer, metrics,
-                   clock: Callable[[], int]) -> None:
-        """Wire the tracer/metrics registry and a cycle source in."""
+    def attach_obs(self, tracer, clock: Callable[[], int]) -> None:
+        """Wire the tracer and a cycle source in."""
         self.trace = tracer
-        self.metrics = metrics
         self.clock = clock
 
     def begin_cycle(self) -> None:

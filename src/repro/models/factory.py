@@ -14,7 +14,7 @@ model name              rename engine          ABI          paper role
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.asm.program import Program
 from repro.config import MachineConfig
@@ -62,13 +62,12 @@ def build_engine(model: str, cfg: MachineConfig,
 
 def build_machine(model: str, cfg: MachineConfig,
                   programs: Sequence[Program],
-                  tracer=None, metrics=None) -> Pipeline:
+                  tracer=None) -> Pipeline:
     """A ready-to-run pipeline for ``model`` and ``programs``.
 
     Every program's ABI must match the model; the config's
-    ``n_threads`` is set to the number of programs.
-    ``tracer``/``metrics`` (see :mod:`repro.obs`) attach observability
-    to the whole machine; both default to off.
+    ``n_threads`` is set to the number of programs.  ``tracer`` (see
+    :mod:`repro.obs`) traces the whole machine; it defaults to off.
     """
     abi = MODELS[model]
     cfg = cfg.with_(n_threads=len(programs))
@@ -80,4 +79,4 @@ def build_machine(model: str, cfg: MachineConfig,
     hierarchy = MemoryHierarchy(cfg)
     engine = build_engine(model, cfg, hierarchy)
     return Pipeline(cfg, list(programs), engine, hierarchy,
-                    tracer=tracer, metrics=metrics)
+                    tracer=tracer)

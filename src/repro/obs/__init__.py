@@ -1,10 +1,11 @@
-"""Observability: tracing, metrics, spans, run ledger, profiling.
+"""Observability: tracing, spans, run ledger, profiling.
 
 The simulator's hot layers carry lightweight instrumentation hooks
-that are inert by default (``NULL_TRACER`` / no registry) and activate
-when a run is built with a live :class:`Tracer` or
-:class:`MetricsRegistry` — see ``docs/observability.md`` for the event
-schema and usage.  :mod:`repro.obs.profile` adds per-stage wall-clock
+that are inert by default (``NULL_TRACER``) and activate when a run is
+built with a live :class:`Tracer` — see ``docs/observability.md`` for
+the event schema and usage.  A run's counts live in its
+:class:`~repro.pipeline.stats.SimStats`; the tracer is the one event
+channel.  :mod:`repro.obs.profile` adds per-stage wall-clock
 attribution on top (``repro profile``).
 
 The fleet-facing layer: :mod:`repro.obs.spans` records hierarchical
@@ -16,7 +17,6 @@ ledger as a live terminal dashboard (``repro top``) or a
 self-contained HTML report (``repro report``).
 """
 
-from .metrics import Histogram, MetricsRegistry
 from .pipeview import render_pipeline_view
 from .profile import STAGES, StageProfile, profile_machine
 from .runlog import (
@@ -30,7 +30,7 @@ from .trace import (
 )
 
 __all__ = [
-    "Histogram", "MetricsRegistry", "render_pipeline_view",
+    "render_pipeline_view",
     "JsonlSink", "NULL_TRACER", "RingBufferSink", "Tracer",
     "build_tracer", "read_jsonl",
     "STAGES", "StageProfile", "profile_machine",

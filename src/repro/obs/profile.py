@@ -14,9 +14,7 @@ sum to the run's total cycle count and can be compared across
 configurations whose absolute speeds differ.
 
 :func:`profile_machine` is the one-call wrapper used by ``repro
-profile`` and the tests: attach, run, detach, and (optionally) report
-the totals into a :class:`~repro.obs.metrics.MetricsRegistry` under
-``profile.<stage>.seconds``.
+profile`` and the tests: attach, run, detach.
 
 Profiling is observational only: the wrapped stages run exactly the
 code they would unprofiled, so :class:`~repro.pipeline.stats.SimStats`
@@ -132,19 +130,6 @@ class StageProfile:
         return {label: total_cycles * secs / denom
                 for label, secs in self.seconds.items()}
 
-    def report_into(self, registry) -> None:
-        """Write the totals into a metrics registry.
-
-        Counters: ``profile.<stage>.seconds``, ``profile.<stage>.calls``
-        and ``profile.total_seconds`` — the same namespace-dotted style
-        the rest of the simulator reports in, so profile numbers land
-        next to pipeline/dl1 counters in exported metrics.
-        """
-        for label, secs in self.seconds.items():
-            registry.set(f"profile.{label}.seconds", secs)
-            registry.set(f"profile.{label}.calls", self.calls[label])
-        registry.set("profile.total_seconds", self.total_seconds)
-
     def to_dict(self, total_cycles: Optional[int] = None) -> Dict:
         """JSON-friendly summary (stages ordered by pipeline order)."""
         attributed = (self.cycle_attribution(total_cycles)
@@ -164,15 +149,13 @@ class StageProfile:
         }
 
 
-def profile_machine(machine, stop_at_first_halt: bool = False,
-                    registry=None):
+def profile_machine(machine, stop_at_first_halt: bool = False):
     """Run ``machine`` with stage timers attached.
 
     Returns ``(stats, profile)`` where ``stats`` is the normal
     :class:`~repro.pipeline.stats.SimStats` of the run (bit-identical
     to an unprofiled run) and ``profile`` the detached
-    :class:`StageProfile`.  If ``registry`` is given, the totals are
-    also reported into it (see :meth:`StageProfile.report_into`).
+    :class:`StageProfile`.
     """
     prof = StageProfile(machine)
     prof.attach()
@@ -180,6 +163,4 @@ def profile_machine(machine, stop_at_first_halt: bool = False,
         stats = machine.run(stop_at_first_halt=stop_at_first_halt)
     finally:
         prof.detach()
-    if registry is not None:
-        prof.report_into(registry)
     return stats, prof

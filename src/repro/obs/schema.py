@@ -1,19 +1,20 @@
 """The observability schema registry: every name the simulator emits.
 
-Trace events (``tracer.emit(cycle, tid, kind, **fields)``), metric
-counters (``registry.inc``/``set``) and distributions
-(``registry.dist``) are addressed by string names scattered across the
-instrumentation sites.  This module is the single authoritative list
-of those names — the machine-readable form of the tables in
-``docs/observability.md`` — so that tools (the ``repro trace`` viewer,
-`sweep --csv` consumers, dashboards) can rely on a closed vocabulary.
+Trace events (``tracer.emit(cycle, tid, kind, **fields)``) and spans
+(``spans.begin``/``span``/``record``) are addressed by string names
+scattered across the instrumentation sites.  This module is the
+single authoritative list of those names — the machine-readable form
+of the tables in ``docs/observability.md`` — so that tools (the
+``repro trace`` viewer, the run ledger's readers, dashboards) can rely
+on a closed vocabulary.  A run's counts are not named here: they are
+the fields of :class:`~repro.pipeline.stats.SimStats`.
 
-The lint schema rules (S001–S005, see ``docs/linting.md``) enforce the
-registry in both directions: an emission site using a name not listed
-here fails lint, and a registry entry no emission site can produce is
-flagged as stale.  Names built at runtime (f-strings, concatenation)
-are matched against ``*`` wildcards, e.g. ``dl1.miss.*`` covers
-``dl1.miss.l2`` and ``dl1.miss.mem``.
+The lint schema rules (S001 and S003–S006, see ``docs/linting.md``)
+enforce the registry in both directions: an emission site using a
+name not listed here fails lint, and a registry entry no emission
+site can produce is flagged as stale.  Names built at runtime
+(f-strings, concatenation) must match a ``*`` wildcard entry
+verbatim.
 
 When you add an instrumentation site, add its name (and, for events,
 its field set) here and to ``docs/observability.md`` in the same
@@ -51,52 +52,6 @@ EVENTS: Dict[str, Tuple[str, ...]] = {
     "wtrap": ("trap", "depth", "transfers"),
 }
 
-#: Scalar counter names (``registry.inc`` / ``registry.set``).
-#: ``*`` matches one dynamic name segment.
-COUNTERS: Tuple[str, ...] = (
-    # pipeline core
-    "pipeline.cycles",
-    "pipeline.committed",
-    "pipeline.mispredicts",
-    # DL1 / memory hierarchy
-    "dl1.accesses",
-    "dl1.port_rejections",
-    "dl1.port_conflict_cycles",
-    "dl1.miss.*",            # dl1.miss.l2 / dl1.miss.mem
-    # rename-table probes
-    "rename.tag_hit",
-    "rename.tag_miss",
-    # VCA spill/fill machinery
-    "vca.spill.*",           # by cause: set_conflict/regfile_full/...
-    "vca.fill.*",
-    "vca.spills",
-    "vca.fills",
-    "vca.dead_drops",
-    "vca.rsid_flush_stall_cycles",
-    "regfile.allocs",
-    "regfile.max_in_use",
-    "astq.max_occupancy",
-    # conventional register windows
-    "windows.*",             # windows.overflow / windows.underflow
-    # sampled simulation (repro.sampling.sampler)
-    "sampling.intervals_total",
-    "sampling.intervals_detailed",
-    "sampling.detailed_instructions",
-    "sampling.detailed_cycles",
-    "sampling.est_cycles",
-    "sampling.rse_rounds",       # adaptive convergence rounds run
-    "sampling.intervals_added",  # intervals beyond the starting budget
-    # functional decoded-block cache (repro.functional.blocks; set by
-    # the sampler over the profiling + fast-forward passes)
-    "functional.block_decodes",        # static blocks compiled (misses)
-    "functional.block_replays",        # dynamic visits served (hits)
-    "functional.block_step_fallback",  # per-instruction boundary steps
-    # stage profiler (repro.obs.profile)
-    "profile.*.seconds",
-    "profile.*.calls",
-    "profile.total_seconds",
-)
-
 #: Span names (``spans.begin``/``span``/``record`` sites): the phase
 #: vocabulary of the run ledger's span trees.  ``sweep``/``job`` root
 #: a trace, ``point`` is one experiment point (possibly synthesized
@@ -112,16 +67,4 @@ SPANS: Tuple[str, ...] = (
     "warmup",                # detailed (unmeasured) warmup interval
     "detailed",              # measured detailed interval
     "rse_round",             # one sampling round (fixed-count: one)
-)
-
-#: Distribution (histogram) names (``registry.dist``).
-DISTS: Tuple[str, ...] = (
-    "rename.stall_run_len",
-    "pipeline.iq_occupancy",
-    "pipeline.rob_occupancy",
-    "astq.occupancy",
-    "astq.issue_wait",
-    "astq.fill_latency",
-    "vca.spill_burst_len",
-    "windows.trap_transfers",
 )

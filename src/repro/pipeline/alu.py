@@ -6,7 +6,7 @@ implementations cross-validate each other in the integration tests.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.functional.interp import MASK64, to_signed
 from repro.isa.instruction import Instruction

@@ -95,20 +95,18 @@ class Pipeline:
     def __init__(self, cfg: MachineConfig, programs: List[Program],
                  engine: RenameEngine,
                  hierarchy: MemoryHierarchy,
-                 tracer=None, metrics=None) -> None:
+                 tracer=None) -> None:
         if len(programs) != cfg.n_threads:
             raise ValueError("one program per hardware thread required")
         self.cfg = cfg
         self.engine = engine
         self.hierarchy = hierarchy
-        #: Observability: event tracer (inert by default) and optional
-        #: metrics registry, shared with the engine, ASTQ and caches.
+        #: Observability: event tracer (inert by default), shared with
+        #: the engine and the caches.
         self.trace = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
         clock = lambda: self.cycle  # noqa: E731 - shared cycle source
-        engine.attach_obs(self.trace, metrics, clock)
-        hierarchy.attach_obs(self.trace, metrics, clock)
-        self._stall_run = 0         # rename-stall run-length tracking
+        engine.attach_obs(self.trace, clock)
+        hierarchy.attach_obs(self.trace, clock)
         self.predictor = HybridPredictor()
         self.stats = SimStats(threads=[ThreadStats() for _ in programs])
         self.threads = [ThreadState(i, p, self.stats.threads[i])
@@ -282,23 +280,6 @@ class Pipeline:
         rsid = getattr(self.engine, "rsid", None)
         if rsid is not None:
             s.rsid_flushes = rsid.flushes
-        self.engine.finalize_obs()
-        m = self.metrics
-        if m is not None:
-            if self._stall_run:
-                m.dist("rename.stall_run_len").record(self._stall_run)
-                self._stall_run = 0
-            ports = self.hierarchy.dl1_ports
-            m.set("pipeline.cycles", s.cycles)
-            m.set("pipeline.committed", s.committed)
-            m.set("pipeline.mispredicts", s.branch_mispredicts)
-            m.set("dl1.accesses", dl1.accesses)
-            m.set("dl1.port_rejections", ports.rejections)
-            m.set("dl1.port_conflict_cycles", ports.conflict_cycles)
-            for kind, n in dl1.miss_by_kind.items():
-                m.set(f"dl1.miss.{kind}", n)
-            m.snapshot(self.cycle, committed=s.committed)  # closing
-            s.metrics = m.to_dict()
         return s
 
     # ==================================================================
@@ -330,7 +311,6 @@ class Pipeline:
         rename_dispatch = self._rename_dispatch
         issue = self._issue_stage
         fetch = self._fetch
-        m = self.metrics
 
         def step() -> None:
             now = self.cycle
@@ -341,32 +321,9 @@ class Pipeline:
             if (self._trap_phase is not None
                     or engine.trap_request is not None):
                 trap_sequencer(now)
-            if m is None:
-                rename_dispatch(now)
-            else:
-                # Rename-stall run lengths: consecutive cycles in which
-                # a rename-ready instruction was waiting but none
-                # renamed.
-                rob_before = sum(map(len, self.rob))
-                rename_dispatch(now)
-                renamed = sum(map(len, self.rob)) - rob_before
-                if renamed:
-                    if self._stall_run:
-                        m.dist("rename.stall_run_len").record(
-                            self._stall_run)
-                        self._stall_run = 0
-                elif any(q and q[0][0] <= now for q in self.front):
-                    self._stall_run += 1
+            rename_dispatch(now)
             issue(now)
             fetch(now)
-            if m is not None:
-                m.dist("pipeline.iq_occupancy").record(self.iq_count)
-                m.dist("pipeline.rob_occupancy").record(
-                    sum(map(len, self.rob)))
-                astq = self._astq
-                if astq is not None:
-                    m.dist("astq.occupancy").record(len(astq.queue))
-                m.tick(now, committed=self.stats.committed)
             self.cycle = now + 1
 
         return step

@@ -31,10 +31,9 @@ _COMMITTED = attrgetter("committed")
 
 #: Fields of :class:`SimStats` and :class:`ThreadStats` that are not
 #: plain counts: the levels a run holds at its end, the DL1 miss rate
-#: derived from other counts, and the per-thread records and metrics
-#: dump.
+#: derived from other counts, and the per-thread records.
 _NOT_COUNTS = ("max_regs_in_use", "l2_miss_rate", "halted", "halted_at",
-               "dl1_miss_rate", "threads", "metrics")
+               "dl1_miss_rate", "threads")
 
 
 def count_fields(cls) -> Tuple[str, ...]:
@@ -47,7 +46,9 @@ def count_fields(cls) -> Tuple[str, ...]:
 
 @dataclass
 class SimStats:
-    """Machine-wide counters for one timing-simulation run."""
+    """Machine-wide counters for one timing-simulation run: the one
+    per-run count record every run, sampled run, stored result and
+    export carries."""
 
     cycles: int = 0
     threads: List[ThreadStats] = field(default_factory=list)
@@ -67,9 +68,6 @@ class SimStats:
     l2_miss_rate: float = 0.0
     rsid_flushes: int = 0
     max_regs_in_use: int = 0
-    #: Metrics-registry dump (counters/dists/snapshots) when the run
-    #: was built with a registry; empty otherwise.
-    metrics: Dict = field(default_factory=dict)
 
     @property
     def committed(self) -> int:

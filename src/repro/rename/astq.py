@@ -22,7 +22,6 @@ from collections import deque
 from typing import Callable, List, Optional
 
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.hooks import NULL_TRACER
 
 from .regfile import PhysReg, PhysRegFile
 
@@ -31,7 +30,7 @@ class AstqOp:
     """One spill or fill in the ASTQ."""
 
     __slots__ = ("kind", "addr", "preg", "value", "queued_at",
-                 "issued_at", "complete_at")
+                 "complete_at")
 
     def __init__(self, kind: str, addr: int,
                  preg: Optional[PhysReg] = None,
@@ -41,7 +40,6 @@ class AstqOp:
         self.preg = preg          # fill target (None for spills)
         self.value = value        # spill data
         self.queued_at = 0
-        self.issued_at: Optional[int] = None
         self.complete_at: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -65,17 +63,6 @@ class ASTQ:
         self.now = 0
         self.spills = 0
         self.fills = 0
-        self.max_occupancy = 0
-        #: Observability hooks; inert until :meth:`attach_obs`.
-        self.trace = NULL_TRACER
-        self.metrics = None
-        self.clock: Callable[[], int] = lambda: 0
-
-    def attach_obs(self, tracer, metrics,
-                   clock: Callable[[], int]) -> None:
-        self.trace = tracer
-        self.metrics = metrics
-        self.clock = clock
 
     def begin_cycle(self) -> None:
         self._writes_this_cycle = 0
@@ -139,7 +126,6 @@ class ASTQ:
         op.queued_at = self.now
         self.queue.append(op)
         self._writes_this_cycle += 1
-        self.max_occupancy = max(self.max_occupancy, len(self.queue))
 
     def unpush(self, op: AstqOp) -> None:
         """Rollback of the most recent push (rename-stall undo path)."""
@@ -156,10 +142,6 @@ class ASTQ:
         if not self.queue:
             return False
         op = self.queue.popleft()
-        op.issued_at = now
-        m = self.metrics
-        if m is not None:
-            m.dist("astq.issue_wait").record(now - op.queued_at)
         is_write = op.kind == "spill"
         latency = self.hierarchy.dl1_access(op.addr, write=is_write,
                                             kind=op.kind)
@@ -179,12 +161,6 @@ class ASTQ:
         for op in self.in_flight:
             if op.complete_at <= now:
                 if op.kind == "fill":
-                    m = self.metrics
-                    if m is not None:
-                        # Queue-to-data latency: what a dependent
-                        # instruction actually waits on a rename miss.
-                        m.dist("astq.fill_latency").record(
-                            now - op.queued_at)
                     preg = op.preg
                     if not preg.doomed:
                         preg.value = self.hierarchy.read_word(op.addr)

@@ -59,22 +59,13 @@ class RenameEngine(abc.ABC):
         self.trap_request: Optional[TrapRequest] = None
         #: Observability hooks; inert until :meth:`attach_obs`.
         self.trace = NULL_TRACER
-        self.metrics = None
         self.clock: Callable[[], int] = lambda: 0
 
     # -- observability ----------------------------------------------------
-    def attach_obs(self, tracer, metrics, clock: Callable[[], int]) -> None:
-        """Wire the tracer/metrics registry and a cycle source in.
-
-        Engines with internal structures (e.g. the VCA ASTQ) override
-        this to forward the hooks.
-        """
+    def attach_obs(self, tracer, clock: Callable[[], int]) -> None:
+        """Wire the tracer and a cycle source in."""
         self.trace = tracer
-        self.metrics = metrics
         self.clock = clock
-
-    def finalize_obs(self) -> None:
-        """Flush engine-side metrics at end of run (optional hook)."""
 
     # -- per-cycle ----------------------------------------------------------
     def begin_cycle(self) -> None:

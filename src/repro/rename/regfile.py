@@ -85,7 +85,6 @@ class PhysRegFile:
         #: Current cycle, advanced by the engine; LRU stamps use it so
         #: recency is wall-clock even while rename is stalled.
         self.now = 0
-        self.allocs = 0
         self.max_in_use = 0
 
     # ------------------------------------------------------------------
@@ -119,7 +118,6 @@ class PhysRegFile:
         reg.from_fill = False
         reg.is_free = False
         reg.last_use = self.now
-        self.allocs += 1
         in_use = self.n_regs - len(free)
         if in_use > self.max_in_use:
             self.max_in_use = in_use

@@ -51,8 +51,8 @@ class VcaRenameTable:
 
     def lookup(self, key: Key) -> Optional[PhysReg]:
         """The register ``key`` maps to, or None.  The rename path
-        inlines this probe; with a metrics registry attached it counts
-        hits and misses as ``rename.tag_hit``/``rename.tag_miss``."""
+        inlines this probe; while tracing it emits each hit and miss
+        as a ``tag_hit``/``tag_miss`` event."""
         return self._set_of(key).get(key)
 
     # ------------------------------------------------------------------

@@ -82,8 +82,6 @@ class VcaRename(RenameEngine):
         #: while the address's register space keeps its RSID (cleared
         #: whenever an RSID is evicted).
         self._probes: Dict[int, Tuple[int, Tuple[int, int], dict]] = {}
-        #: True when a tracer or metrics registry wants rename events.
-        self._observed = False
         #: Scratch journal reused across try_rename calls (its entries
         #: never escape the call).
         self._journal: List[Undo] = []
@@ -95,62 +93,19 @@ class VcaRename(RenameEngine):
         self._flush_entries: List[Tuple[Tuple[int, int], PhysReg]] = []
         self.fills_generated = 0
         self.spills_generated = 0
-        self.rsid_flush_stall_cycles = 0
         #: Registers reclaimed spill-free by the dead-window extension.
         self.dead_drops = 0
-        # Spill-burst tracking for the metrics registry: a burst is a
-        # run of spills on consecutive cycles (the "spill storm" shape
-        # the trace view is for).
-        self._spill_burst = 0
-        self._last_spill_cycle = -2
 
     # -- observability -------------------------------------------------------
-    def attach_obs(self, tracer, metrics, clock) -> None:
-        super().attach_obs(tracer, metrics, clock)
-        self._observed = tracer.enabled or metrics is not None
-        if self._astq is not None:
-            self._astq.attach_obs(tracer, metrics, clock)
-
     def _obs_spill(self, addr: int, cause: str) -> None:
-        """Record one spill (event + cause counter + burst length)."""
         tr = self.trace
         if tr.enabled:
             tr.emit(self.clock(), -1, "spill", addr=addr, cause=cause)
-        m = self.metrics
-        if m is not None:
-            m.inc("vca.spill." + cause)
-            now = self.clock()
-            if now - self._last_spill_cycle <= 1:
-                self._spill_burst += 1
-            else:
-                if self._spill_burst:
-                    m.dist("vca.spill_burst_len").record(self._spill_burst)
-                self._spill_burst = 1
-            self._last_spill_cycle = now
 
     def _obs_fill(self, addr: int, cause: str) -> None:
         tr = self.trace
         if tr.enabled:
             tr.emit(self.clock(), -1, "fill", addr=addr, cause=cause)
-        m = self.metrics
-        if m is not None:
-            m.inc("vca.fill." + cause)
-
-    def finalize_obs(self) -> None:
-        m = self.metrics
-        if m is None:
-            return
-        if self._spill_burst:
-            m.dist("vca.spill_burst_len").record(self._spill_burst)
-            self._spill_burst = 0
-        m.set("vca.spills", self.spills_generated)
-        m.set("vca.fills", self.fills_generated)
-        m.set("vca.dead_drops", self.dead_drops)
-        m.set("vca.rsid_flush_stall_cycles", self.rsid_flush_stall_cycles)
-        m.set("regfile.allocs", self.regfile.allocs)
-        m.set("regfile.max_in_use", self.regfile.max_in_use)
-        if self._astq is not None:
-            m.set("astq.max_occupancy", self._astq.max_occupancy)
 
     # -- plumbing ------------------------------------------------------------
     @property
@@ -287,7 +242,6 @@ class VcaRename(RenameEngine):
         squashes continue while rename is stalled and may replace or
         restore mappings in the victim space.
         """
-        self.rsid_flush_stall_cycles += 1
         budget = (self.cfg.astq_writes_per_cycle
                   if self._astq is not None else 1 << 30)
         entries = self.table.entries_for_rsid(self._flush_rsid)
@@ -515,7 +469,7 @@ class VcaRename(RenameEngine):
                 return False
             self._ports_used = used + need
 
-        observed = self._observed
+        observed = self.trace.enabled
         rf_now = self.regfile.now
         # Rename runs for every fetched instruction (and re-runs on
         # every stalled retry), so the RSID translation and the tagged
@@ -601,13 +555,10 @@ class VcaRename(RenameEngine):
         return probe
 
     def _obs_probe(self, d, laddr: int, reg: int, hit: bool) -> None:
-        tr = self.trace
-        if tr.enabled:
-            tr.emit(self.clock(), d.tid, "tag_hit" if hit else "tag_miss",
-                    laddr=laddr, reg=reg)
-        m = self.metrics
-        if m is not None:
-            m.inc("rename.tag_hit" if hit else "rename.tag_miss")
+        """Trace one rename-table probe (called only while tracing)."""
+        self.trace.emit(self.clock(), d.tid,
+                        "tag_hit" if hit else "tag_miss",
+                        laddr=laddr, reg=reg)
 
     def _fill_miss(self, key: Tuple[int, int], laddr: int, sset: dict,
                    journal: List[Undo]) -> Optional[PhysReg]:

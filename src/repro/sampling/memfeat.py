@@ -47,8 +47,8 @@ __all__ = ["MemSketch", "ReuseCollector", "MemCaptureCheckpointingSim",
 
 
 def n_buckets(cap: int) -> int:
-    """Histogram bins for an LRU stack of ``cap`` lines: log2 bins for
-    distances ``0..cap-1`` plus one cold/evicted bin."""
+    """Reuse-distance bins for an LRU stack of ``cap`` lines: log2 bins
+    for distances ``0..cap-1`` plus one cold/evicted bin."""
     return (cap - 1).bit_length() + 2
 
 

@@ -635,35 +635,8 @@ def _simulate_interval(model: str, cfg: MachineConfig,
     return stats, cycles, instructions
 
 
-def _emit_metrics(metrics, meta: SamplingMeta, program: Program,
-                  est: SimStats) -> None:
-    """Publish the ``sampling.*`` counters and attach the registry."""
-    if metrics is None:
-        return
-    m = metrics
-    m.set("sampling.intervals_total", meta.n_intervals)
-    m.set("sampling.intervals_detailed", meta.n_detailed)
-    m.set("sampling.detailed_instructions",
-          meta.detailed_instructions)
-    m.set("sampling.detailed_cycles", meta.detailed_cycles)
-    m.set("sampling.est_cycles", meta.est_cycles)
-    if meta.rse_target is not None:
-        m.set("sampling.rse_rounds", len(meta.rounds))
-        m.set("sampling.intervals_added", meta.intervals_added)
-    # Block-cache effectiveness over the functional pass (the table is
-    # shared per program object).
-    table = getattr(program, "_block_table", None)
-    m.set("functional.block_decodes",
-          table.decoded if table else 0)
-    m.set("functional.block_replays",
-          table.replays if table else 0)
-    m.set("functional.block_step_fallback",
-          table.stepped if table else 0)
-    est.metrics = m.to_dict()
-
-
 def run_sampled(model: str, cfg: MachineConfig, program: Program,
-                scfg: Optional[SamplingConfig] = None, metrics=None,
+                scfg: Optional[SamplingConfig] = None
                 ) -> Tuple[SimStats, SamplingMeta]:
     """Sampled detailed simulation of one single-thread workload.
 
@@ -689,9 +662,6 @@ def run_sampled(model: str, cfg: MachineConfig, program: Program,
         cfg: machine configuration (``n_threads`` must be 1).
         program: the assembled binary, in the model's ABI.
         scfg: sampling knobs; defaults to :class:`SamplingConfig`.
-        metrics: optional :class:`repro.obs.metrics.MetricsRegistry`;
-            receives the ``sampling.*`` counters and is attached to
-            the returned stats.
 
     Returns:
         ``(stats, meta)`` — extrapolated whole-run :class:`SimStats`
@@ -782,5 +752,4 @@ def run_sampled(model: str, cfg: MachineConfig, program: Program,
                          if adaptive else 0),
         converged=converged,
     )
-    _emit_metrics(metrics, meta, program, est)
     return est, meta

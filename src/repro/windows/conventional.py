@@ -232,10 +232,6 @@ class ConventionalWindowRename(RenameEngine):
         if tr.enabled:
             tr.emit(self.clock(), 0, "wtrap", trap=kind, depth=depth,
                     transfers=transfers)
-        m = self.metrics
-        if m is not None:
-            m.inc("windows." + kind)
-            m.dist("windows.trap_transfers").record(transfers)
 
     def apply_trap_load(self, lidx: int, value: float) -> None:
         """Write a trap-restored value into the logical register."""

@@ -192,8 +192,8 @@ _SMT_EXTRA_PROFILES = [
        branch_frac=0.07, branch_random=0.12, ilp=3),
 ]
 
-#: Small diagnostic workloads for observability work (tracing, metrics
-#: sanity checks).  They are runnable via ``repro run`` but deliberately
+#: Small diagnostic workloads for observability work (tracing and
+#: count sanity checks).  They are runnable via ``repro run`` but deliberately
 #: excluded from :data:`ALL_BENCHMARKS` so the paper's 23-benchmark SMT
 #: pool (23 choose 2 = 253 pairs) is unchanged.
 _DIAG_PROFILES = [

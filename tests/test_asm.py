@@ -8,7 +8,7 @@ from repro.asm.layout import (
     thread_window_base,
 )
 from repro.functional import FunctionalSim
-from repro.isa import Op, RA_REG, SP_REG, ZERO_REG
+from repro.isa import Op, RA_REG, SP_REG
 
 
 def tiny_program(thread: int = 0) -> ProgramBuilder:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workloads.clustering import (
-    all_pairs, all_quads, benchmark_vector, cluster_and_select,
-    workload_vector,
+    all_pairs, all_quads, cluster_and_select, workload_vector,
 )
 
 

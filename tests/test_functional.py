@@ -6,7 +6,7 @@ from repro.asm import ProgramBuilder
 from repro.functional import (
     FunctionalError, FunctionalSim, MASK64, measure_path_length, to_signed,
 )
-from repro.isa import Op, SP_REG, ZERO_REG
+from repro.isa import Op, ZERO_REG
 
 
 def run_main(body, abi="flat", extra_funcs=None, thread=0):

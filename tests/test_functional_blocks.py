@@ -176,7 +176,7 @@ def test_checkpoint_roundtrip_through_warm_cache():
     fast_forward(sim, 1234)
     ck = Checkpoint.from_dict(take_checkpoint(sim).to_dict())
     table = block_table(program)
-    assert table.decoded > 0
+    assert any(b is not None for b in table.blocks)
     # Restore resumes on the same (warm) table and must reach the
     # same final state the interpreter did.
     resumed = ck.restore(program)

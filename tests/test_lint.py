@@ -7,8 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main as cli_main
 from repro.lint import LintConfig, default_config, lint_tree, rule_catalog
 
@@ -92,7 +90,7 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# layering (L001-L002)
+# layering and unused imports (L001-L003)
 # ---------------------------------------------------------------------------
 
 class TestLayering:
@@ -129,6 +127,17 @@ class TestLayering:
             "obs/helpers.py": "NULL = None\n"})
         assert "L001" in rule_ids(lint_tree(cfg))
 
+    def test_unused_import_l003(self, tmp_path):
+        cfg = make_pkg(tmp_path, {
+            "paths.py": fixture("unused_import_bad.py"),
+            # A package __init__ imports to re-export: never L003.
+            "sub/__init__.py": "import json\n"})
+        findings = [f for f in lint_tree(cfg) if f.rule == "L003"]
+        assert sorted(f.message for f in findings) == [
+            "'Dict' is imported but never read",
+            "'json' is imported but never read"]
+        assert all(f.path.endswith("paths.py") for f in findings)
+
 
 # ---------------------------------------------------------------------------
 # hot-path hygiene (H001-H002)
@@ -160,7 +169,7 @@ class TestHotPath:
 
 
 # ---------------------------------------------------------------------------
-# metrics/trace schema (S001-S005)
+# trace/span schema (S001, S003-S006)
 # ---------------------------------------------------------------------------
 
 class TestSchema:
@@ -168,16 +177,17 @@ class TestSchema:
         cfg = make_pkg(tmp_path,
                        {"instr.py": fixture("schema_bad.py")})
         findings = lint_tree(cfg)
-        assert rule_ids(findings) == {"S001", "S002", "S004", "S005"}
+        assert rule_ids(findings) == {"S001", "S004", "S005"}
         s1 = [f for f in findings if f.rule == "S001"][0]
         assert "teleport" in s1.message
-        assert len([f for f in findings if f.rule == "S002"]) == 2
         s5 = [f for f in findings if f.rule == "S005"][0]
         assert "speed" in s5.message
 
     def test_good_fixture_with_wildcard_match(self, tmp_path):
+        from repro.obs.schema import SPANS
         cfg = make_pkg(tmp_path,
-                       {"instr.py": fixture("schema_good.py")})
+                       {"instr.py": fixture("schema_good.py")},
+                       spans=SPANS + ("phase.*",))
         assert lint_tree(cfg) == []
 
     def test_unregistered_span_name_s006(self, tmp_path):
@@ -187,7 +197,7 @@ class TestSchema:
                          "    with sp.span('teleport'):\n"
                          "        pass\n"
                          "    sp.begin('point')\n"},
-            events={}, counters=(), dists=(), spans=("point",))
+            events={}, spans=("point",))
         findings = lint_tree(cfg)
         assert rule_ids(findings) == {"S006"}
         assert "teleport" in findings[0].message
@@ -201,7 +211,7 @@ class TestSchema:
                          "    conn.begin('transaction')\n"
                          "    spans.record('point', 0.0, 1.0)\n"
                          "    spans.begin(which)\n"},
-            events={}, counters=(), dists=(), spans=("point",))
+            events={}, spans=("point",))
         findings = lint_tree(cfg)
         assert rule_ids(findings) == {"S004"}
         assert "span name" in findings[0].message
@@ -212,8 +222,7 @@ class TestSchema:
             {"obs/schema.py": "SPANS = ('point', 'ghost')\n",
              "instr.py": "def f(sp):\n"
                          "    sp.begin('point')\n"},
-            events={}, counters=(), dists=(),
-            spans=("point", "ghost"))
+            events={}, spans=("point", "ghost"))
         findings = [f for f in lint_tree(cfg) if f.rule == "S003"]
         assert len(findings) == 1
         assert "span 'ghost'" in findings[0].message
@@ -221,14 +230,13 @@ class TestSchema:
     def test_stale_registry_entry(self, tmp_path):
         cfg = make_pkg(
             tmp_path,
-            {"obs/schema.py": "GHOST = 'ghost.counter'\n",
-             "instr.py": "def f(metrics):\n"
-                         "    metrics.inc('pipeline.cycles')\n"},
-            events={}, counters=("pipeline.cycles", "ghost.counter"),
-            dists=(), spans=())
+            {"obs/schema.py": "GHOST = 'ghost_kind'\n",
+             "instr.py": "def f(tr):\n"
+                         "    tr.emit(0, 0, 'spill', addr=4)\n"},
+            events={"spill": ("addr",), "ghost_kind": ()}, spans=())
         findings = [f for f in lint_tree(cfg) if f.rule == "S003"]
         assert len(findings) == 1
-        assert "ghost.counter" in findings[0].message
+        assert "event kind 'ghost_kind'" in findings[0].message
         assert findings[0].path.endswith("obs/schema.py")
         assert findings[0].line == 1  # anchored at the quoted entry
 
@@ -494,9 +502,10 @@ class TestCli:
     def test_rules_catalog(self, capsys):
         assert cli_main(["lint", "--rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("D001", "L001", "H002", "S003", "K001",
+        for rule_id in ("D001", "L001", "L003", "H002", "S003", "K001",
                         "E001", "F000"):
             assert rule_id in out
+        assert "S002" not in out
         assert set(rule_catalog()) >= {"D001", "L002", "H001", "S005",
                                        "C001", "E001"}
 

@@ -1,7 +1,5 @@
 """Tests for metrics, the experiment runner and report rendering."""
 
-import math
-
 import pytest
 
 from repro.analysis import flat_equivalent, geomean, weighted_speedup

@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm import ProgramBuilder
 from repro.config import MachineConfig
-from repro.models import MODELS, build_engine, build_machine, model_abi
+from repro.models import MODELS, build_engine, build_machine
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.rename.conventional import ConventionalRename
 from repro.rename.vca import VcaRename

@@ -1,6 +1,6 @@
 """Tests for the observability subsystem (repro.obs): tracer sinks,
-metrics registry, pipeline view, CLI integration, and the guarantee
-that tracing off costs (essentially) nothing."""
+pipeline view, CLI integration, and the guarantee that tracing off
+costs (essentially) nothing."""
 
 import json
 import time
@@ -10,30 +10,28 @@ import pytest
 from repro.config import MachineConfig
 from repro.models import build_machine, model_abi
 from repro.obs import (
-    Histogram, JsonlSink, MetricsRegistry, NULL_TRACER, RingBufferSink,
-    Tracer, build_tracer, read_jsonl,
+    JsonlSink, NULL_TRACER, RingBufferSink, Tracer, build_tracer,
+    read_jsonl,
 )
 from repro.obs.pipeview import event_counts, render_pipeline_view
 from repro.workloads.generator import benchmark_program
 
 
 def _traced_run(model="vca-rw", bench="gzip_graphic", regs=96,
-                scale=0.2, tracer=None, metrics=None):
+                scale=0.2, tracer=None):
     abi = model_abi(model)
     programs = [benchmark_program(bench, abi, scale=scale)]
     cfg = MachineConfig.baseline(phys_regs=regs)
-    machine = build_machine(model, cfg, programs,
-                            tracer=tracer, metrics=metrics)
+    machine = build_machine(model, cfg, programs, tracer=tracer)
     return machine.run()
 
 
 @pytest.fixture(scope="module")
 def traced():
-    """One traced+metered run shared by the reconciliation tests."""
+    """One traced run shared by the reconciliation tests."""
     tracer = build_tracer(trace=True)
-    metrics = MetricsRegistry(snapshot_interval=500)
-    stats = _traced_run(tracer=tracer, metrics=metrics)
-    return tracer.ring_events(), metrics, stats
+    stats = _traced_run(tracer=tracer)
+    return tracer.ring_events(), stats
 
 
 class TestSinks:
@@ -93,85 +91,6 @@ class TestSinks:
         assert not Tracer([]).enabled
 
 
-class TestHistogram:
-    def test_exact_percentiles(self):
-        h = Histogram("h")
-        for v in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]:
-            h.record(v)
-        assert h.count == 10
-        assert h.mean == pytest.approx(5.5)
-        assert h.percentile(0) == 1
-        assert h.percentile(100) == 10
-        assert h.percentile(50) == pytest.approx(5.5)
-
-    def test_interpolated_percentile(self):
-        h = Histogram("h")
-        for v in (10, 20, 30, 40):
-            h.record(v)
-        assert h.percentile(50) == pytest.approx(25.0)
-        assert h.percentile(25) == pytest.approx(17.5)
-
-    def test_decimation_keeps_exact_aggregates(self):
-        h = Histogram("h", max_samples=64)
-        n = 10_000
-        for v in range(n):
-            h.record(v)
-        assert h.count == n
-        assert h.min == 0 and h.max == n - 1
-        assert h.mean == pytest.approx((n - 1) / 2)
-        # Decimated samples still locate percentiles to within a few
-        # percent of the exact value.
-        assert h.percentile(50) == pytest.approx(n / 2, rel=0.1)
-        assert h.percentile(90) == pytest.approx(0.9 * n, rel=0.1)
-
-    def test_to_dict(self):
-        h = Histogram("h")
-        h.record(2)
-        h.record(4)
-        d = h.to_dict()
-        assert d["count"] == 2
-        assert d["mean"] == pytest.approx(3.0)
-        assert d["min"] == 2 and d["max"] == 4
-        assert "p50" in d and "p99" in d
-
-    def test_empty(self):
-        h = Histogram("h")
-        assert h.count == 0
-        assert h.percentile(50) == 0.0
-        assert h.to_dict()["count"] == 0
-
-
-class TestMetricsRegistry:
-    def test_counters(self):
-        m = MetricsRegistry()
-        m.inc("a.b")
-        m.inc("a.b", 4)
-        m.set("a.c", 7)
-        assert m.get("a.b") == 5
-        assert m.to_dict()["counters"] == {"a.b": 5, "a.c": 7}
-
-    def test_dist_is_cached_per_name(self):
-        m = MetricsRegistry()
-        assert m.dist("x") is m.dist("x")
-
-    def test_snapshot_cadence(self):
-        m = MetricsRegistry(snapshot_interval=100)
-        for cycle in range(0, 350):
-            m.inc("c")
-            m.tick(cycle)
-        snaps = m.to_dict()["snapshots"]
-        assert [s["cycle"] for s in snaps] == [100, 200, 300]
-        assert snaps[-1]["counters"]["c"] >= snaps[0]["counters"]["c"]
-
-    def test_forced_snapshot_and_extras(self):
-        m = MetricsRegistry()          # interval 0: never fires on tick
-        m.tick(10)
-        assert m.to_dict()["snapshots"] == []
-        m.snapshot(42, committed=9)
-        (snap,) = m.to_dict()["snapshots"]
-        assert snap["cycle"] == 42 and snap["committed"] == 9
-
-
 class TestPipelineView:
     def _events(self):
         return [
@@ -214,59 +133,64 @@ class TestReconciliation:
     the property that makes the trace trustworthy for debugging."""
 
     def test_spills_and_fills(self, traced):
-        events, _, stats = traced
+        events, stats = traced
         counts = event_counts(events)
         assert counts.get("spill", 0) == stats.spills
         assert counts.get("fill", 0) == stats.fills
         assert stats.spills > 0 and stats.fills > 0
 
     def test_lifecycle_counts(self, traced):
-        events, _, stats = traced
+        events, stats = traced
         counts = event_counts(events)
         assert counts["commit"] == stats.committed
         assert counts["mispredict"] == stats.branch_mispredicts
         assert counts["dl1"] == stats.dl1_accesses
 
-    def test_metrics_mirror_stats(self, traced):
-        _, metrics, stats = traced
-        c = metrics.to_dict()["counters"]
-        assert c["vca.spills"] == stats.spills
-        assert c["vca.fills"] == stats.fills
-        assert c["pipeline.committed"] == stats.committed
-        assert c["pipeline.cycles"] == stats.cycles
-
-    def test_snapshots_and_dists_present(self, traced):
-        _, metrics, stats = traced
-        d = metrics.to_dict()
-        assert len(d["snapshots"]) >= 2
-        for name in ("pipeline.iq_occupancy", "pipeline.rob_occupancy",
-                     "astq.occupancy"):
-            assert d["dists"][name]["count"] > 0
-        assert stats.metrics == d
-
     def test_pipeline_view_renders_real_trace(self, traced):
-        events, _, _ = traced
+        events, _ = traced
         text = render_pipeline_view(events, limit=8)
         assert "timeline" in text and "[f" in text
+
+    def test_counts_split_by_cause(self, traced, tmp_path, capsys):
+        """``repro trace --counts`` adds one ``<kind>.<cause>`` row per
+        cause of each cause-carrying kind; the rows sum to the kind's
+        total, and the spill and fill totals are the run's counts."""
+        from repro.cli import main
+        events, stats = traced
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+        assert main(["trace", str(path), "--counts"]) == 0
+        rows = dict(line.split() for line in
+                    capsys.readouterr().out.splitlines())
+        rows = {name: int(n) for name, n in rows.items()}
+        assert rows["spill"] == stats.spills
+        assert rows["fill"] == stats.fills
+        for kind in ("spill", "fill", "victim"):
+            causes = {name: n for name, n in rows.items()
+                      if name.startswith(kind + ".")}
+            assert causes, f"no {kind}.<cause> rows"
+            assert sum(causes.values()) == rows[kind]
+        # The per-kind view itself still counts each event once.
+        assert event_counts(events)["spill"] == stats.spills
 
 
 class TestStatsSerialization:
     def test_roundtrip(self, traced):
         from repro.pipeline.stats import SimStats
-        _, _, stats = traced
+        _, stats = traced
         clone = SimStats.from_dict(stats.to_dict())
         assert clone.to_dict() == stats.to_dict()
         assert clone.committed == stats.committed
         assert clone.rename_stalls == stats.rename_stalls
 
     def test_derived_keys(self, traced):
-        _, _, stats = traced
+        _, stats = traced
         d = stats.to_dict()
         assert d["committed_total"] == stats.committed
         assert d["ipc"] == pytest.approx(stats.ipc)
 
     def test_summary_spacing(self, traced):
-        _, _, stats = traced
+        _, stats = traced
         text = stats.summary()
         assert "rsid flushes" in text
         assert "max regs in use" in text
@@ -278,16 +202,30 @@ class TestStatsSerialization:
     def test_stats_json_roundtrip(self, traced, tmp_path):
         from repro.experiments.export import (
             read_stats_json, write_stats_json)
-        _, _, stats = traced
+        _, stats = traced
         path = write_stats_json(str(tmp_path / "s.json"), stats,
                                 model="vca-rw")
         meta, clone = read_stats_json(str(path))
         assert meta == {"model": "vca-rw"}
         assert clone.to_dict() == stats.to_dict()
 
+    def test_v1_record_with_metrics_still_reads(self, traced, tmp_path):
+        """Version 2 dropped ``stats.metrics``; a version-1 record that
+        still carries it reads, the key ignored."""
+        from repro.experiments.export import read_stats_json
+        _, stats = traced
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "schema": "repro.run-stats", "schema_version": 1,
+            "model": "vca-rw",
+            "stats": {**stats.to_dict(), "metrics": {"counters": {}}}}))
+        meta, clone = read_stats_json(str(path))
+        assert meta == {"model": "vca-rw"}
+        assert clone.to_dict() == stats.to_dict()
+
     def test_stats_json_without_schema_rejected(self, traced, tmp_path):
         from repro.experiments.export import read_stats_json
-        _, _, stats = traced
+        _, stats = traced
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"model": "vca-rw",
                                     "stats": stats.to_dict()}))
@@ -358,12 +296,12 @@ class TestCliTrace:
 
 
 class TestOverhead:
-    """Tracing off must be (essentially) free: no events, no registry
-    mutations, and guard checks far under 5% of the run's wall time."""
+    """Tracing off must be (essentially) free: no events, and guard
+    checks far under 5% of the run's wall time."""
 
     def test_off_leaves_no_footprint(self):
         stats = _traced_run(scale=0.1)
-        assert stats.metrics == {}
+        assert stats.committed > 0
         assert NULL_TRACER.ring_events() == []
 
     def test_guard_cost_under_budget(self):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.engine import (
-    EngineError, ParallelEngine, PointOutcome, SerialEngine,
+    EngineError, ParallelEngine, SerialEngine,
     apply_repro_env, execute_plan, repro_env,
 )
 from repro.experiments.plan import (

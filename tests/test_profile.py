@@ -6,9 +6,7 @@ import pytest
 
 from repro.config import MachineConfig
 from repro.models.factory import build_machine, model_abi
-from repro.obs import (
-    STAGES, MetricsRegistry, StageProfile, profile_machine,
-)
+from repro.obs import STAGES, StageProfile, profile_machine
 from repro.obs.profile import stage_label
 from repro.workloads.generator import benchmark_program
 
@@ -44,9 +42,7 @@ class TestStageProfile:
         """Attaching the profiler must not perturb the simulation."""
         plain = _machine().run()
         profiled, _ = profile_machine(_machine())
-        d0, d1 = plain.to_dict(), profiled.to_dict()
-        d0.pop("metrics", None), d1.pop("metrics", None)
-        assert d0 == d1
+        assert plain.to_dict() == profiled.to_dict()
 
     def test_detach_restores_class_methods(self):
         m = _machine()
@@ -68,16 +64,6 @@ class TestStageProfile:
         prof.detach()
         prof.detach()  # idempotent
 
-    def test_registry_reconciles(self):
-        registry = MetricsRegistry()
-        stats, prof = profile_machine(_machine(), registry=registry)
-        total = sum(registry.get(f"profile.{stage_label(n)}.seconds")
-                    for n in STAGES)
-        assert total == pytest.approx(prof.stage_seconds_total)
-        assert (registry.get("profile.total_seconds")
-                == prof.total_seconds)
-        assert (registry.get("profile.fetch.calls") == stats.cycles)
-
 
 class TestCliProfile:
     def test_profile_runs_on_fib(self, capsys, tmp_path):
@@ -93,16 +79,20 @@ class TestCliProfile:
 
         payload = json.loads(out.read_text())
         assert payload["schema"] == "repro.profile"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["benches"] == ["fib"]
         stages = payload["profile"]["stages"]
         assert set(stages) == {stage_label(n) for n in STAGES}
         total = sum(s["cycles_est"] for s in stages.values())
         assert total == pytest.approx(payload["cycles"])
         assert len(payload["top_functions"]) == 3
-        # Registry counters ride along for downstream tooling.
-        counters = payload["metrics"]["counters"]
-        assert "profile.fetch.seconds" in counters
+        # Each stage's seconds and calls are in ``profile`` alone.
+        assert "metrics" not in payload
+        assert stages["fetch"]["calls"] == payload["cycles"]
+        assert payload["profile"]["stage_seconds"] == pytest.approx(
+            sum(s["seconds"] for s in stages.values()))
+        assert (payload["profile"]["stage_seconds"]
+                <= payload["profile"]["total_seconds"])
 
     def test_profile_skips_cprofile_pass(self, capsys):
         from repro.cli import main

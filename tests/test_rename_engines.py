@@ -12,7 +12,6 @@ from repro.models import build_engine
 from repro.pipeline.dyninst import DynInst
 from repro.rename.base import UnrunnableConfigError
 from repro.rename.conventional import ConventionalRename
-from repro.rename.vca import VcaRename
 from repro.windows.conventional import ConventionalWindowRename, max_windows
 
 

@@ -3,11 +3,10 @@
 Every sampling method — fixed-count ``systematic``, ``bbv`` and
 ``bbv+mem`` selection, a non-default detailed-warmup prefix, and the
 adaptive convergence loop over ``bbv`` and ``systematic`` — hashes
-``stats.to_dict()`` with the ``metrics`` key removed (the rule
-``tests/test_timing_digests.py`` states) plus ``meta.to_dict()`` from
-:func:`run_sampled` on three workloads at small scale.  A refactor of
-the sampling driver that changes any sampled estimate, error, round
-trail or cost figure changes a digest and fails here.
+``stats.to_dict()`` plus ``meta.to_dict()`` from :func:`run_sampled`
+on three workloads at small scale.  A refactor of the sampling driver
+that changes any sampled estimate, error, round trail or cost figure
+changes a digest and fails here.
 
 A second set pins fixed ``systematic`` and adaptive ``bbv`` on twolf
 for every other model, and for vca-rw at 64 and 128 registers, so each
@@ -96,17 +95,12 @@ MODEL_PINS = {
 }
 
 
-def _stats_record(stats_dict):
-    """One stats record as the pins hash it: without ``metrics``."""
-    return {k: v for k, v in stats_dict.items() if k != "metrics"}
-
-
 def _digest(bench, kw, model=MODEL, regs=256):
     program = benchmark_program(bench, model_abi(model), thread=0,
                                 scale=SCALE)
     cfg = MachineConfig.baseline(phys_regs=regs)
     stats, meta = run_sampled(model, cfg, program, SamplingConfig(**kw))
-    blob = json.dumps({"stats": _stats_record(stats.to_dict()),
+    blob = json.dumps({"stats": stats.to_dict(),
                        "meta": meta.to_dict()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -136,8 +130,8 @@ def _engine_digest(bench, kw):
                   scale=SCALE, sample=True,
                   **{_POINT_FIELDS[k]: v for k, v in kw.items()})
     result = SerialEngine(use_cache=False).run([point])[point].result()
-    blob = json.dumps({"stats": _stats_record(result.stats),
-                       "meta": result.sampling}, sort_keys=True)
+    blob = json.dumps({"stats": result.stats, "meta": result.sampling},
+                      sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

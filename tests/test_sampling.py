@@ -339,21 +339,6 @@ def test_run_sampled_bbv_mode():
     assert stats.cycles > 0
 
 
-def test_run_sampled_emits_metrics():
-    from repro.obs import MetricsRegistry
-    program = benchmark_program("fib", "flat", thread=0)
-    cfg = MachineConfig.baseline(phys_regs=256)
-    m = MetricsRegistry()
-    stats, meta = run_sampled("baseline", cfg, program,
-                              SamplingConfig(interval_len=1000,
-                                             n_detailed=3),
-                              metrics=m)
-    assert m.counters["sampling.intervals_total"] == meta.n_intervals
-    assert m.counters["sampling.est_cycles"] == meta.est_cycles
-    assert stats.metrics["counters"]["sampling.detailed_cycles"] \
-        == meta.detailed_cycles
-
-
 def test_run_sampled_rejects_multithread():
     program = benchmark_program("fib", "flat", thread=0)
     cfg = MachineConfig.baseline(phys_regs=256).with_(n_threads=2)

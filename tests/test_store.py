@@ -10,8 +10,6 @@ import sqlite3
 import time
 from contextlib import closing
 
-import pytest
-
 from repro.experiments.plan import Point
 from repro.experiments.store import FileStore, SqliteStore, active_store
 

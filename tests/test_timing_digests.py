@@ -1,9 +1,9 @@
 """Pinned digests of full-detail timing results.
 
-Each pin is sha256[:16] of ``SimStats.to_dict()`` with the ``metrics``
-key removed.  Any behavioural drift in the timing model — a skipped
-rename retry, a reordered port acquisition, a dropped stall counter —
-changes a digest and fails here before it can silently skew a figure.
+Each pin is sha256[:16] of ``SimStats.to_dict()``.  Any behavioural
+drift in the timing model — a skipped rename retry, a reordered port
+acquisition, a dropped stall counter — changes a digest and fails here
+before it can silently skew a figure.
 
 * ``GOLDEN_DIGESTS``: six configurations at 256 registers and two DL1
   ports covering the flat baseline, the conventional/ideal
@@ -27,7 +27,7 @@ from repro.models.factory import build_machine, model_abi
 from repro.rename.base import UnrunnableConfigError
 from repro.workloads.generator import benchmark_program
 
-#: Digests of ``SimStats.to_dict()`` (metrics key removed) recorded on
+#: Digests of ``SimStats.to_dict()`` recorded on
 #: the pre-optimization tree: (model, benches, stop_at_first_halt) →
 #: (sha256[:16], cycles).  scale=1.0, phys_regs=256, dl1_ports=2.
 GOLDEN_DIGESTS = {
@@ -101,10 +101,9 @@ MATRIX = {
 
 
 def stats_digest(stats_dict):
-    """sha256[:16] of one ``SimStats.to_dict()`` without ``metrics``."""
-    d = {k: v for k, v in stats_dict.items() if k != "metrics"}
+    """sha256[:16] of one ``SimStats.to_dict()``."""
     return hashlib.sha256(
-        json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+        json.dumps(stats_dict, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _machine(model, benches, scale):
