@@ -26,7 +26,15 @@ Layers (bottom-up):
   flat-equivalent work, weighted speedup) that every figure uses.
 """
 
-from repro.config import CacheConfig, MachineConfig
+import os
+
+# Points already run in parallel worker processes, and the LAPACK calls
+# of interval selection are tiny, so numpy's BLAS gets no thread pool:
+# its idle threads spin after each call and take a sibling worker's
+# core.  Set before any module imports numpy; a caller's value stands.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from repro.config import CacheConfig, MachineConfig  # noqa: E402
 
 __version__ = "1.0.0"
 

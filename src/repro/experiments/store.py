@@ -413,6 +413,18 @@ _active = {"pid": None, "path": None, "store": None}
 #: closes the parent's sqlite connection (closing a POSIX-locked fd in
 #: the child could release the parent's locks).
 _abandoned: List[SqliteStore] = []
+#: Guards the check-and-replace of ``_active``.  A fork can copy it
+#: while another thread holds it, so a forked child gets a new one.
+_active_lock = threading.Lock()
+
+
+def _new_active_lock() -> None:
+    global _active_lock
+    _active_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_new_active_lock)
 
 
 def _store_path() -> Path:
@@ -428,19 +440,21 @@ def active_store() -> SqliteStore:
     ``cache_dir()``.  Re-evaluated on every call — like ``cache_dir()``
     — so forked/spawned engine workers and tests that re-point the
     environment always agree with it; the open store is reused until
-    the pid or the path changes.
+    the pid or the path changes.  Threads that call it at once share
+    one store: the check-and-replace runs under ``_active_lock``.
     """
     pid = os.getpid()
     path = _store_path()
-    store = _active["store"]
-    if store is not None and _active["pid"] == pid \
-            and _active["path"] == path:
+    with _active_lock:
+        store = _active["store"]
+        if store is not None and _active["pid"] == pid \
+                and _active["path"] == path:
+            return store
+        if store is not None:
+            if _active["pid"] == pid:
+                store.close()
+            else:
+                _abandoned.append(store)
+        store = SqliteStore(path)
+        _active.update(pid=pid, path=path, store=store)
         return store
-    if store is not None:
-        if _active["pid"] == pid:
-            store.close()
-        else:
-            _abandoned.append(store)
-    store = SqliteStore(path)
-    _active.update(pid=pid, path=path, store=store)
-    return store

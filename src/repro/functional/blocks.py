@@ -9,9 +9,13 @@ time*:
 
 * A **basic block** is the straight-line run of instructions from an
   entry PC up to and including the first control transfer (branch,
-  call, ret, jump or ``HALT``).  Entry PCs are discovered dynamically —
-  whatever PC execution actually reaches — so overlapping decodings of
-  the same straight-line code are possible and harmless.
+  call, ret, jump or ``HALT``).  A block starts only where control
+  flow enters code: the program entry, a transfer's target or its
+  fall-through.  Entries are discovered dynamically, so a branch into
+  the middle of another block's run gives two overlapping decodings,
+  which is harmless.  A bounded run that resumes inside a run (after
+  a stop mid-block) steps to the end of that run instead of decoding
+  a block at the resume PC.
 * Each block is decoded **once per static block** into a single
   specialised Python function (compiled with :func:`compile`/``exec``)
   whose body is the block's instructions with every operand already
@@ -32,7 +36,7 @@ Correctness contract (kept bit-exact vs. the interpreter; enforced by
   identical to interp-mode execution at every block boundary, and any
   instruction boundary is reachable exactly because bounded execution
   (:func:`advance`) falls back to per-instruction ``step()`` for a
-  partial block.
+  partial block and for the rest of a run it resumes in.
 * ``CheckpointingSim`` capture still works: memory traffic flows
   through the *bound* ``read_mem``/``write_mem`` methods, and branch /
   return-address-stack capture is emitted into the terminators behind
@@ -408,19 +412,26 @@ def _binding(sim: FunctionalSim) -> _Binding:
 
 def _step_tail(sim: FunctionalSim, k: int,
                bbv: Optional[Dict[int, int]]) -> None:
-    """Run up to ``k`` instructions through ``step()``, counting each
-    PC's bucket into ``bbv`` when one is given.
+    """Run up to ``k`` instructions through ``step()``, stopping after
+    the first control transfer, and count each PC's bucket into
+    ``bbv`` when one is given.
 
     Used when the next block is longer than the remaining budget, so
-    any instruction boundary is reachable bit-exactly.
+    any instruction boundary is reachable bit-exactly, and when a
+    bounded run resumes inside a straight-line run, so the next block
+    starts where control flow enters it.
     """
+    code = sim.program.code
     done = 0
     while done < k and not sim.halted:
+        pc = sim.pc
         if bbv is not None:
-            b = sim.pc // BBV_BUCKET
+            b = pc // BBV_BUCKET
             bbv[b] = bbv.get(b, 0) + 1
         sim.step()
         done += 1
+        if code[pc].is_branch:
+            return
 
 
 def advance(sim: FunctionalSim, limit: int,
@@ -429,11 +440,16 @@ def advance(sim: FunctionalSim, limit: int,
 
     Whole blocks run through their compiled bodies; a block that would
     overshoot the limit falls back to per-instruction stepping, so the
-    stop point is exact.  Given a ``bbv`` dict, each replayed block
-    adds its :attr:`BlockDesc.bbv_runs` and each stepped instruction
-    its PC's bucket.  Splitting an interval across several calls
-    yields the same dict, content and insertion order, as one call:
-    buckets are added in PC visit order either way.
+    stop point is exact.  A call that starts inside a straight-line
+    run at a PC no decoded block starts at (a resume after such a
+    stop) steps to the end of that run instead of decoding a block
+    there, so blocks start only where control flow enters them and a
+    bounded pass decodes no block that a run to ``HALT`` does not.
+    Given a ``bbv`` dict, each replayed block adds its
+    :attr:`BlockDesc.bbv_runs` and each stepped instruction its PC's
+    bucket.  Splitting an interval across several calls yields the
+    same dict, content and insertion order, as one call: buckets are
+    added in PC visit order either way.
     """
     st = sim.stats
     table = block_table(sim.program)
@@ -441,9 +457,15 @@ def advance(sim: FunctionalSim, limit: int,
     bind = _binding(sim)
     regs, rdm, wrm = bind.regs, bind.rdm, bind.wrm
     frames = sim.frames
-    code_len = len(table.code)
+    code = table.code
+    code_len = len(code)
     pc = sim.pc
     try:
+        if 0 < pc < code_len and blocks[pc] is None:
+            prev = code[pc - 1]
+            if not (prev.is_branch or prev.is_halt):
+                _step_tail(sim, limit - st.instructions, bbv)
+                pc = sim.pc
         while not sim.halted:
             room = limit - st.instructions
             if room <= 0:

@@ -150,6 +150,9 @@ class Pipeline:
         self._stores: List[List[DynInst]] = [[] for _ in programs]
         # Loads with a computed address awaiting LSQ clearance or a port.
         self._pending_loads: List[DynInst] = []
+        # Loads blocked by an older store whose address is unknown,
+        # parked under that store's seq until it executes.
+        self._parked: Dict[int, List[DynInst]] = {}
         self._wheel: Dict[int, List] = {}
 
         self._latency = {
@@ -632,6 +635,12 @@ class Pipeline:
         if ins.is_store:
             d.mem_addr, d.store_val = res
             d.done = True  # the data-cache write happens at commit
+            parked = self._parked.pop(d.seq, None)
+            if parked is not None:
+                # Wake the loads this store's unknown address blocked:
+                # they rescan the store queue in this cycle's issue.
+                self._pending_loads += parked
+                self._loads_dirty = True
             if self.trace.enabled:
                 self.trace.emit(self.cycle, d.tid, "writeback", seq=d.seq)
             return
@@ -669,24 +678,23 @@ class Pipeline:
         # store's data) and otherwise arbitrates for a DL1 port.  A
         # store's address and data are written in the same
         # ``_complete_exec`` call that marks it done, so a store whose
-        # address is known always has its data.  Waiting loads retry
-        # every cycle, making this the single most-executed loop in the
-        # model, so the store-queue scan result is cached on the load
-        # (``lsq_wait``/``lsq_clear``):
+        # address is known always has its data.
         #
-        # * While a load waits on a store whose address is unknown, no
-        #   store older than the load can appear (dispatch is
-        #   program-ordered) and resolved store addresses never change,
-        #   so the outcome only changes when that store itself changes
-        #   state.  ``lsq_wait_seq`` and the committed bit detect the
-        #   store retiring (and possibly being recycled by the DynInst
-        #   pool) so the load rescans.
+        # * A blocked load leaves this list: it is parked under the
+        #   blocking store's seq in ``_parked``, and that store's
+        #   ``_complete_exec`` puts it back, so the load rescans in the
+        #   cycle the address becomes known.  Until then the outcome
+        #   cannot change: dispatch is program-ordered, so no store
+        #   older than the load can appear, and resolved addresses
+        #   never change.  ``_recover`` drops a squashed store's list
+        #   (its parked loads are younger, so squashed too).
         # * Once a scan proves no older store can match (``lsq_clear``),
         #   that holds for the load's lifetime: only the DL1 port
         #   arbitration needs retrying.
         still: List[DynInst] = []
         keep = still.append
         stores_by_tid = self._stores
+        parked = self._parked
         wheel = self._wheel
         hierarchy = self.hierarchy
         try_acquire = hierarchy.dl1_ports.try_acquire
@@ -697,25 +705,6 @@ class Pipeline:
             if d.squashed:
                 continue
             d_addr = d.mem_addr
-            st = d.lsq_wait
-            if st is not None:
-                if (st.seq == d.lsq_wait_seq and not st.squashed
-                        and not st.committed):
-                    st_addr = st.mem_addr
-                    if st_addr is None:
-                        keep(d)  # still blocked on an unknown address
-                        continue
-                    if st_addr == d_addr:
-                        d.lsq_wait = None
-                        d.result = st.store_val
-                        if fwd_slot is None:
-                            when = now + 1
-                            fwd_slot = wheel.get(when)
-                            if fwd_slot is None:
-                                fwd_slot = wheel[when] = []
-                        fwd_slot.append((complete_forward, d))
-                        continue
-                d.lsq_wait = None  # stale: rescan the store queue
             if not d.lsq_clear:
                 d_seq = d.seq
                 match = None
@@ -731,9 +720,11 @@ class Pipeline:
                         match = st
                         break
                 if blocked:
-                    d.lsq_wait = st
-                    d.lsq_wait_seq = st.seq
-                    keep(d)
+                    waiting = parked.get(st.seq)
+                    if waiting is None:
+                        parked[st.seq] = [d]
+                    else:
+                        waiting.append(d)
                     continue
                 if match is not None:
                     d.result = match.store_val
@@ -934,6 +925,8 @@ class Pipeline:
                 self.iq_count -= 1
             if d.instr.is_mem:
                 self.lsq_count -= 1
+                if d.instr.is_store:
+                    self._parked.pop(d.seq, None)
             self.stats.threads[tid].squashed += 1
         if victims:
             self.rob[tid] = deque(d for d in self.rob[tid]

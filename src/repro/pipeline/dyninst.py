@@ -29,10 +29,9 @@ class DynInst:
         # straight to the destination register)
         "result", "mem_addr", "store_val", "actual_taken",
         "actual_target",
-        # pending-load scan cache (see Pipeline._service_pending_loads):
-        # the store this load is waiting on (with its seq captured to
-        # detect recycling), or a proof that no older store can match.
-        "lsq_wait", "lsq_wait_seq", "lsq_clear",
+        # a load's proof that no older store can match its address
+        # (see Pipeline._service_pending_loads)
+        "lsq_clear",
     )
 
     pred_cp: Optional[PredictorCheckpoint]
@@ -44,7 +43,6 @@ class DynInst:
     mem_addr: Optional[int]
     store_val: float
     actual_target: Optional[int]
-    lsq_wait: Optional["DynInst"]
 
     def __init__(self, seq: int, tid: int, pc: int,
                  instr: Instruction) -> None:
@@ -75,7 +73,7 @@ class DynInst:
          self.committed,
          self.result, self.mem_addr, self.store_val, self.actual_taken,
          self.actual_target,
-         self.lsq_wait, self.lsq_wait_seq, self.lsq_clear) = (
+         self.lsq_clear) = (
             False, None,
             None, None, None, None, None,
             0,
@@ -83,7 +81,7 @@ class DynInst:
             False,
             0, None, 0, False,
             None,
-            None, -1, False)
+            False)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = "".join(c for c, f in (

@@ -1,5 +1,10 @@
 """Tests for the workload-clustering methodology (Section 3.2)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,3 +102,34 @@ class TestVectors:
         r = run_point("baseline", ("gzip_graphic",), 256)
         assert len(r.stats_vector) == 11
         assert r.stats_vector[0] > 0  # IPC
+
+
+class TestBlasThreads:
+    """``import repro`` gives numpy's BLAS no thread pool unless the
+    caller set one: points already run in parallel worker processes,
+    and the pool's idle threads spin after every tiny LAPACK call."""
+
+    @staticmethod
+    def _python(code, blas_threads=None):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads in /proc/self/task")
+    def test_one_os_thread_after_numpy_loads(self):
+        code = ("import os, repro, numpy; "
+                "print(len(os.listdir('/proc/self/task')))")
+        assert self._python(code) == "1"
+
+    def test_caller_value_is_kept(self):
+        code = ("import os, repro, numpy; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        assert self._python(code, blas_threads="2") == "2"

@@ -29,7 +29,9 @@ from repro.sampling.memfeat import (
 from repro.sampling.sampler import (
     SamplingConfig, profile_intervals, profile_with_checkpoints,
 )
-from repro.workloads.generator import BenchmarkBuilder, benchmark_program
+from repro.workloads.generator import (
+    BenchmarkBuilder, benchmark_program, build_benchmark,
+)
 from repro.workloads.profiles import BenchmarkProfile
 
 profile_strategy = st.builds(
@@ -220,6 +222,26 @@ def test_profile_intervals_modes_agree(profile, interval_len):
     assert len(b.bbvs) == len(a.bbvs)
     for got, want in zip(b.bbvs, a.bbvs):
         assert list(got.items()) == list(want.items())
+
+
+def _decoded(program):
+    return {i for i, b in enumerate(block_table(program).blocks)
+            if b is not None}
+
+
+@pytest.mark.parametrize("abi", ["flat", "windowed"])
+@pytest.mark.parametrize("bench", ["twolf", "perlbmk_535"])
+def test_bounded_pass_decodes_only_blocks_a_full_run_decodes(bench, abi):
+    # Every interval and checkpoint stop of a fixed-count pass may fall
+    # inside a block; the resume steps to the end of that straight-line
+    # run rather than decoding a block that starts there.  Fresh
+    # programs, so neither table is warmed by the other.
+    passed = build_benchmark(bench, scale=8.0).assemble(abi)
+    profile_with_checkpoints(passed, SamplingConfig(interval_len=2000,
+                                                    n_detailed=8))
+    full = build_benchmark(bench, scale=8.0).assemble(abi)
+    FunctionalSim(full).run()
+    assert _decoded(passed) <= _decoded(full)
 
 
 # ---------------------------------------------------------------------------

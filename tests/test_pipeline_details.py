@@ -6,8 +6,9 @@ import pytest
 from repro.asm import ProgramBuilder
 from repro.config import MachineConfig
 from repro.functional import FunctionalSim
-from repro.models import build_machine
+from repro.models import build_machine, model_abi
 from repro.pipeline.core import DeadlockError
+from repro.workloads import benchmark_program
 
 
 def run_program(builder_fn, model="baseline", phys_regs=256, **cfg):
@@ -64,6 +65,34 @@ class TestStoreToLoadForwarding:
         golden.run()
         out = prog.data_base + 16 * 8
         assert machine.hierarchy.read_word(out) == golden.read_mem(out)
+
+
+class TestParkedLoads:
+    """A load blocked by an older store whose address is unknown waits
+    parked on that store, off the pending list, until the store
+    executes; it never outlives the store."""
+
+    @pytest.mark.parametrize("model,bench", [("vca-rw", "twolf"),
+                                             ("baseline", "gzip_graphic")])
+    def test_blocked_loads_wait_parked_on_their_store(self, model, bench):
+        program = benchmark_program(bench, abi=model_abi(model),
+                                    scale=0.25, seed=0)
+        machine = build_machine(model, MachineConfig.baseline(), [program])
+        step = machine._stepper()
+        parked_cycles = 0
+        while not machine.threads[0].halted:
+            assert machine.cycle < 200_000
+            step()
+            stores = machine._stores[0]
+            for d in machine._pending_loads:
+                assert all(st.mem_addr is not None for st in stores
+                           if st.seq < d.seq and not st.squashed), d
+            in_flight = {st.seq: st for st in stores if not st.squashed}
+            for seq in machine._parked:
+                assert in_flight[seq].mem_addr is None
+            parked_cycles += bool(machine._parked)
+        assert not machine._parked
+        assert parked_cycles  # the run did park loads
 
 
 class TestSpeculationRecovery:

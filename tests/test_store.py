@@ -7,9 +7,11 @@ import json
 import multiprocessing
 import signal
 import sqlite3
+import threading
 import time
 from contextlib import closing
 
+from repro.experiments import store as store_mod
 from repro.experiments.plan import Point
 from repro.experiments.store import FileStore, SqliteStore, active_store
 
@@ -208,6 +210,35 @@ class TestActiveStore:
         monkeypatch.delenv("REPRO_STORE")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other"))
         assert active_store().path == tmp_path / "other" / "results.sqlite"
+
+    def test_threads_asking_at_once_share_one_store(self, cache,
+                                                    monkeypatch):
+        # Four threads released together onto a fresh cache directory:
+        # one store opens, and every thread gets that same object.
+        opened = []
+
+        class CountingStore(SqliteStore):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                time.sleep(0.05)  # hold the window between check and set
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "SqliteStore", CountingStore)
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def ask(i):
+            barrier.wait()
+            got[i] = active_store()
+
+        threads = [threading.Thread(target=ask, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(opened) == 1
+        assert all(s is opened[0] for s in got)
 
     def test_json_cache_entries_are_not_read(self, cache):
         # One JSON file per key was the layout before the one store;
