@@ -720,11 +720,7 @@ class Pipeline:
                         match = st
                         break
                 if blocked:
-                    waiting = parked.get(st.seq)
-                    if waiting is None:
-                        parked[st.seq] = [d]
-                    else:
-                        waiting.append(d)
+                    parked.setdefault(st.seq, []).append(d)
                     continue
                 if match is not None:
                     d.result = match.store_val

@@ -228,7 +228,7 @@ class TestActiveStore:
         got = [None] * 4
 
         def ask(i):
-            barrier.wait()
+            barrier.wait(timeout=30)
             got[i] = active_store()
 
         threads = [threading.Thread(target=ask, args=(i,))
@@ -236,7 +236,8 @@ class TestActiveStore:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+            assert not t.is_alive()
         assert len(opened) == 1
         assert all(s is opened[0] for s in got)
 
