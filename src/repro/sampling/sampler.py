@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.asm.layout import WINDOW_STRIDE_BYTES, thread_window_base
 from repro.asm.program import Program
@@ -635,6 +635,16 @@ def _simulate_interval(model: str, cfg: MachineConfig,
     return stats, cycles, instructions
 
 
+def _budgets(k: int, cap: int) -> Iterator[int]:
+    """The adaptive budget schedule: ``k``, then ``k + max(1, k //
+    2)`` and so on, ending at ``cap``."""
+    while True:
+        yield k
+        if k >= cap:
+            return
+        k = min(cap, k + max(1, k // 2))
+
+
 def run_sampled(model: str, cfg: MachineConfig, program: Program,
                 scfg: Optional[SamplingConfig] = None
                 ) -> Tuple[SimStats, SamplingMeta]:
@@ -655,7 +665,9 @@ def run_sampled(model: str, cfg: MachineConfig, program: Program,
       2)``, capped at ``max_detailed``); each round re-weights the
       union of simulated representatives by :func:`_weights_for`.  The
       loop stops when every watched metric's relative standard error
-      reaches ``rse_target``, or at the cap.
+      reaches ``rse_target``, or once ``max_detailed`` intervals are
+      simulated.  A budget whose selection is all simulated already
+      records no round.
 
     Args:
         model: machine model name (``repro.models.factory.MODELS``).
@@ -683,13 +695,14 @@ def run_sampled(model: str, cfg: MachineConfig, program: Program,
                                                   collector)
     n = profile.n_intervals
     cap = max(1, min(scfg.max_detailed, n)) if adaptive else n
-    k = max(1, min(scfg.n_detailed, cap))
     simulated: Dict[int, SimStats] = {}
     detailed_cycles = 0
     detailed_instructions = 0
     rounds: List[Dict[str, object]] = []
     converged = not adaptive
-    while True:
+    for k in _budgets(max(1, min(scfg.n_detailed, cap)), cap):
+        if len(simulated) >= cap:
+            break
         reps, weights = select_intervals(profile,
                                          replace(scfg, n_detailed=k))
         # ``max_detailed`` caps the *total* detailed intervals, not
@@ -697,6 +710,8 @@ def run_sampled(model: str, cfg: MachineConfig, program: Program,
         # earlier medoids, so the union could otherwise overshoot.
         new = [idx for idx in reps if idx not in simulated]
         new = new[:cap - len(simulated)]
+        if not new:
+            continue  # all simulated already: nothing could change
         with sp.span("rse_round", round=len(rounds) + 1, requested=k,
                      added=len(new)):
             for idx in new:
@@ -731,9 +746,6 @@ def run_sampled(model: str, cfg: MachineConfig, program: Program,
         if max_rse <= scfg.rse_target and (len(reps) >= 2 or len(reps) == n):
             converged = True
             break
-        if k >= cap:
-            break
-        k = min(cap, k + max(1, k // 2))
 
     meta = SamplingMeta(
         mode=scfg.mode,

@@ -18,6 +18,7 @@ engine: its stored ``RunResult`` carries the whole stats and
 metadata records as ``stats`` and ``sampling``.
 """
 
+import functools
 import hashlib
 import json
 
@@ -59,12 +60,12 @@ CASES["warmup-200", "twolf"] = dict(interval_len=1000, n_detailed=3,
 #: sha256[:16] of the sampled stats and metadata per (case, bench);
 #: vca-rw, 256 registers, scale 0.5.
 PINS = {
-    ("adaptive-bbv", "fib"): "10afd2741ff72722",
+    ("adaptive-bbv", "fib"): "d4c154dd0d7b52a2",
     ("adaptive-bbv", "gzip_graphic"): "60e29a5c53db9d89",
-    ("adaptive-bbv", "twolf"): "fa991f8aebf835df",
-    ("adaptive-systematic", "fib"): "1eef7142652939d6",
+    ("adaptive-bbv", "twolf"): "2ef570f93b775a44",
+    ("adaptive-systematic", "fib"): "441504caebc5a906",
     ("adaptive-systematic", "gzip_graphic"): "891af3e55fec7b3b",
-    ("adaptive-systematic", "twolf"): "09de2065fcdc9186",
+    ("adaptive-systematic", "twolf"): "5c1c80cdbd60ba35",
     ("bbv", "fib"): "d069064bcc96f940",
     ("bbv", "gzip_graphic"): "d57afd4cb01bbc5c",
     ("bbv", "twolf"): "a4f2cac8c6d80f93",
@@ -82,38 +83,66 @@ PINS = {
 MODEL_PINS = {
     ("baseline", 256, "adaptive-bbv"): "0ed1b0260d29bcdc",
     ("baseline", 256, "systematic"): "b8a842014d55f0f3",
-    ("conventional-rw", 256, "adaptive-bbv"): "ae5174919fa4445b",
+    ("conventional-rw", 256, "adaptive-bbv"): "42450d86ee8fd26b",
     ("conventional-rw", 256, "systematic"): "b43d2b1f4732f86c",
-    ("ideal-rw", 256, "adaptive-bbv"): "fff843ca46a5fc08",
+    ("ideal-rw", 256, "adaptive-bbv"): "400af0c94be8250c",
     ("ideal-rw", 256, "systematic"): "ffe3f94329218c16",
     ("vca", 256, "adaptive-bbv"): "ba48ca9f04ce32a3",
     ("vca", 256, "systematic"): "5faf69e8a8892d5e",
-    ("vca-rw", 64, "adaptive-bbv"): "a96b39a2259dc190",
+    ("vca-rw", 64, "adaptive-bbv"): "3d50030584b7cfe6",
     ("vca-rw", 64, "systematic"): "fb35f01ddf157410",
-    ("vca-rw", 128, "adaptive-bbv"): "8d32012fe896cfb4",
+    ("vca-rw", 128, "adaptive-bbv"): "747973c068dc0030",
     ("vca-rw", 128, "systematic"): "d01df62c90e203de",
 }
 
 
-def _digest(bench, kw, model=MODEL, regs=256):
+@functools.lru_cache(maxsize=None)
+def _sampled(case, bench, model=MODEL, regs=256):
+    """``(stats, meta)`` of one pinned case as dicts, run once per
+    session."""
     program = benchmark_program(bench, model_abi(model), thread=0,
                                 scale=SCALE)
     cfg = MachineConfig.baseline(phys_regs=regs)
-    stats, meta = run_sampled(model, cfg, program, SamplingConfig(**kw))
-    blob = json.dumps({"stats": stats.to_dict(),
-                       "meta": meta.to_dict()}, sort_keys=True)
+    stats, meta = run_sampled(model, cfg, program,
+                              SamplingConfig(**CASES[case, bench]))
+    return stats.to_dict(), meta.to_dict()
+
+
+def _digest(case, bench, model=MODEL, regs=256):
+    stats, meta = _sampled(case, bench, model, regs)
+    blob = json.dumps({"stats": stats, "meta": meta}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("case,bench", sorted(CASES))
 def test_sampled_result_digest(case, bench):
-    assert _digest(bench, CASES[case, bench]) == PINS[case, bench]
+    assert _digest(case, bench) == PINS[case, bench]
 
 
 @pytest.mark.parametrize("model,regs,case", sorted(MODEL_PINS))
 def test_model_sampled_digest(model, regs, case):
-    kw = CASES[case, "twolf"]
-    assert _digest("twolf", kw, model, regs) == MODEL_PINS[model, regs, case]
+    assert _digest(case, "twolf", model, regs) \
+        == MODEL_PINS[model, regs, case]
+
+
+def test_adaptive_rounds_each_add_an_interval():
+    """In every pinned adaptive case each recorded round simulates at
+    least one new interval, and no round follows one that reached the
+    ``max_detailed`` cap: a budget whose selection is all simulated
+    already records nothing."""
+    cases = [(case, bench, MODEL, 256) for case, bench in PINS
+             if case in ADAPTIVE]
+    cases += [(case, "twolf", model, regs)
+              for model, regs, case in MODEL_PINS if case in ADAPTIVE]
+    for case, bench, model, regs in sorted(cases):
+        _stats, meta = _sampled(case, bench, model, regs)
+        cap = min(CASES[case, bench]["max_detailed"],
+                  meta["n_intervals"])
+        rounds = [(r["n_detailed"], r["added"])
+                  for r in meta["rse"]["rounds"]]
+        where = (case, bench, model, regs, rounds)
+        assert rounds and all(added >= 1 for _, added in rounds), where
+        assert all(n < cap for n, _ in rounds[:-1]), where
 
 
 #: ``SamplingConfig`` field → the :class:`Point` field that sets it.
