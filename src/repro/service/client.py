@@ -10,6 +10,7 @@ the server's own message where one was sent.
 from __future__ import annotations
 
 import json
+import time
 from typing import List, Optional
 from urllib import error as urlerror
 from urllib import request as urlrequest
@@ -35,7 +36,10 @@ class ServiceClient:
     # -- transport ---------------------------------------------------------
 
     def _request(self, path: str, payload: Optional[dict] = None,
-                 method: Optional[str] = None) -> dict:
+                 method: Optional[str] = None,
+                 hold: float = 0.0) -> dict:
+        """One JSON request; ``hold`` is how long the server may keep
+        it before answering, added to the client timeout."""
         req = urlrequest.Request(
             self.url + path,
             data=(json.dumps(payload).encode()
@@ -43,7 +47,8 @@ class ServiceClient:
             headers={"Content-Type": "application/json"},
             method=method or ("POST" if payload is not None else "GET"))
         try:
-            with urlrequest.urlopen(req, timeout=self.timeout) as resp:
+            with urlrequest.urlopen(req, timeout=self.timeout + hold) \
+                    as resp:
                 return json.loads(resp.read() or b"{}")
         except urlerror.HTTPError as exc:
             try:
@@ -86,16 +91,23 @@ class ServiceClient:
 
     def wait(self, job_id: str, poll: float = 0.2,
              timeout: Optional[float] = None) -> dict:
-        """Poll until the job is terminal; returns the final snapshot."""
-        import time
+        """Block until the job is terminal; returns the final snapshot.
+
+        Requests go back to back, each held by the server for up to
+        ``poll`` seconds (``GET /v1/jobs/<id>?wait=``), so the answer
+        comes when the job ends.  Raises :class:`ServiceError` once
+        ``timeout`` seconds pass first."""
         t0 = time.monotonic()
+        hold = poll if timeout is None else min(poll, timeout)
         while True:
-            snap = self.job(job_id)
+            snap = self._request(f"/v1/jobs/{job_id}?wait={hold:g}",
+                                 hold=hold)
             if snap["status"] in ("done", "failed", "cancelled"):
                 return snap
-            if (timeout is not None
-                    and time.monotonic() - t0 > timeout):
-                raise ServiceError(
-                    f"job {job_id} still {snap['status']} after "
-                    f"{timeout:g}s")
-            time.sleep(poll)
+            if timeout is not None:
+                left = timeout - (time.monotonic() - t0)
+                if left <= 0:
+                    raise ServiceError(
+                        f"job {job_id} still {snap['status']} after "
+                        f"{timeout:g}s")
+                hold = min(poll, left)

@@ -35,6 +35,7 @@ and workers inherit ``REPRO_STORE``/``REPRO_CACHE_DIR`` through
 from __future__ import annotations
 
 import os
+import socket
 import threading
 import time
 import uuid
@@ -83,6 +84,9 @@ class Job:
     spans: Optional[SpanTracer] = None
     root_span: Any = None
     span_ctx: Optional[Dict] = None
+    #: Set once the job is terminal; :meth:`Scheduler.wait` blocks on it.
+    ended: threading.Event = field(default_factory=threading.Event,
+                                   repr=False, compare=False)
 
     def counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -138,7 +142,13 @@ class Scheduler:
         #: cache keys currently executing (or claimed) here.
         self._inflight: Dict[str, Tuple[str, int]] = {}
         self._lock = threading.RLock()
-        self._wake = threading.Event()
+        # The pump waits on _wake_rx with the live workers' pipes;
+        # submit, cancel and stop write a byte to _wake_tx.  Both ends
+        # are non-blocking, so a wake never blocks its caller, even
+        # with no pump reading.
+        self._wake_rx, self._wake_tx = socket.socketpair()
+        self._wake_rx.setblocking(False)
+        self._wake_tx.setblocking(False)
         self._stopping = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._last_wait_check = 0.0
@@ -155,12 +165,15 @@ class Scheduler:
         return self
 
     def stop(self) -> None:
-        """Terminate live workers, finish ledgers, join the thread."""
+        """Terminate live workers, finish ledgers, join the thread,
+        close the wake handle."""
         self._stopping.set()
-        self._wake.set()
+        self._wake_pump()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
+        self._wake_rx.close()
+        self._wake_tx.close()
         with self._lock:
             live = dict(self._live)
             self._live.clear()
@@ -237,7 +250,7 @@ class Scheduler:
                         self._resolve(job, idx, "cached",
                                       payload=payload)
             self._maybe_finish_job(job)
-        self._wake.set()
+        self._wake_pump()
         return job.id
 
     @staticmethod
@@ -283,13 +296,24 @@ class Scheduler:
         # here; it tolerates the resulting OSError and re-snapshots.
         for worker in to_reap:
             worker.kill()
-        self._wake.set()
+        self._wake_pump()
         return True
 
     def job(self, job_id: str) -> Optional[Dict]:
         with self._lock:
             job = self._jobs.get(job_id)
             return job.snapshot() if job is not None else None
+
+    def wait(self, job_id: str, timeout: float) -> Optional[Dict]:
+        """The job's snapshot once it is terminal or ``timeout``
+        seconds have passed, whichever is first; ``None`` for an
+        unknown job.  Blocks with the lock released."""
+        with self._lock:
+            job = self._jobs.get(job_id)
+        if job is None:
+            return None
+        job.ended.wait(timeout)
+        return self.job(job_id)
 
     def jobs(self) -> List[Dict]:
         with self._lock:
@@ -307,22 +331,34 @@ class Scheduler:
 
     # -- the pump ----------------------------------------------------------
 
+    #: Longest the pump sleeps with no wake and no worker reporting:
+    #: the tick that notices point timeouts and waiting points.
+    pump_tick = 0.05
+
     def _pump(self) -> None:
         while not self._stopping.is_set():
             self._schedule()
             with self._lock:
-                conns = [worker.conn for worker in self._live]
-            if conns:
-                try:
-                    mp_connection.wait(conns, timeout=0.05)
-                except OSError:
-                    pass  # a cancel closed a pipe mid-wait; re-snapshot
-
-            else:
-                self._wake.wait(0.05)
-                self._wake.clear()
+                handles = [self._wake_rx] + [w.conn for w in self._live]
+            try:
+                ready = mp_connection.wait(handles,
+                                           timeout=self.pump_tick)
+                if self._wake_rx in ready:
+                    self._wake_rx.recv(4096)
+            except (OSError, ValueError):
+                # A cancel closed a worker's pipe, or stop() the wake
+                # handle, mid-wait; re-snapshot.
+                pass
             self._poll()
             self._check_waiting()
+
+    def _wake_pump(self) -> None:
+        """Wake the pump.  A full buffer already holds a wake and a
+        closed handle has no pump behind it, so neither is an error."""
+        try:
+            self._wake_tx.send(b"\0")
+        except OSError:
+            pass
 
     def _quota(self, tenant: str) -> int:
         return self.quotas.get(tenant, self.default_quota)
@@ -512,3 +548,4 @@ class Scheduler:
                 elapsed=job.finished - job.submitted,
                 spans=job.spans.drain() if job.spans else [])
             job.ledger.close()
+        job.ended.set()

@@ -11,7 +11,9 @@ deliberately small and entirely JSON:
 ``POST /v1/jobs``                 submit a job (point dicts, tenant,
                                   priority, label) → ``{"id": ...}``
 ``GET  /v1/jobs``                 every job's snapshot
-``GET  /v1/jobs/<id>``            one job's snapshot
+``GET  /v1/jobs/<id>``            one job's snapshot; ``?wait=S``
+                                  holds the answer until the job ends
+                                  or ``S`` seconds pass
 ``POST /v1/jobs/<id>/cancel``     cancel → ``{"cancelled": bool}``
 ``GET  /v1/jobs/<id>/results``    per-point records, payloads included
 ================================  =====================================
@@ -26,9 +28,11 @@ and ``repro report`` render the per-job ledgers unchanged).
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from repro.experiments.plan import Point
 
@@ -39,6 +43,32 @@ __all__ = ["ServiceServer"]
 #: Cap on request bodies — a sweep plan is small; anything bigger is
 #: a client bug, not a job.
 _MAX_BODY = 8 * 1024 * 1024
+#: Longest a ``GET /v1/jobs/<id>?wait=S`` request is held; a larger
+#: ``S`` is cut to this.
+MAX_WAIT = 60.0
+
+
+def _wait_seconds(query: str) -> float:
+    """The hold a snapshot query asks for: exactly one ``wait=S``,
+    ``S`` a finite number of seconds >= 0, capped at
+    :data:`MAX_WAIT`.  Anything else raises ``ValueError``."""
+    try:
+        params = parse_qs(query, keep_blank_values=True,
+                          strict_parsing=True)
+    except ValueError:
+        raise ValueError(f"bad query {query!r}") from None
+    unknown = sorted(set(params) - {"wait"})
+    if unknown:
+        raise ValueError(f"unknown query parameter {unknown[0]!r}")
+    try:
+        (raw,) = params["wait"]
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ValueError("wait wants one finite number of seconds "
+                         f">= 0, got {query!r}")
+    return min(seconds, MAX_WAIT)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -85,8 +115,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes ------------------------------------------------------------
 
+    def _route(self) -> Optional[Tuple[str, str]]:
+        """The request's ``(path, query)``, or ``None`` once a query on
+        a route that takes none (all but ``GET /v1/jobs/<id>``) has
+        been refused."""
+        url = urlsplit(self.path)
+        path = url.path.rstrip("/")
+        job_id = path[len("/v1/jobs/"):] if path.startswith(
+            "/v1/jobs/") else ""
+        if url.query and not (self.command == "GET" and job_id
+                              and "/" not in job_id):
+            self._error(400, f"no query on {self.command} {url.path}")
+            return None
+        return path, url.query
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.rstrip("/")
+        route = self._route()
+        if route is None:
+            return
+        path, query = route
         if path == "/health":
             self._json({"ok": True, "id": self.sched.id,
                         "workers": self.sched.workers,
@@ -96,7 +143,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path.startswith("/v1/jobs/"):
             job_id, _, verb = path[len("/v1/jobs/"):].partition("/")
             if verb == "":
-                self._job(job_id)
+                self._job(job_id, query)
             elif verb == "results":
                 self._results(job_id)
             else:
@@ -105,7 +152,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no route for GET {self.path}")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.rstrip("/")
+        route = self._route()
+        if route is None:
+            return
+        path, _query = route
         if path == "/v1/jobs":
             self._submit()
         elif path.startswith("/v1/jobs/") and path.endswith("/cancel"):
@@ -139,8 +189,16 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._json({"id": job_id}, status=201)
 
-    def _job(self, job_id: str) -> None:
-        snap = self.sched.job(job_id)
+    def _job(self, job_id: str, query: str) -> None:
+        if query:
+            try:
+                hold = _wait_seconds(query)
+            except ValueError as exc:
+                self._error(400, str(exc))
+                return
+            snap = self.sched.wait(job_id, hold)
+        else:
+            snap = self.sched.job(job_id)
         if snap is None:
             self._error(404, f"no job {job_id!r}")
         else:

@@ -6,7 +6,11 @@ parity between local and service execution."""
 
 import json
 import os
+import statistics
+import threading
 import time
+from urllib import error as urlerror
+from urllib import request as urlrequest
 
 import pytest
 
@@ -31,15 +35,36 @@ def cache(cache, monkeypatch):
 
 
 def wait_job(sched, job_id, timeout=180):
-    """Poll until the job reaches a terminal status."""
-    t0 = time.monotonic()
-    while time.monotonic() - t0 < timeout:
-        snap = sched.job(job_id)
-        if snap["status"] in ("done", "failed", "cancelled"):
-            return snap
-        time.sleep(0.05)
-    raise AssertionError(f"job {job_id} never finished: "
-                         f"{sched.job(job_id)}")
+    """Block until the job reaches a terminal status."""
+    snap = sched.wait(job_id, timeout)
+    assert snap["status"] in ("done", "failed", "cancelled"), \
+        f"job {job_id} never finished: {snap}"
+    return snap
+
+
+def slow_point(monkeypatch, seconds):
+    """A run point whose execution first sleeps ``seconds`` (workers
+    fork, so they inherit the patched ``run_point``)."""
+    real = runner.run_point
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_point", slow)
+    return Point.run("baseline", (BENCH,), 256, scale=SCALE)
+
+
+def http(url, method="GET"):
+    """``(status, body, time.time() on receipt)`` of one request."""
+    req = urlrequest.Request(url, method=method,
+                             data=b"{}" if method == "POST" else None)
+    try:
+        with urlrequest.urlopen(req, timeout=30) as resp:
+            status, body = resp.status, resp.read()
+    except urlerror.HTTPError as exc:
+        status, body = exc.code, exc.read()
+    return status, json.loads(body), time.time()
 
 
 class TestScheduler:
@@ -67,8 +92,11 @@ class TestScheduler:
 
     def test_empty_job_rejected(self, cache):
         sched = Scheduler(workers=1)
-        with pytest.raises(ValueError):
-            sched.submit([])
+        try:
+            with pytest.raises(ValueError):
+                sched.submit([])
+        finally:
+            sched.stop()
 
     def test_priority_orders_slot_assignment(self, cache):
         # One slot, three competing jobs: the highest-priority job
@@ -320,6 +348,136 @@ class TestSchedulerReapsOutsideLock:
             assert snap["counts"] == {"cancelled": 1}
         finally:
             sched.stop()
+
+
+class TestJobEvents:
+    """Both ends of a job are events: ``GET /v1/jobs/<id>?wait=S``
+    answers when the job ends, and a submit wakes the pump even while
+    a worker runs."""
+
+    def test_held_snapshot_answers_when_the_job_ends(self, cache,
+                                                     monkeypatch):
+        pt = slow_point(monkeypatch, 0.5)
+        with Scheduler(workers=1) as sched, \
+                ServiceServer(sched, port=0) as server:
+            jid = sched.submit([pt])
+            t0 = time.time()
+            status, snap, answered = http(
+                f"{server.url}/v1/jobs/{jid}?wait=10")
+        assert status == 200 and snap["status"] == "done"
+        assert snap["finished"] - t0 >= 0.5
+        assert 0 <= answered - snap["finished"] < 0.1
+
+    def test_held_snapshot_of_a_running_job_answers_at_its_hold(
+            self, cache, monkeypatch):
+        pt = slow_point(monkeypatch, 30)
+        with Scheduler(workers=1) as sched, \
+                ServiceServer(sched, port=0) as server:
+            jid = sched.submit([pt])
+            t0 = time.monotonic()
+            status, snap, _ = http(f"{server.url}/v1/jobs/{jid}?wait=0.2")
+            held = time.monotonic() - t0
+        assert status == 200 and snap["status"] == "running"
+        assert snap["finished"] is None
+        assert 0.2 <= held < 1.0
+
+    def test_bad_queries_answer_400_and_unknown_jobs_404(self, cache):
+        with Scheduler(workers=1) as sched, \
+                ServiceServer(sched, port=0) as server:
+            jid = sched.submit([Point.probe("query")])
+            assert wait_job(sched, jid)["status"] == "done"
+            job = f"{server.url}/v1/jobs/{jid}"
+            for query in ("wait=abc", "wait=-1", "wait=nan", "wait=inf",
+                          "wait=", "wait=1&wait=2", "other=1",
+                          "wait=1&other=1"):
+                status, body, _ = http(f"{job}?{query}")
+                assert status == 400, (query, body)
+            for url, method in ((f"{server.url}/health?wait=1", "GET"),
+                                (f"{server.url}/v1/jobs?wait=1", "GET"),
+                                (f"{job}/results?wait=1", "GET"),
+                                (f"{job}/cancel?wait=1", "POST"),
+                                (f"{server.url}/v1/jobs?wait=1", "POST")):
+                status, body, _ = http(url, method)
+                assert status == 400, (url, method, body)
+            for query in ("", "?wait=0.1"):
+                status, body, _ = http(
+                    f"{server.url}/v1/jobs/nonexistent{query}")
+                assert status == 404 and "nonexistent" in body["error"]
+            # A terminal job answers at once, whatever the hold.
+            t0 = time.monotonic()
+            status, snap, _ = http(f"{job}?wait=30")
+            assert status == 200 and snap["status"] == "done"
+            assert time.monotonic() - t0 < 1.0
+
+    def test_stop_releases_a_held_wait(self, cache, monkeypatch):
+        pt = slow_point(monkeypatch, 30)
+        out = {}
+        with ServiceServer(Scheduler(workers=1).start(),
+                           port=0) as server:
+            sched = server.scheduler
+            jid = sched.submit([pt])
+            held = threading.Thread(target=lambda: out.update(zip(
+                ("status", "snap", "at"),
+                http(f"{server.url}/v1/jobs/{jid}?wait=30"))))
+            held.start()
+            try:
+                held.join(0.3)
+                assert held.is_alive()
+            finally:
+                stopped = time.time()
+                sched.stop()
+                held.join(10)
+        assert not held.is_alive()
+        assert out["status"] == 200
+        assert out["snap"]["status"] == "cancelled"
+        assert out["at"] - stopped < 5.0
+
+    def test_client_wait_timeout_bounds_a_long_hold(self, cache,
+                                                    monkeypatch):
+        pt = slow_point(monkeypatch, 30)
+        with Scheduler(workers=1) as sched, \
+                ServiceServer(sched, port=0) as server:
+            client = ServiceClient(server.url, timeout=30)
+            jid = client.submit([pt.to_dict()])
+            t0 = time.monotonic()
+            with pytest.raises(ServiceError, match=r"still \w+ after 0.3s"):
+                client.wait(jid, poll=5, timeout=0.3)
+            assert time.monotonic() - t0 < 2.0
+            assert client.job(jid)["status"] == "running"
+
+    def test_submit_starts_a_job_while_a_worker_runs(self, cache,
+                                                     monkeypatch):
+        # One slot is held by a slow point for the whole test; ten
+        # one-probe jobs go one at a time to the other slot, each once
+        # the pump is back in its wait.  A submit wakes the pump, so
+        # none waits for the slow worker's pipe or for a 50 ms tick.
+        sched = Scheduler(workers=2)
+        try:
+            hog = sched.submit([slow_point(monkeypatch, 60)])
+            sched._schedule()
+            assert sched.job(hog)["status"] == "running"
+            sched.start()
+            delays = []
+            for i in range(10):
+                time.sleep(0.02)
+                snap = wait_job(sched, sched.submit(
+                    [Point.probe(f"start-{i}")]), timeout=30)
+                assert snap["status"] == "done"
+                delays.append(snap["started"] - snap["submitted"])
+            assert sched.job(hog)["status"] == "running"
+        finally:
+            sched.stop()
+        assert statistics.median(delays) < 0.010, delays
+
+    def test_wake_never_blocks_and_stop_closes_it(self, cache):
+        sched = Scheduler(workers=1)  # the pump never starts
+        try:
+            for _ in range(100_000):  # far past the socket's buffer
+                sched._wake_pump()
+        finally:
+            sched.stop()
+        assert sched._wake_rx.fileno() == sched._wake_tx.fileno() == -1
+        sched._wake_pump()  # a closed handle is not an error either
 
 
 class TestWaitingPointChangeDetection:
