@@ -62,6 +62,9 @@ POINT_STATUSES = ("queued", "waiting", "running", "done", "cached",
                   "failed", "timeout", "cancelled")
 _TERMINAL = ("done", "cached", "failed", "timeout", "cancelled")
 _OK = ("done", "cached")
+#: Longest the pump waits with no wake and no worker reporting: the
+#: tick that notices point timeouts and waiting points.
+_PUMP_TICK = 0.05
 
 
 @dataclass
@@ -331,18 +334,13 @@ class Scheduler:
 
     # -- the pump ----------------------------------------------------------
 
-    #: Longest the pump sleeps with no wake and no worker reporting:
-    #: the tick that notices point timeouts and waiting points.
-    pump_tick = 0.05
-
     def _pump(self) -> None:
         while not self._stopping.is_set():
             self._schedule()
             with self._lock:
                 handles = [self._wake_rx] + [w.conn for w in self._live]
             try:
-                ready = mp_connection.wait(handles,
-                                           timeout=self.pump_tick)
+                ready = mp_connection.wait(handles, timeout=_PUMP_TICK)
                 if self._wake_rx in ready:
                     self._wake_rx.recv(4096)
             except (OSError, ValueError):

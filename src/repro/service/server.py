@@ -45,13 +45,13 @@ __all__ = ["ServiceServer"]
 _MAX_BODY = 8 * 1024 * 1024
 #: Longest a ``GET /v1/jobs/<id>?wait=S`` request is held; a larger
 #: ``S`` is cut to this.
-MAX_WAIT = 60.0
+_MAX_WAIT = 60.0
 
 
 def _wait_seconds(query: str) -> float:
     """The hold a snapshot query asks for: exactly one ``wait=S``,
     ``S`` a finite number of seconds >= 0, capped at
-    :data:`MAX_WAIT`.  Anything else raises ``ValueError``."""
+    :data:`_MAX_WAIT`.  Anything else raises ``ValueError``."""
     try:
         params = parse_qs(query, keep_blank_values=True,
                           strict_parsing=True)
@@ -68,7 +68,7 @@ def _wait_seconds(query: str) -> float:
     if not (math.isfinite(seconds) and seconds >= 0):
         raise ValueError("wait wants one finite number of seconds "
                          f">= 0, got {query!r}")
-    return min(seconds, MAX_WAIT)
+    return min(seconds, _MAX_WAIT)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -115,35 +115,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes ------------------------------------------------------------
 
-    def _route(self) -> Optional[Tuple[str, str]]:
-        """The request's ``(path, query)``, or ``None`` once a query on
-        a route that takes none (all but ``GET /v1/jobs/<id>``) has
-        been refused."""
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
         url = urlsplit(self.path)
         path = url.path.rstrip("/")
-        job_id = path[len("/v1/jobs/"):] if path.startswith(
-            "/v1/jobs/") else ""
-        if url.query and not (self.command == "GET" and job_id
-                              and "/" not in job_id):
-            self._error(400, f"no query on {self.command} {url.path}")
-            return None
-        return path, url.query
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        route = self._route()
-        if route is None:
-            return
-        path, query = route
-        if path == "/health":
+        job_id, _, verb = path[len("/v1/jobs/"):].partition("/")
+        if url.query and not (path.startswith("/v1/jobs/")
+                              and verb == ""):
+            self._error(400, f"no query on GET {url.path}")
+        elif path == "/health":
             self._json({"ok": True, "id": self.sched.id,
                         "workers": self.sched.workers,
                         "jobs": len(self.sched.jobs())})
         elif path == "/v1/jobs":
             self._json({"jobs": self.sched.jobs()})
         elif path.startswith("/v1/jobs/"):
-            job_id, _, verb = path[len("/v1/jobs/"):].partition("/")
             if verb == "":
-                self._job(job_id, query)
+                self._job(job_id, url.query)
             elif verb == "results":
                 self._results(job_id)
             else:
@@ -152,11 +139,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, f"no route for GET {self.path}")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        route = self._route()
-        if route is None:
-            return
-        path, _query = route
-        if path == "/v1/jobs":
+        url = urlsplit(self.path)
+        path = url.path.rstrip("/")
+        if url.query:
+            self._error(400, f"no query on POST {url.path}")
+        elif path == "/v1/jobs":
             self._submit()
         elif path.startswith("/v1/jobs/") and path.endswith("/cancel"):
             job_id = path[len("/v1/jobs/"):-len("/cancel")]
