@@ -9,8 +9,6 @@ import os
 import statistics
 import threading
 import time
-from urllib import error as urlerror
-from urllib import request as urlrequest
 
 import pytest
 
@@ -55,16 +53,13 @@ def slow_point(monkeypatch, seconds):
     return Point.run("baseline", (BENCH,), 256, scale=SCALE)
 
 
-def http(url, method="GET"):
-    """``(status, body, time.time() on receipt)`` of one request."""
-    req = urlrequest.Request(url, method=method,
-                             data=b"{}" if method == "POST" else None)
+def status_of(client, path, **kwargs):
+    """The HTTP status the service answers one request with."""
     try:
-        with urlrequest.urlopen(req, timeout=30) as resp:
-            status, body = resp.status, resp.read()
-    except urlerror.HTTPError as exc:
-        status, body = exc.code, exc.read()
-    return status, json.loads(body), time.time()
+        client._request(path, **kwargs)
+    except ServiceError as exc:
+        return exc.status
+    return 200
 
 
 class TestScheduler:
@@ -360,11 +355,12 @@ class TestJobEvents:
         pt = slow_point(monkeypatch, 0.5)
         with Scheduler(workers=1) as sched, \
                 ServiceServer(sched, port=0) as server:
+            client = ServiceClient(server.url, timeout=30)
             jid = sched.submit([pt])
             t0 = time.time()
-            status, snap, answered = http(
-                f"{server.url}/v1/jobs/{jid}?wait=10")
-        assert status == 200 and snap["status"] == "done"
+            snap = client._request(f"/v1/jobs/{jid}?wait=10")
+            answered = time.time()
+        assert snap["status"] == "done"
         assert snap["finished"] - t0 >= 0.5
         assert 0 <= answered - snap["finished"] < 0.1
 
@@ -373,40 +369,41 @@ class TestJobEvents:
         pt = slow_point(monkeypatch, 30)
         with Scheduler(workers=1) as sched, \
                 ServiceServer(sched, port=0) as server:
+            client = ServiceClient(server.url, timeout=30)
             jid = sched.submit([pt])
             t0 = time.monotonic()
-            status, snap, _ = http(f"{server.url}/v1/jobs/{jid}?wait=0.2")
+            snap = client._request(f"/v1/jobs/{jid}?wait=0.2")
             held = time.monotonic() - t0
-        assert status == 200 and snap["status"] == "running"
+        assert snap["status"] == "running"
         assert snap["finished"] is None
         assert 0.2 <= held < 1.0
 
     def test_bad_queries_answer_400_and_unknown_jobs_404(self, cache):
         with Scheduler(workers=1) as sched, \
                 ServiceServer(sched, port=0) as server:
-            jid = sched.submit([Point.probe("query")])
-            assert wait_job(sched, jid)["status"] == "done"
-            job = f"{server.url}/v1/jobs/{jid}"
+            client = ServiceClient(server.url, timeout=30)
+            jid = client.submit([Point.probe("query").to_dict()])
+            assert client.wait(jid)["status"] == "done"
             for query in ("wait=abc", "wait=-1", "wait=nan", "wait=inf",
                           "wait=", "wait=1&wait=2", "other=1",
                           "wait=1&other=1"):
-                status, body, _ = http(f"{job}?{query}")
-                assert status == 400, (query, body)
-            for url, method in ((f"{server.url}/health?wait=1", "GET"),
-                                (f"{server.url}/v1/jobs?wait=1", "GET"),
-                                (f"{job}/results?wait=1", "GET"),
-                                (f"{job}/cancel?wait=1", "POST"),
-                                (f"{server.url}/v1/jobs?wait=1", "POST")):
-                status, body, _ = http(url, method)
-                assert status == 400, (url, method, body)
+                assert status_of(client, f"/v1/jobs/{jid}?{query}") \
+                    == 400, query
+            for path in ("/health?wait=1", "/v1/jobs?wait=1",
+                         f"/v1/jobs/{jid}/results?wait=1"):
+                assert status_of(client, path) == 400, path
+            for path in (f"/v1/jobs/{jid}/cancel?wait=1",
+                         "/v1/jobs?wait=1"):
+                assert status_of(client, path, payload={}) == 400, path
             for query in ("", "?wait=0.1"):
-                status, body, _ = http(
-                    f"{server.url}/v1/jobs/nonexistent{query}")
-                assert status == 404 and "nonexistent" in body["error"]
+                with pytest.raises(ServiceError, match="nonexistent") \
+                        as exc:
+                    client._request(f"/v1/jobs/nonexistent{query}")
+                assert exc.value.status == 404
             # A terminal job answers at once, whatever the hold.
             t0 = time.monotonic()
-            status, snap, _ = http(f"{job}?wait=30")
-            assert status == 200 and snap["status"] == "done"
+            snap = client._request(f"/v1/jobs/{jid}?wait=30")
+            assert snap["status"] == "done"
             assert time.monotonic() - t0 < 1.0
 
     def test_stop_releases_a_held_wait(self, cache, monkeypatch):
@@ -415,10 +412,14 @@ class TestJobEvents:
         with ServiceServer(Scheduler(workers=1).start(),
                            port=0) as server:
             sched = server.scheduler
+            client = ServiceClient(server.url, timeout=30)
             jid = sched.submit([pt])
-            held = threading.Thread(target=lambda: out.update(zip(
-                ("status", "snap", "at"),
-                http(f"{server.url}/v1/jobs/{jid}?wait=30"))))
+
+            def hold():
+                out["snap"] = client._request(f"/v1/jobs/{jid}?wait=30")
+                out["at"] = time.time()
+
+            held = threading.Thread(target=hold)
             held.start()
             try:
                 held.join(0.3)
@@ -428,7 +429,6 @@ class TestJobEvents:
                 sched.stop()
                 held.join(10)
         assert not held.is_alive()
-        assert out["status"] == 200
         assert out["snap"]["status"] == "cancelled"
         assert out["at"] - stopped < 5.0
 
