@@ -406,6 +406,12 @@ class TestJobEvents:
             assert snap["status"] == "done"
             assert time.monotonic() - t0 < 1.0
 
+    def test_hold_is_cut_to_a_minute(self):
+        from repro.service.server import _wait_seconds
+        assert _wait_seconds("wait=0") == 0.0
+        assert _wait_seconds("wait=2.5") == 2.5
+        assert _wait_seconds("wait=1e9") == 60.0
+
     def test_stop_releases_a_held_wait(self, cache, monkeypatch):
         pt = slow_point(monkeypatch, 30)
         out = {}
