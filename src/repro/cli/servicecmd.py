@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import sys
 
 from .figures import add_plan_arguments, sampled_points, sweep_spec
@@ -47,6 +48,9 @@ def _cmd_serve(args) -> int:
                       state_dir=args.state_dir)
     server = ServiceServer(sched, host=args.host, port=args.port,
                            verbose=args.verbose)
+    # A shell without job control starts a background job with SIGINT
+    # ignored; SIGINT is the clean shutdown however the server started.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     sched.start()
     print(f"repro serve: listening on {server.url} "
           f"({sched.workers} workers, store {sched.store.path})",

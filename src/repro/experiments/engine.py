@@ -9,16 +9,19 @@ forked) — and differ only in how the residue executes:
 * :class:`SerialEngine` runs points in-process, capturing exceptions
   into the point's outcome so one broken configuration cannot kill a
   sweep.
-* :class:`ParallelEngine` runs each point in its own :class:`Worker`
-  process (``fork`` where available, else ``spawn``), giving hard
-  fault isolation: an exception, a hard crash (``os._exit``,
-  segfault) or a per-point timeout marks only that point failed;
-  every other point completes.  The parent's ``REPRO_*`` environment
-  is propagated to workers explicitly, so spawned workers never
-  silently run at default scale or against the wrong cache directory.
+* :class:`ParallelEngine` runs points on at most ``workers``
+  :class:`Worker` processes (``fork`` where available, else
+  ``spawn``), each running point after point, giving hard fault
+  isolation per slot: an exception marks only its point failed and
+  the process runs on; a hard crash (``os._exit``, segfault) or a
+  per-point timeout marks only that point failed and ends only that
+  process, and the slot forks a fresh one.  Every other point
+  completes.  The parent's ``REPRO_*`` environment is sent with each
+  point, so spawned workers never silently run at default scale or
+  against the wrong cache directory.
 
 Both run a point through :func:`execute_point` — in-process for the
-serial engine, inside the child for a :class:`Worker` — and the
+serial engine, inside the process of a :class:`Worker` — and the
 service scheduler (``repro.service.scheduler``) schedules the same
 :class:`Worker` and writes its ledger through the same
 :func:`ledger_point`.
@@ -39,8 +42,10 @@ ledger always reassembles into exactly one tree per point.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import os
+import signal
 import time
 import traceback
 from collections import deque
@@ -51,6 +56,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 from repro.hooks import set_current_spans
 from repro.obs.dashboard import eta_seconds
 from repro.obs.spans import SpanTracer
+from repro.workloads.generator import forget_programs
 
 from .plan import Point, SweepSpec, unique_points
 
@@ -334,26 +340,60 @@ class SerialEngine(_EngineBase):
             emit(execute_point(pt, self.use_cache, spans))
 
 
-def _worker_main(conn, point: Point, use_cache: bool,
-                 env: Dict[str, str],
-                 span_ctx: Optional[Dict] = None) -> None:
-    """A :class:`Worker`'s child: run one point, ship the result back.
+#: Seconds an idle worker waits for a point before it checks that its
+#: owner is still alive.
+_OWNER_CHECK = 0.25
 
-    The Pipe message is ``(kind, value, meta)``: kind ``"ok"`` with the
-    payload or ``"error"`` with a traceback, plus a meta dict carrying
-    the worker's finished spans and its ``getrusage`` delta.  With a
-    ``span_ctx`` the worker continues the parent's trace.
+
+def _serve_points(conn, owner: int) -> None:
+    """A :class:`Worker`'s process: run points one at a time for as
+    long as its owner lives.
+
+    Each message from the owner is ``(point, use_cache, env,
+    span_ctx)``; the reply is ``(kind, value, meta)``: kind ``"ok"``
+    with the payload or ``"error"`` with a traceback, plus a meta dict
+    carrying the point's finished spans and its ``getrusage`` delta.
+
+    The heap inherited from the owner is frozen at start, and after
+    each point the worker empties the program cache and collects the
+    point's reference cycles, so its memory returns to where it began.
+    A fork hands every worker the owner's end of its own pipe and of
+    its siblings' pipes, so EOF alone cannot tell a worker that its
+    owner died; it checks ``os.getppid()`` between waits.  SIGINT is
+    ignored: the owner ends its workers.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    gc.freeze()
     try:
-        apply_repro_env(env)
-        tracer = (SpanTracer.from_context(span_ctx)
-                  if span_ctx is not None else None)
-        out = execute_point(point, use_cache, tracer)
-        conn.send(("ok" if out.ok else "error",
-                   out.payload if out.ok else out.error,
-                   {"spans": out.spans or [], "rusage": out.rusage}))
+        while True:
+            if not conn.poll(_OWNER_CHECK):
+                if os.getppid() != owner:
+                    return
+                continue
+            try:
+                msg = conn.recv()
+            except EOFError:
+                return
+            _run_and_report(conn, *msg)
+            forget_programs()
+            gc.collect()
     finally:
         conn.close()
+
+
+def _run_and_report(conn, point: Point, use_cache: bool,
+                    env: Dict[str, str],
+                    span_ctx: Optional[Dict]) -> None:
+    """Run one point under the owner's ``REPRO_*`` environment (and,
+    with a ``span_ctx``, continuing the owner's trace) and send its
+    outcome back; nothing it made outlives the call."""
+    apply_repro_env(env)
+    tracer = (SpanTracer.from_context(span_ctx)
+              if span_ctx is not None else None)
+    out = execute_point(point, use_cache, tracer)
+    conn.send(("ok" if out.ok else "error",
+               out.payload if out.ok else out.error,
+               {"spans": out.spans or [], "rusage": out.rusage}))
 
 
 #: Default worker start method: ``fork`` where available (workers
@@ -363,29 +403,47 @@ _START_METHOD = ("fork" if "fork" in mp.get_all_start_methods()
 
 
 class Worker:
-    """One point running in its own process — the fault-isolation unit
-    that :class:`ParallelEngine` and the service scheduler both drive.
+    """A long-lived process that runs points one at a time — the
+    fault-isolation unit that :class:`ParallelEngine` and the service
+    scheduler both drive.
 
-    Constructing one opens the result Pipe and starts the child (from
+    Constructing one opens a duplex Pipe and starts the process (from
     multiprocessing context ``ctx``; default ``fork`` where available,
-    else ``spawn``) with the parent's ``REPRO_*`` environment.  The
-    owner then calls :meth:`poll` until it returns the outcome, or
-    :meth:`kill` to abandon the point; both reap the process and close
-    the pipe.
+    else ``spawn``).  The owner hands it a point with :meth:`start`
+    and calls :meth:`poll` until it returns the outcome; the process
+    is then :attr:`idle` and takes the next point.  An exception fails
+    only its point.  A crash or a timeout ends the process, as does
+    :meth:`kill`, which is also how an owner stops an idle worker;
+    either way the process is reaped and the pipe closed, and the
+    owner forks a fresh worker when its slot next needs one.
     """
 
-    def __init__(self, point: Point, use_cache: bool = True,
-                 span_ctx: Optional[Dict] = None, ctx: Any = None) -> None:
+    def __init__(self, ctx: Any = None) -> None:
         ctx = ctx or mp.get_context(_START_METHOD)
-        self.point = point
-        self.conn, send = ctx.Pipe(duplex=False)
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(send, point, use_cache, repro_env(), span_ctx),
-            daemon=True)
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve_points,
+                                args=(child, os.getpid()), daemon=True)
         self.proc.start()
-        send.close()
+        child.close()
+        #: The point running, or ``None`` between points.
+        self.point: Optional[Point] = None
+        self.started = 0.0
+
+    @property
+    def idle(self) -> bool:
+        """True while the process is alive and between points."""
+        return self.point is None and not self.conn.closed
+
+    def start(self, point: Point, use_cache: bool = True,
+              span_ctx: Optional[Dict] = None) -> None:
+        """Hand the idle process ``point``, to run under the caller's
+        ``REPRO_*`` environment."""
+        self.point = point
         self.started = time.monotonic()
+        try:
+            self.conn.send((point, use_cache, repro_env(), span_ctx))
+        except OSError:
+            pass  # it died while idle; poll() reports the crash
 
     def poll(self, now: float,
              timeout: Optional[float] = None) -> Optional[PointOutcome]:
@@ -398,12 +456,12 @@ class Worker:
                 kind, value, meta = self.conn.recv()
             except (EOFError, OSError):
                 kind, value, meta = None, None, {}
-            self.proc.join()
             if kind == "ok":
                 outcome = PointOutcome(self.point, "done", payload=value)
             elif kind == "error":
                 outcome = PointOutcome(self.point, "failed", error=value)
             else:
+                self.kill()
                 outcome = PointOutcome(
                     self.point, "failed",
                     error=f"worker died without reporting "
@@ -411,18 +469,18 @@ class Worker:
             outcome.rusage = meta.get("rusage")
             outcome.spans = meta.get("spans")
         elif not self.proc.is_alive():
-            self.proc.join()
+            self.kill()
             outcome = PointOutcome(
                 self.point, "failed",
                 error=f"worker crashed (exitcode {self.proc.exitcode})")
         elif timeout is not None and elapsed > timeout:
             self.kill()
-            return PointOutcome(
-                self.point, "timeout", elapsed=elapsed,
+            outcome = PointOutcome(
+                self.point, "timeout",
                 error=f"point exceeded {timeout:g}s timeout")
         else:
             return None
-        self.conn.close()
+        self.point = None
         outcome.elapsed = elapsed
         return outcome
 
@@ -434,8 +492,9 @@ class Worker:
 
 
 class ParallelEngine(_EngineBase):
-    """Multiprocessing executor: a FIFO over :class:`Worker` processes,
-    one per point.
+    """Multiprocessing executor: a FIFO over at most ``workers``
+    :class:`Worker` processes, forked on demand and reaped before
+    :meth:`run` returns.
 
     ``workers`` bounds concurrency (default: the CPU count).
     ``timeout`` (seconds) kills and fails any single point that runs
@@ -443,7 +502,7 @@ class ParallelEngine(_EngineBase):
     (default ``fork`` where available — workers inherit warm imports —
     else ``spawn``; spawned workers re-import cold, which is why the
     parent's ``REPRO_*`` environment is re-applied explicitly in the
-    worker before execution).
+    worker before each point).
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -458,27 +517,31 @@ class ParallelEngine(_EngineBase):
 
     def _execute(self, points, emit, spans=None, ledger=None):
         pending = deque(points)
-        live: List[Worker] = []
+        busy: List[Worker] = []
+        idle: List[Worker] = []
         span_ctx = spans.context() if spans is not None else None
         try:
-            while pending or live:
-                while pending and len(live) < self.workers:
+            while pending or busy:
+                while pending and len(busy) < self.workers:
                     pt = pending.popleft()
                     if ledger is not None:
                         ledger.point_start(pt.cache_key(), pt.label)
-                    live.append(Worker(pt, self.use_cache, span_ctx,
-                                       self._ctx))
+                    worker = idle.pop() if idle else Worker(self._ctx)
+                    worker.start(pt, self.use_cache, span_ctx)
+                    busy.append(worker)
                 # Sleep until a worker reports (or a short tick, so
                 # timeouts and crashes are noticed promptly).
-                mp_connection.wait([w.conn for w in live], timeout=0.05)
+                mp_connection.wait([w.conn for w in busy], timeout=0.05)
                 now = time.monotonic()
-                for worker in list(live):
+                for worker in list(busy):
                     outcome = worker.poll(now, self.timeout)
                     if outcome is not None:
-                        live.remove(worker)
+                        busy.remove(worker)
+                        if worker.idle:
+                            idle.append(worker)
                         emit(outcome)
         finally:
-            for worker in live:
+            for worker in busy + idle:
                 worker.kill()
 
 

@@ -1,7 +1,7 @@
 """Fork-safety rules (F001–F002): what may cross a ``fork()``.
 
-The worker pool runs simulation points in child processes
-(``Process(target=_worker_main, ...)``).  A fork duplicates the whole
+The worker pool runs simulation points in long-lived child processes
+(``Process(target=_serve_points, ...)``).  A fork duplicates the whole
 address space, which silently duplicates things that must never be
 duplicated: a held ``threading.Lock`` stays held forever in the
 child, a ``sqlite3.Connection`` shares file descriptors and corrupts

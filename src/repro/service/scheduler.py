@@ -2,11 +2,14 @@
 
 A :class:`Scheduler` accepts sweep-plan submissions (lists of
 :class:`~repro.experiments.plan.Point`), resolves result-store hits
-*before* any worker is forked, and runs the residue as
+*before* any point reaches a worker, and runs the residue on
 :class:`~repro.experiments.engine.Worker` processes — the unit
 :class:`~repro.experiments.engine.ParallelEngine` runs too, so crash
 and timeout isolation, span propagation and the ledger records
 (:func:`~repro.experiments.engine.ledger_point`) are the engine's.
+Its workers are forked on demand and kept from its first point until
+:meth:`Scheduler.stop`; a crash, a timeout or a cancel ends only the
+process of its point.
 Where the engine is a FIFO over its workers, the scheduler is a
 priority/quota policy over them, adding what a multi-client service
 needs:
@@ -18,7 +21,7 @@ needs:
 * **in-flight dedupe** — two jobs asking for the same point (same
   content-addressed cache key) share one execution;
 * **cross-process claims** — a point is claimed in the store before
-  it forks, so a second scheduler sharing the store waits for the
+  it starts, so a second scheduler sharing the store waits for the
   result instead of double-running the point.  Only schedulers claim:
   a CLI sweep sharing the store may run a point a scheduler also
   runs, and both publish the same payload through the upsert;
@@ -28,8 +31,9 @@ needs:
 
 Results themselves flow through the repository layer: the scheduler
 holds the process's :func:`~repro.experiments.store.active_store`,
-and workers inherit ``REPRO_STORE``/``REPRO_CACHE_DIR`` through
-``repro_env()`` and write their payloads straight into the same file.
+and workers receive ``REPRO_STORE``/``REPRO_CACHE_DIR`` with each
+point through ``repro_env()`` and write their payloads straight into
+the same file.
 """
 
 from __future__ import annotations
@@ -116,7 +120,7 @@ class Job:
 
 class Scheduler:
     """A long-running job queue: a priority/quota policy over at most
-    ``workers`` concurrent :class:`Worker` processes."""
+    ``workers`` :class:`Worker` processes."""
 
     def __init__(self, workers: Optional[int] = None,
                  timeout: Optional[float] = None,
@@ -138,10 +142,16 @@ class Scheduler:
         self.store = store if store is not None else active_store()
         self.id = f"sched-{uuid.uuid4().hex[:8]}"
 
+        #: Every job submitted, for queries.
         self._jobs: Dict[str, Job] = {}
+        #: The queued and running jobs, in submission order: all the
+        #: pump walks.
+        self._open: Dict[str, Job] = {}
         self._seq = 0
         #: running worker -> (job, idx) it runs the point for.
         self._live: Dict[Worker, Tuple[Job, int]] = {}
+        #: Workers between points, kept for the next one until stop().
+        self._idle: List[Worker] = []
         #: cache keys currently executing (or claimed) here.
         self._inflight: Dict[str, Tuple[str, int]] = {}
         self._lock = threading.RLock()
@@ -168,7 +178,7 @@ class Scheduler:
         return self
 
     def stop(self) -> None:
-        """Terminate live workers, finish ledgers, join the thread,
+        """Terminate every worker, finish ledgers, join the thread,
         close the wake handle."""
         self._stopping.set()
         self._wake_pump()
@@ -180,10 +190,11 @@ class Scheduler:
         with self._lock:
             live = dict(self._live)
             self._live.clear()
+            idle, self._idle = self._idle, []
         # Reap outside the lock: join() blocks for as long as the
         # child takes to die, and nothing else can reach these
-        # entries now that they are out of _live.
-        for worker in live:
+        # workers now that they are out of _live and _idle.
+        for worker in [*live, *idle]:
             worker.kill()
         with self._lock:
             for worker, (job, idx) in live.items():
@@ -195,10 +206,9 @@ class Scheduler:
                 if pt.cacheable:
                     self._inflight.pop(pt.cache_key(), None)
                     self.store.release(pt.cache_key(), owner=self.id)
-            for job in self._jobs.values():
-                if job.status in ("queued", "running"):
-                    self._finish_job(job, status="cancelled",
-                                     note="scheduler stopped")
+            for job in list(self._open.values()):
+                self._finish_job(job, status="cancelled",
+                                 note="scheduler stopped")
 
     def __enter__(self) -> "Scheduler":
         return self.start()
@@ -240,6 +250,7 @@ class Scheduler:
             for idx, pt in enumerate(pts):
                 job.records[idx] = self._record(idx, pt)
             self._jobs[job.id] = job
+            self._open[job.id] = job
             self.store.audit(
                 "submit", key=job.id, actor=tenant,
                 source_hash=source_hash(),
@@ -369,10 +380,8 @@ class Scheduler:
             held: Dict[str, int] = {}
             for job, _idx in self._live.values():
                 held[job.tenant] = held.get(job.tenant, 0) + 1
-            for job in sorted(self._jobs.values(),
+            for job in sorted(self._open.values(),
                               key=lambda j: (-j.priority, j.seq)):
-                if job.status not in ("queued", "running"):
-                    continue
                 if held.get(job.tenant, 0) >= self._quota(job.tenant):
                     continue
                 for idx in sorted(job.records):
@@ -408,7 +417,9 @@ class Scheduler:
             job.started = time.time()
         if job.ledger is not None:
             job.ledger.point_start(rec["key"], pt.label)
-        self._live[Worker(pt, span_ctx=job.span_ctx)] = (job, idx)
+        worker = self._idle.pop() if self._idle else Worker()
+        worker.start(pt, span_ctx=job.span_ctx)
+        self._live[worker] = (job, idx)
         if pt.cacheable:
             self._inflight[pt.cache_key()] = (job.id, idx)
 
@@ -419,6 +430,8 @@ class Scheduler:
                 outcome = worker.poll(now, self.timeout)
                 if outcome is not None:
                     job, idx = self._live.pop(worker)
+                    if worker.idle:
+                        self._idle.append(worker)
                     self._finish_point(job, idx, outcome)
 
     #: Unconditional re-poll period for waiting points: a crashed
@@ -444,9 +457,7 @@ class Scheduler:
             return
         self._last_wait_check = now
         with self._lock:
-            for job in self._jobs.values():
-                if job.status not in ("queued", "running"):
-                    continue
+            for job in list(self._open.values()):
                 for idx in sorted(job.records):
                     rec = job.records[idx]
                     if rec["status"] != "waiting":
@@ -479,7 +490,7 @@ class Scheduler:
         # payload (or retries on failure, by staying queued).
         if key is not None and outcome.status == "done" \
                 and outcome.payload is not None:
-            for other in self._jobs.values():
+            for other in list(self._open.values()):
                 if other is job:
                     continue
                 for oidx in sorted(other.records):
@@ -492,9 +503,8 @@ class Scheduler:
         self._maybe_finish_job(job)
 
     def _has_followers(self, job: Job, key: str) -> bool:
-        for other in self._jobs.values():
-            if other is job or other.status not in ("queued",
-                                                    "running"):
+        for other in self._open.values():
+            if other is job:
                 continue
             for rec in other.records.values():
                 if rec["key"] == key and rec["status"] in (
@@ -535,6 +545,7 @@ class Scheduler:
             return
         job.status = status
         job.finished = time.time()
+        self._open.pop(job.id, None)
         if job.spans is not None:
             job.spans.end(job.root_span, status=status,
                           **{f"points.{k}": v

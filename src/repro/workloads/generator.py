@@ -506,3 +506,8 @@ def benchmark_program(name: str, abi: str, thread: int = 0,
                                seed=seed).assemble(abi)
         _PROGRAM_CACHE[key] = prog
     return prog
+
+
+def forget_programs() -> None:
+    """Empty this process's program cache."""
+    _PROGRAM_CACHE.clear()

@@ -3,17 +3,19 @@ expansion, cache-aware scheduling, fault isolation, re-running
 against the store, worker environment propagation, and cache
 robustness."""
 
+import multiprocessing as mp
 import os
 import sqlite3
 import threading
 import time
 from contextlib import closing
+from multiprocessing import connection as mp_connection
 
 import pytest
 
 from repro.experiments import runner
 from repro.experiments.engine import (
-    EngineError, ParallelEngine, SerialEngine,
+    EngineError, ParallelEngine, SerialEngine, Worker,
     apply_repro_env, execute_plan, repro_env,
 )
 from repro.experiments.plan import (
@@ -31,6 +33,15 @@ def stored(path):
     """Every ``{key: payload}`` in the sqlite store at ``path``."""
     with SqliteStore(path) as db:
         return {key: db.load(key) for key in db.keys()}
+
+
+def reaped(pid):
+    """Whether process ``pid`` is gone: it exited and was reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 def fake_result(model, benches, phys_regs, dl1_ports=2, scale=1.0,
@@ -200,31 +211,55 @@ class TestParallelEngine:
         assert s_rows == p_rows and len(s_rows) == len(pts)
 
     def test_worker_exception_crash_and_timeout_isolated(
-            self, cache, monkeypatch):
+            self, cache, tmp_path, monkeypatch):
         real = runner.run_point
+        log = tmp_path / "starts.log"
 
-        def flaky(model, benches, *args, **kwargs):
+        def flaky(model, benches, phys_regs, *args, **kwargs):
+            with log.open("a") as f:
+                f.write(f"{benches[0]} {os.getpid()}\n")
             if benches[0] == "crafty":
                 raise RuntimeError("boom")
             if benches[0] == "twolf":
                 os._exit(11)
             if benches[0] == "parser":
                 time.sleep(30)
-            return real(model, benches, *args, **kwargs)
+            if benches[0] == "mcf":
+                # Keeps the crash's replacement busy past the timeout,
+                # so the timed-out slot has a point left to run.
+                time.sleep(0.5)
+                return fake_result(model, benches, phys_regs)
+            return real(model, benches, phys_regs, *args, **kwargs)
 
         monkeypatch.setattr(runner, "run_point", flaky)
         pts = [Point.run("baseline", (b,), 256, scale=SCALE)
                for b in (BENCH, "crafty", "twolf", "parser")]
+        after = [Point.run("baseline", ("mcf",), 64 + i, scale=SCALE)
+                 for i in range(4)]
         # fork start method, so workers inherit the monkeypatch.
         eng = ParallelEngine(workers=2, timeout=1.0,
                              start_method="fork", use_cache=False)
-        out = eng.run(pts)
+        out = eng.run(pts + after)
         assert out[pts[0]].status == "done"
         assert out[pts[1]].status == "failed"
         assert "boom" in out[pts[1]].error
         assert out[pts[2]].status == "failed"
         assert "exitcode 11" in out[pts[2]].error
         assert out[pts[3]].status == "timeout"
+        assert [out[pt].status for pt in after] == ["done"] * 4
+
+        starts = [line.split() for line in log.read_text().splitlines()]
+        benches = [bench for bench, _pid in starts]
+        pids = [int(pid) for _bench, pid in starts]
+        pid_of = dict(zip(benches, pids))
+        # The process that raised stays in use and runs a later point.
+        assert pid_of["crafty"] in pids[benches.index("crafty") + 1:]
+        # The crash and the timeout each end only their own process,
+        # which runs nothing more, and each slot forks a fresh one.
+        for bad in ("twolf", "parser"):
+            assert pid_of[bad] not in pids[benches.index(bad) + 1:]
+        assert len(set(pids)) == 4
+        assert mp.active_children() == []
 
     def test_parallel_speedup_over_serial(self, cache, monkeypatch):
         # Sleep-dominated points: parallel wall-clock must approach
@@ -269,6 +304,54 @@ class TestParallelEngine:
         assert os.environ["REPRO_SCALE"] == "0.5"
         assert "REPRO_STALE" not in os.environ
         assert repro_env() == {"REPRO_SCALE": "0.5"}
+
+
+def run_on(worker, point):
+    """Run ``point`` on ``worker`` and return its outcome."""
+    worker.start(point, use_cache=False)
+    outcome = None
+    while outcome is None:
+        mp_connection.wait([worker.conn], timeout=1.0)
+        outcome = worker.poll(time.monotonic(), timeout=120)
+    return outcome
+
+
+class TestPooledWorkers:
+    """A worker process runs point after point: each slot keeps one
+    process, its points cannot see one another, its memory stays
+    flat, and its owner reaps it."""
+
+    def test_slots_reuse_their_process_and_run_reaps_it(self, cache):
+        pts = [Point.probe(f"reuse-{i}") for i in range(6)]
+        out = ParallelEngine(workers=2).run(pts)
+        assert [out[pt].status for pt in pts] == ["done"] * 6
+        pids = {out[pt].payload["pid"] for pt in pts}
+        assert len(pids) <= 2
+        assert mp.active_children() == []
+        assert all(reaped(pid) for pid in pids)
+
+    def test_points_sharing_a_process_are_independent(self, cache):
+        pts = [Point.run("baseline", (BENCH,), 128, scale=SCALE),
+               Point.run("vca-rw", (BENCH,), 64, scale=SCALE),
+               Point.run("vca-rw", ("twolf",), 128, scale=SCALE),
+               Point.run("vca", (BENCH, "twolf"), 192, scale=SCALE)]
+        eng = ParallelEngine(workers=1, use_cache=False)
+        forward = eng.run(pts)
+        backward = eng.run(pts[::-1])
+        for pt in pts:
+            assert forward[pt].status == backward[pt].status == "done"
+            assert forward[pt].payload == backward[pt].payload
+
+    def test_memory_returns_to_where_it_began(self, cache):
+        pt = Point.run("vca-rw", ("twolf",), 128, scale=0.2)
+        worker = Worker()
+        try:
+            outcomes = [run_on(worker, pt) for _ in range(5)]
+        finally:
+            worker.kill()
+        assert [o.status for o in outcomes] == ["done"] * 5
+        rss = [o.rusage["maxrss_kb"] for o in outcomes]
+        assert rss[-1] <= rss[0] * 1.05, rss
 
 
 def run_with_ledger(engine, points, path, **kwargs):

@@ -4,11 +4,18 @@ claims, cancellation), the HTTP JSON API and its client, per-job run
 ledgers rendered by ``repro top`` / ``repro report``, and bit-exact
 parity between local and service execution."""
 
+import dataclasses
 import json
+import multiprocessing as mp
 import os
+import signal
 import statistics
+import subprocess
+import sys
 import threading
 import time
+from multiprocessing import connection as mp_connection
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +26,7 @@ from repro.experiments.store import SqliteStore, active_store
 from repro.obs.runlog import ledger_summary, read_ledger
 from repro.obs.spans import assemble_trees
 from repro.service import Scheduler, ServiceClient, ServiceError
+from repro.service.scheduler import Job
 from repro.service.server import ServiceServer
 
 SCALE = 0.05
@@ -51,6 +59,31 @@ def slow_point(monkeypatch, seconds):
 
     monkeypatch.setattr(runner, "run_point", slow)
     return Point.run("baseline", (BENCH,), 256, scale=SCALE)
+
+
+def reaped(pid):
+    """Whether process ``pid`` is gone: it exited and was reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def running(pid):
+    """Whether process ``pid`` still runs (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def live_pids(sched):
+    """job id -> pid of the worker running that job's point."""
+    with sched._lock:
+        return {job.id: worker.proc.pid
+                for worker, (job, _idx) in sched._live.items()}
 
 
 def status_of(client, path, **kwargs):
@@ -275,6 +308,174 @@ class TestSchedulerFaultIsolation:
                          ("timeout", None, "timeout")]
 
 
+#: A process that owns two idle scheduler workers: it prints their
+#: pids, then waits to be killed.
+_OWNER = """
+import time
+from repro.experiments.plan import Point
+from repro.service import Scheduler
+
+sched = Scheduler(workers=2).start()
+jid = sched.submit([Point.probe("a"), Point.probe("b")])
+sched.wait(jid, 60)
+print(*sorted({rec["payload"]["pid"] for rec in sched.results(jid)}),
+      flush=True)
+time.sleep(600)
+"""
+
+
+class TestSchedulerWorkers:
+    """The scheduler keeps its worker processes from its first point
+    until stop(); a cancel ends only its point's process, and a
+    worker whose owner dies exits by itself."""
+
+    def test_workers_live_from_first_point_until_stop(self, cache):
+        sched = Scheduler(workers=1).start()
+        try:
+            pids = []
+            for i in range(3):
+                jid = sched.submit([Point.probe(f"keep-{i}")])
+                assert wait_job(sched, jid, timeout=30)["status"] == "done"
+                pids.append(sched.results(jid)[0]["payload"]["pid"])
+            assert len(set(pids)) == 1
+            assert not reaped(pids[0])
+        finally:
+            sched.stop()
+        assert reaped(pids[0])
+        assert mp.active_children() == []
+
+    def test_cancel_kills_only_the_cancelled_points_process(
+            self, cache, monkeypatch):
+        slow = slow_point(monkeypatch, 30)
+        with Scheduler(workers=2) as sched:
+            a = sched.submit([slow])
+            b = sched.submit([dataclasses.replace(slow, phys_regs=128)])
+            deadline = time.monotonic() + 30
+            while len(live_pids(sched)) < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            pids = live_pids(sched)
+            assert sched.cancel(a) is True
+            assert reaped(pids[a])
+            assert not reaped(pids[b])
+            assert sched.job(b)["status"] == "running"
+            # The cancelled point's slot forks a fresh process.
+            probe = sched.submit([Point.probe("after-cancel")])
+            assert wait_job(sched, probe, timeout=30)["status"] == "done"
+            assert sched.results(probe)[0]["payload"]["pid"] \
+                not in pids.values()
+        assert mp.active_children() == []
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM])
+    def test_idle_workers_exit_when_their_owner_dies(self, cache, sig):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        owner = subprocess.Popen([sys.executable, "-c", _OWNER], env=env,
+                                 stdout=subprocess.PIPE, text=True,
+                                 start_new_session=True)
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2 and all(running(p) for p in pids)
+            owner.send_signal(sig)
+            owner.wait(timeout=30)
+            deadline = time.monotonic() + 2.0
+            while any(running(p) for p in pids) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not any(running(p) for p in pids), pids
+        finally:
+            try:
+                os.killpg(owner.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            owner.wait()
+            owner.stdout.close()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_sigint_stops_a_serve_that_started_with_it_ignored(
+            self, cache, tmp_path):
+        # A shell without job control starts `repro serve &` with
+        # SIGINT ignored, and exec keeps it so.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        masked = ("import os, signal, sys; "
+                  "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                  "os.execv(sys.executable, "
+                  "[sys.executable, *sys.argv[1:]])")
+        serve = subprocess.Popen(
+            [sys.executable, "-c", masked, "-m", "repro", "serve",
+             "--port", "0", "--workers", "2",
+             "--store", str(tmp_path / "store.sqlite")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        try:
+            banner = serve.stdout.readline()
+            assert "listening on " in banner, banner
+            url = banner.split("listening on ")[1].split()[0]
+            client = ServiceClient(url, timeout=30)
+            jid = client.submit([Point.probe(f"sigint-{i}").to_dict()
+                                 for i in range(2)])
+            assert client.wait(jid, timeout=60)["status"] == "done"
+            pids = [rec["payload"]["pid"] for rec in client.results(jid)]
+            assert all(running(p) for p in pids)
+            serve.send_signal(signal.SIGINT)
+            assert serve.wait(timeout=30) == 0
+            assert "shutting down" in serve.stderr.read()
+            assert not any(running(p) for p in pids), pids
+        finally:
+            try:
+                os.killpg(serve.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            serve.wait()
+            serve.stdout.close()
+            serve.stderr.close()
+
+
+class TestOpenJobIndex:
+    """The pump walks only queued and running jobs, however many
+    finished jobs the scheduler keeps for queries."""
+
+    def test_pump_and_finishing_point_touch_no_finished_job(
+            self, cache, monkeypatch):
+        monkeypatch.setattr(runner, "path_ratio",
+                            lambda bench, use_cache=True: 2.0)
+        cached = Point.ratio(BENCH)
+        active_store().store(cached.cache_key(), {"ratio": 1.0})
+        touched = []
+
+        class Finished(Job):
+            """A job that logs every attribute read of it."""
+
+            def __getattribute__(self, name):
+                touched.append(name)
+                return super().__getattribute__(name)
+
+        sched = Scheduler(workers=1)  # the pump runs by hand below
+        sched.wait_poll_fallback = 0.0
+        try:
+            done = [sched.submit([cached]) for _ in range(500)]
+            assert {sched.job(jid)["status"] for jid in done} == {"done"}
+            for jid in done:
+                sched._jobs[jid].__class__ = Finished
+            fresh = sched.submit([Point.ratio("twolf")])
+            deadline = time.monotonic() + 60
+            while sched.job(fresh)["status"] != "done":
+                assert time.monotonic() < deadline
+                sched._schedule()
+                mp_connection.wait([w.conn for w in sched._live],
+                                   timeout=0.1)
+                sched._poll()
+                sched._check_waiting()
+            assert not sched._has_followers(sched._jobs[fresh],
+                                            cached.cache_key())
+            assert touched == []
+            assert sched.results(fresh)[0]["payload"] == {"ratio": 2.0}
+        finally:
+            sched.stop()
+
+
 class _ReapLog:
     """Stub worker proc/conn pair that records whether the scheduler
     lock was held at each teardown call — the K003 regression: join()
@@ -312,6 +513,16 @@ def _fake_running_worker(sched, jid):
     return job, stub
 
 
+def _fake_idle_worker(sched):
+    """Wire a stub proc/conn into the scheduler as an idle Worker."""
+    stub = _ReapLog(sched)
+    worker = Worker.__new__(Worker)  # no process behind it
+    worker.point = None
+    worker.proc = worker.conn = stub
+    sched._idle.append(worker)
+    return stub
+
+
 class TestSchedulerReapsOutsideLock:
     """Regressions for the lint-found K003s: stop()/cancel() used to
     terminate+join workers while holding the scheduler lock."""
@@ -320,10 +531,13 @@ class TestSchedulerReapsOutsideLock:
         sched = Scheduler(workers=1)
         jid = sched.submit([Point.probe("reap")])
         job, stub = _fake_running_worker(sched, jid)
+        idle = _fake_idle_worker(sched)
         sched.stop()
-        assert stub.calls == [("terminate", False), ("join", False),
-                              ("close", False)]
+        for reap in (stub, idle):
+            assert reap.calls == [("terminate", False), ("join", False),
+                                  ("close", False)]
         assert sched._live == {} and sched._inflight == {}
+        assert sched._idle == []
         snap = sched.job(jid)
         assert snap["status"] == "cancelled"
         assert job.records[0]["status"] == "cancelled"
@@ -333,10 +547,12 @@ class TestSchedulerReapsOutsideLock:
         sched = Scheduler(workers=1)
         jid = sched.submit([Point.probe("reap")])
         _job, stub = _fake_running_worker(sched, jid)
+        idle = _fake_idle_worker(sched)
         try:
             assert sched.cancel(jid) is True
             assert stub.calls == [("terminate", False),
                                   ("join", False), ("close", False)]
+            assert idle.calls == []  # only the cancelled point's
             assert sched._live == {} and sched._inflight == {}
             snap = sched.job(jid)
             assert snap["status"] == "cancelled"
