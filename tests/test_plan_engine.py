@@ -5,6 +5,7 @@ robustness."""
 
 import multiprocessing as mp
 import os
+import signal
 import sqlite3
 import threading
 import time
@@ -352,6 +353,43 @@ class TestPooledWorkers:
         assert [o.status for o in outcomes] == ["done"] * 5
         rss = [o.rusage["maxrss_kb"] for o in outcomes]
         assert rss[-1] <= rss[0] * 1.05, rss
+
+    def test_a_worker_peaks_no_higher_than_its_largest_point(self, cache):
+        # Eight programs: kept across points, they would raise the
+        # high-water mark by about 8%.
+        pts = [Point.run("baseline", (bench,), 256, scale=0.3)
+               for bench in ("bzip2_graphic", "crafty", "eon_rushmeier",
+                             "gap", "gcc_expr", BENCH, "parser",
+                             "perlbmk_535")]
+        alone = []
+        for pt in pts:
+            worker = Worker()
+            try:
+                alone.append(run_on(worker, pt).rusage["maxrss_kb"])
+            finally:
+                worker.kill()
+        worker = Worker()
+        try:
+            outcomes = [run_on(worker, pt) for pt in pts]
+        finally:
+            worker.kill()
+        assert [o.status for o in outcomes] == ["done"] * len(pts)
+        pooled = outcomes[-1].rusage["maxrss_kb"]
+        assert pooled <= max(alone) * 1.03, (pooled, alone)
+
+    def test_a_worker_killed_while_idle_fails_only_its_next_point(
+            self, cache):
+        worker = Worker()
+        try:
+            assert run_on(worker, Point.probe("before")).status == "done"
+            os.kill(worker.proc.pid, signal.SIGKILL)
+            worker.proc.join(timeout=10)
+            outcome = run_on(worker, Point.probe("after"))
+        finally:
+            worker.kill()
+        assert outcome.status == "failed"
+        assert "exitcode -9" in outcome.error
+        assert not worker.idle
 
 
 def run_with_ledger(engine, points, path, **kwargs):
