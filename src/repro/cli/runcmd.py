@@ -54,11 +54,10 @@ def _cmd_run(args) -> int:
             return 2
     (point,) = points
 
-    tracer = None
     if traced:
         from repro.experiments.runner import run_point
-        from repro.obs import build_tracer
-        tracer = build_tracer(out=args.trace_out)
+        from repro.obs import Tracer
+        tracer = Tracer(args.trace_out)
         try:
             result = run_point(**point.run_args(), use_cache=False,
                                tracer=tracer)
@@ -98,10 +97,8 @@ def _cmd_run(args) -> int:
                   f"{','.join(rse['metrics'])}: {state} after "
                   f"{len(rse['rounds'])} round(s), "
                   f"+{rse['intervals_added']} interval(s)")
-    from repro.obs import JsonlSink
-    for sink in tracer.sinks if tracer is not None else ():
-        if isinstance(sink, JsonlSink):
-            print(f"trace: wrote {sink.written} events to {sink.path}")
+    if traced:
+        print(f"trace: wrote {tracer.written} events to {tracer.path}")
     if args.json:
         from repro.experiments.export import write_stats_json
         extra = {"sampling": meta} if meta else {}

@@ -16,9 +16,12 @@ experiment engine activates around point execution so lower layers
 :class:`NullTracer` is duck-type compatible with
 :class:`repro.obs.trace.Tracer`, and :class:`NullSpanTracer` with
 :class:`repro.obs.spans.SpanTracer`, for everything the simulation
-layers touch.  Every instrumentation site guards with the ``enabled``
+layers touch.  :data:`NULL_TRACER` is the only "tracing off" state
+there is.  Every instrumentation site guards with the ``enabled``
 attribute, so the null objects' methods are never called on the hot
-path; they exist only so stray unguarded calls stay harmless.
+path (``tests/test_obs.py`` runs every machine model with
+``NullTracer.emit`` made to raise); they exist only so stray
+unguarded calls stay harmless.
 """
 
 from __future__ import annotations
@@ -29,16 +32,13 @@ from typing import Dict, List, Optional
 class NullTracer:
     """Inert stand-in for ``repro.obs.trace.Tracer``.
 
-    ``enabled`` is ``False`` forever, ``sinks`` is empty, and every
-    method is a no-op.  :data:`NULL_TRACER` is the single shared
-    instance; ``repro.obs.trace.build_tracer`` returns it (by
-    identity) when tracing is off.
+    ``enabled`` is ``False`` forever and every method is a no-op.
+    :data:`NULL_TRACER`, the single shared instance, is the only way
+    tracing is off: a traced run gets a ``Tracer(path)``, every other
+    run this object.
     """
 
     __slots__ = ("enabled",)
-
-    #: No sinks; compatible with code that iterates ``tracer.sinks``.
-    sinks: tuple = ()
 
     def __init__(self) -> None:
         #: Instrumentation sites check this before building any event.
@@ -52,10 +52,6 @@ class NullTracer:
 
     def close(self) -> None:
         """Nothing to flush."""
-
-    def ring_events(self) -> List[Dict]:
-        """No ring buffer; always the empty list."""
-        return []
 
 
 #: Shared disabled tracer: the default for every instrumented object.
@@ -121,9 +117,6 @@ class NullSpanTracer:
     def drain(self) -> List[Dict]:
         """No spans were recorded."""
         return []
-
-    def adopt(self, spans) -> None:
-        """Discard spans exported elsewhere (span tracing is off)."""
 
     def close(self, status: str = "terminated") -> None:
         """Nothing open."""

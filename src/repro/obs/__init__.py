@@ -2,10 +2,11 @@
 
 The simulator's hot layers carry lightweight instrumentation hooks
 that are inert by default (``NULL_TRACER``) and activate when a run is
-built with a live :class:`Tracer` — see ``docs/observability.md`` for
-the event schema and usage.  A run's counts live in its
-:class:`~repro.pipeline.stats.SimStats`; the tracer is the one event
-channel.  :mod:`repro.obs.profile` adds per-stage wall-clock
+built with a live :class:`Tracer`, which streams every event to one
+JSONL file that :func:`read_jsonl` reads back — see
+``docs/observability.md`` for the event schema and usage.  A run's
+counts live in its :class:`~repro.pipeline.stats.SimStats`; the
+tracer is the one event channel.  :mod:`repro.obs.profile` adds per-stage wall-clock
 attribution on top (``repro profile``).
 
 The fleet-facing layer: :mod:`repro.obs.spans` records hierarchical
@@ -24,15 +25,11 @@ from .runlog import (
     ledger_summary, read_ledger,
 )
 from .spans import NULL_SPANS, Span, SpanTracer, assemble_trees
-from .trace import (
-    JsonlSink, NULL_TRACER, RingBufferSink, Tracer, build_tracer,
-    read_jsonl,
-)
+from .trace import NULL_TRACER, Tracer, read_jsonl
 
 __all__ = [
     "render_pipeline_view",
-    "JsonlSink", "NULL_TRACER", "RingBufferSink", "Tracer",
-    "build_tracer", "read_jsonl",
+    "NULL_TRACER", "Tracer", "read_jsonl",
     "STAGES", "StageProfile", "profile_machine",
     "NULL_SPANS", "Span", "SpanTracer", "assemble_trees",
     "RunLedger", "iter_ledger", "ledger_points", "ledger_spans",

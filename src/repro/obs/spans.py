@@ -222,11 +222,6 @@ class SpanTracer:
         self._done = []
         return out
 
-    def adopt(self, spans: Iterable[Dict]) -> None:
-        """Merge spans exported by another process (same trace) into
-        this tracer's finished list."""
-        self._done.extend(spans)
-
     # -- internals ----------------------------------------------------
 
     def _current_id(self) -> Optional[str]:

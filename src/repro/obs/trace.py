@@ -1,14 +1,14 @@
-"""Pipeline event tracer with pluggable sinks.
+"""Pipeline event tracer: one JSONL file per traced run.
 
 The tracer is the simulator's exec-trace facility, modelled on gem5's
 O3 trace: instrumented code emits timestamped events
-(``tracer.emit(cycle, tid, kind, **fields)``) and one or more sinks
-record them — an in-memory ring buffer for tests and post-mortem
-inspection, or a JSONL file for offline analysis and the
-``python -m repro trace`` pipeline view.
+(``tracer.emit(cycle, tid, kind, **fields)``) and :class:`Tracer`
+streams each one as a compact JSON line to the file it opened, for
+offline analysis and the ``python -m repro trace`` pipeline view.
 
-Disabled tracing must cost nothing on the hot path, so every
-instrumentation site guards with the ``enabled`` attribute::
+Tracing off is :data:`NULL_TRACER`, and it must cost nothing on the
+hot path, so every instrumentation site guards with the ``enabled``
+attribute::
 
     tr = self.trace
     if tr.enabled:
@@ -25,9 +25,8 @@ remaining keys are kind-specific (see ``docs/observability.md``).
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator
 
 # The shared disabled tracer lives in the dependency-free
 # repro.hooks leaf so the simulation layers can default to it
@@ -35,120 +34,35 @@ from typing import Dict, Iterable, Iterator, List, Optional
 # because it is part of this module's public API.
 from repro.hooks import NULL_TRACER, NullTracer
 
-__all__ = [
-    "TraceSink", "RingBufferSink", "JsonlSink", "Tracer",
-    "NullTracer", "NULL_TRACER", "build_tracer", "read_jsonl",
-]
-
-
-class TraceSink:
-    """Interface: receives event dicts; owns no event ordering logic."""
-
-    def write(self, event: Dict) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush and release resources (idempotent)."""
-
-
-class RingBufferSink(TraceSink):
-    """Keeps the most recent ``capacity`` events in memory.
-
-    Older events are silently discarded (counted in :attr:`dropped`),
-    so a bounded buffer can watch an arbitrarily long run.
-    """
-
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity < 1:
-            raise ValueError("ring buffer needs capacity >= 1")
-        self.capacity = capacity
-        self._buf: deque = deque(maxlen=capacity)
-        self.dropped = 0
-        self.total = 0
-
-    def write(self, event: Dict) -> None:
-        """Record ``event``, evicting the oldest if at capacity."""
-        if len(self._buf) == self.capacity:
-            self.dropped += 1
-        self.total += 1
-        self._buf.append(event)
-
-    @property
-    def events(self) -> List[Dict]:
-        """The retained events, oldest first (a copy)."""
-        return list(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
-class JsonlSink(TraceSink):
-    """Appends one compact JSON object per event to a file."""
-
-    def __init__(self, path: str) -> None:
-        self.path = Path(path)
-        self._fh = self.path.open("w")
-        self.written = 0
-
-    def write(self, event: Dict) -> None:
-        """Append ``event`` as one compact JSON line."""
-        self._fh.write(json.dumps(event, separators=(",", ":")))
-        self._fh.write("\n")
-        self.written += 1
-
-    def close(self) -> None:
-        """Close the file; further writes are an error (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "read_jsonl"]
 
 
 class Tracer:
-    """Fans events out to sinks; inert when ``enabled`` is False."""
+    """Streams events to the JSONL file at ``path``, one compact JSON
+    object per line; ``written`` counts them."""
 
-    __slots__ = ("enabled", "sinks")
+    __slots__ = ("enabled", "path", "written", "_fh")
 
-    def __init__(self, sinks: Iterable[TraceSink] = (),
-                 enabled: bool = True) -> None:
-        self.sinks: List[TraceSink] = list(sinks)
-        self.enabled = enabled and bool(self.sinks)
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self._fh = self.path.open("w")
+        self.written = 0
+        #: Always True: a run that is not traced gets NULL_TRACER.
+        self.enabled = True
 
     def emit(self, cycle: int, tid: int, kind: str, **fields) -> None:
-        """Record one event (no-op when disabled).  ``fields`` are the
-        kind-specific keys of the event schema; callers should guard
-        with ``if tracer.enabled`` so no dict is built when off."""
-        if not self.enabled:
-            return
-        event = {"cycle": cycle, "tid": tid, "kind": kind}
-        if fields:
-            event.update(fields)
-        for sink in self.sinks:
-            sink.write(event)
+        """Append one event.  ``fields`` are the kind-specific keys of
+        the event schema; callers guard with ``if tracer.enabled`` so
+        no dict is built when tracing is off."""
+        event = {"cycle": cycle, "tid": tid, "kind": kind, **fields}
+        self._fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self.written += 1
 
     def close(self) -> None:
-        """Close every sink (flushes JSONL files)."""
-        for sink in self.sinks:
-            sink.close()
-
-    def ring_events(self) -> List[Dict]:
-        """Events held by the first ring-buffer sink (tests/debugging)."""
-        for sink in self.sinks:
-            if isinstance(sink, RingBufferSink):
-                return sink.events
-        return []
-
-
-def build_tracer(trace: bool = False, out: Optional[str] = None,
-                 ring: int = 65536):
-    """Sink selection for the CLI: ring buffer always (when tracing),
-    plus a JSONL file when ``out`` is given.  ``--trace-out`` implies
-    ``--trace``."""
-    if not trace and out is None:
-        return NULL_TRACER
-    sinks: List[TraceSink] = [RingBufferSink(ring)]
-    if out is not None:
-        sinks.append(JsonlSink(out))
-    return Tracer(sinks)
+        """Flush and close the file (idempotent)."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 def read_jsonl(path: str) -> Iterator[Dict]:

@@ -1,6 +1,6 @@
-"""Tests for the observability subsystem (repro.obs): tracer sinks,
-pipeline view, CLI integration, and the guarantee that tracing off
-costs (essentially) nothing."""
+"""Tests for the observability subsystem (repro.obs): the JSONL
+tracer, pipeline view, CLI integration, and the guarantee that tracing
+off costs (essentially) nothing."""
 
 import json
 import time
@@ -8,87 +8,65 @@ import time
 import pytest
 
 from repro.config import MachineConfig
+from repro.hooks import NullTracer
 from repro.models import build_machine, model_abi
-from repro.obs import (
-    JsonlSink, NULL_TRACER, RingBufferSink, Tracer, build_tracer,
-    read_jsonl,
-)
+from repro.obs import NULL_TRACER, Tracer, read_jsonl
 from repro.obs.pipeview import event_counts, render_pipeline_view
 from repro.workloads.generator import benchmark_program
 
 
-def _traced_run(model="vca-rw", bench="gzip_graphic", regs=96,
-                scale=0.2, tracer=None):
+def _traced_run(model="vca-rw", benches=("gzip_graphic",), regs=96,
+                ports=2, scale=0.2, tracer=None):
     abi = model_abi(model)
-    programs = [benchmark_program(bench, abi, scale=scale)]
-    cfg = MachineConfig.baseline(phys_regs=regs)
+    programs = [benchmark_program(b, abi, thread=i, scale=scale)
+                for i, b in enumerate(benches)]
+    cfg = MachineConfig.baseline(phys_regs=regs, dl1_ports=ports)
     machine = build_machine(model, cfg, programs, tracer=tracer)
-    return machine.run()
+    return machine.run(stop_at_first_halt=len(programs) > 1)
 
 
 @pytest.fixture(scope="module")
-def traced():
-    """One traced run shared by the reconciliation tests."""
-    tracer = build_tracer(trace=True)
-    stats = _traced_run(tracer=tracer)
-    return tracer.ring_events(), stats
+def trace_file(tmp_path_factory):
+    """One traced run shared by the reconciliation tests: the JSONL
+    file it wrote and its stats."""
+    path = tmp_path_factory.mktemp("trace") / "t.jsonl"
+    tracer = Tracer(path)
+    try:
+        stats = _traced_run(tracer=tracer)
+    finally:
+        tracer.close()
+    return path, stats
+
+
+@pytest.fixture(scope="module")
+def traced(trace_file):
+    """The events of :func:`trace_file`, read back as ``repro trace``
+    reads them, and the run's stats."""
+    path, stats = trace_file
+    return list(read_jsonl(path)), stats
 
 
 class TestSinks:
-    def test_build_tracer_off_is_null(self):
-        tr = build_tracer(trace=False)
-        assert tr is NULL_TRACER
-        assert not tr.enabled
-
-    def test_build_tracer_ring_only(self):
-        tr = build_tracer(trace=True)
-        assert tr.enabled
-        assert len(tr.sinks) == 1
-        assert isinstance(tr.sinks[0], RingBufferSink)
-
-    def test_trace_out_implies_trace(self, tmp_path):
-        tr = build_tracer(trace=False, out=str(tmp_path / "t.jsonl"))
-        assert tr.enabled
-        kinds = {type(s) for s in tr.sinks}
-        assert kinds == {RingBufferSink, JsonlSink}
-        tr.close()
-
-    def test_ring_truncation(self):
-        ring = RingBufferSink(capacity=4)
-        for i in range(10):
-            ring.write({"cycle": i, "tid": 0, "kind": "fetch"})
-        assert len(ring) == 4
-        assert ring.total == 10
-        assert ring.dropped == 6
-        assert [e["cycle"] for e in ring.events] == [6, 7, 8, 9]
-
-    def test_ring_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            RingBufferSink(capacity=0)
+    """The tracer's one sink: a JSONL file."""
 
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        sink = JsonlSink(str(path))
-        tr = Tracer([sink])
+        tr = Tracer(path)
+        assert tr.enabled and tr.path == path
         tr.emit(3, 0, "spill", addr=0x40, cause="set_conflict")
         tr.emit(4, -1, "fill", addr=0x48)
         tr.close()
-        assert sink.written == 2
+        tr.close()
+        assert tr.written == 2
+        assert path.read_text().splitlines()[0] == (
+            '{"cycle":3,"tid":0,"kind":"spill","addr":64,'
+            '"cause":"set_conflict"}')
         events = list(read_jsonl(str(path)))
         assert events == [
             {"cycle": 3, "tid": 0, "kind": "spill", "addr": 0x40,
              "cause": "set_conflict"},
             {"cycle": 4, "tid": -1, "kind": "fill", "addr": 0x48},
         ]
-
-    def test_disabled_tracer_emits_nothing(self):
-        ring = RingBufferSink()
-        tr = Tracer([ring], enabled=False)
-        tr.emit(0, 0, "fetch", seq=0)
-        assert ring.total == 0
-
-    def test_tracer_without_sinks_is_disabled(self):
-        assert not Tracer([]).enabled
 
 
 class TestPipelineView:
@@ -151,14 +129,13 @@ class TestReconciliation:
         text = render_pipeline_view(events, limit=8)
         assert "timeline" in text and "[f" in text
 
-    def test_counts_split_by_cause(self, traced, tmp_path, capsys):
+    def test_counts_split_by_cause(self, trace_file, traced, capsys):
         """``repro trace --counts`` adds one ``<kind>.<cause>`` row per
         cause of each cause-carrying kind; the rows sum to the kind's
         total, and the spill and fill totals are the run's counts."""
         from repro.cli import main
+        path, _ = trace_file
         events, stats = traced
-        path = tmp_path / "t.jsonl"
-        path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
         assert main(["trace", str(path), "--counts"]) == 0
         rows = dict(line.split() for line in
                     capsys.readouterr().out.splitlines())
@@ -299,12 +276,26 @@ class TestOverhead:
     """Tracing off must be (essentially) free: no events, and guard
     checks far under 5% of the run's wall time."""
 
-    def test_off_leaves_no_footprint(self):
-        stats = _traced_run(scale=0.1)
-        assert stats.committed > 0
-        assert NULL_TRACER.ring_events() == []
+    def test_off_leaves_no_footprint(self, monkeypatch):
+        """Every instrumentation site checks ``enabled`` before it
+        emits: with ``NullTracer.emit`` made to raise, an untraced run
+        completes on every machine model, one DL1 port apiece so port
+        conflicts happen too."""
+        def emit(self, cycle, tid, kind, **fields):
+            raise AssertionError(f"unguarded {kind!r} emit")
 
-    def test_guard_cost_under_budget(self):
+        monkeypatch.setattr(NullTracer, "emit", emit)
+        for model, benches, regs in [
+                ("baseline", ("gzip_graphic",), 128),
+                ("conventional-rw", ("gzip_graphic",), 128),
+                ("ideal-rw", ("gzip_graphic",), 128),
+                ("vca-rw", ("gzip_graphic",), 96),
+                ("vca", ("gzip_graphic", "twolf"), 192)]:
+            stats = _traced_run(model=model, benches=benches, regs=regs,
+                                ports=1, scale=0.1)
+            assert stats.committed > 0
+
+    def test_guard_cost_under_budget(self, tmp_path):
         t0 = time.perf_counter()
         stats = _traced_run(scale=0.2)
         run_time = time.perf_counter() - t0
@@ -312,9 +303,10 @@ class TestOverhead:
         # A traced run of this config emits one event per guard-site
         # hit; 3x that count generously over-bounds the number of
         # `if tr.enabled` checks the untraced run performed.
-        tracer = build_tracer(trace=True)
+        tracer = Tracer(tmp_path / "t.jsonl")
         traced_stats = _traced_run(scale=0.2, tracer=tracer)
-        n_checks = 3 * sum(event_counts(tracer.ring_events()).values())
+        tracer.close()
+        n_checks = 3 * tracer.written
         assert traced_stats.committed == stats.committed
 
         tr = NULL_TRACER
