@@ -21,8 +21,7 @@ self-contained HTML report (``repro report``).
 from .pipeview import render_pipeline_view
 from .profile import STAGES, StageProfile, profile_machine
 from .runlog import (
-    RunLedger, iter_ledger, ledger_points, ledger_spans,
-    ledger_summary, read_ledger,
+    RunLedger, ledger_points, ledger_spans, ledger_summary, read_ledger,
 )
 from .spans import NULL_SPANS, Span, SpanTracer, assemble_trees
 from .trace import NULL_TRACER, Tracer, read_jsonl
@@ -32,6 +31,6 @@ __all__ = [
     "NULL_TRACER", "Tracer", "read_jsonl",
     "STAGES", "StageProfile", "profile_machine",
     "NULL_SPANS", "Span", "SpanTracer", "assemble_trees",
-    "RunLedger", "iter_ledger", "ledger_points", "ledger_spans",
-    "ledger_summary", "read_ledger",
+    "RunLedger", "ledger_points", "ledger_spans", "ledger_summary",
+    "read_ledger",
 ]

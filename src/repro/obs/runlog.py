@@ -26,10 +26,12 @@ import json
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
+
+from .trace import read_jsonl
 
 __all__ = [
-    "LEDGER_SCHEMA", "RunLedger", "read_ledger", "iter_ledger",
+    "LEDGER_SCHEMA", "RunLedger", "read_ledger",
     "ledger_points", "ledger_spans", "ledger_summary",
 ]
 
@@ -114,25 +116,10 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # reading
 # ----------------------------------------------------------------------
-def iter_ledger(path) -> Iterator[Dict]:
-    """Stream records from a ledger file; blank and truncated lines
-    (the crash the append-only format survives) are skipped."""
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(rec, dict):
-                yield rec
-
-
 def read_ledger(path) -> List[Dict]:
-    """All records of a ledger file, in order."""
-    return list(iter_ledger(path))
+    """All records of a ledger file, in order; blank and truncated
+    lines (the crash the append-only format survives) are skipped."""
+    return list(read_jsonl(path))
 
 
 def ledger_points(records: Iterable[Dict]) -> Dict[str, Dict]:

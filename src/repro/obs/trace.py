@@ -65,10 +65,16 @@ class Tracer:
             self._fh = None
 
 
-def read_jsonl(path: str) -> Iterator[Dict]:
-    """Stream events back from a JSONL trace file."""
+def read_jsonl(path) -> Iterator[Dict]:
+    """Stream the JSON objects of a JSONL file, an event trace or a run
+    ledger.  Blank lines, lines that hold no object and a line cut
+    short by a crash or a kill before the last write flushed are
+    skipped."""
     with Path(path).open() as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(rec, dict):
+                yield rec

@@ -255,6 +255,26 @@ class TestCliTrace:
         ctext = capsys.readouterr().out
         assert "commit" in ctext and str(committed) in ctext
 
+    def test_counts_skip_a_cut_last_line(self, trace_file, traced,
+                                         tmp_path, capsys):
+        """A run killed before its last write flushed leaves a trace
+        cut mid-line; ``repro trace --counts`` counts the whole lines
+        and skips the cut one."""
+        from repro.cli import main
+        path, _ = trace_file
+        events, _ = traced
+        data = path.read_text()
+        cut = data.rindex("\n", 0, len(data) - 1) + 1
+        cut_path = tmp_path / "cut.jsonl"
+        cut_path.write_text(data[:cut + 20])
+        assert main(["trace", str(cut_path), "--counts"]) == 0
+        rows = dict(line.split() for line in
+                    capsys.readouterr().out.splitlines())
+        whole = event_counts(events[:-1])
+        assert {k: int(rows[k]) for k in whole} == whole
+        assert sum(int(rows[k]) for k in rows if "." not in k) == \
+            len(events) - 1
+
     def test_diag_bench_not_in_pool(self):
         from repro.workloads import ALL_BENCHMARKS, DIAG_BENCHMARKS
         assert "fib" in DIAG_BENCHMARKS

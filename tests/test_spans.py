@@ -17,8 +17,7 @@ from repro.experiments.engine import ParallelEngine, SerialEngine
 from repro.experiments.plan import Point
 from repro.hooks import NULL_SPANS, current_spans, set_current_spans
 from repro.obs.runlog import (
-    RunLedger, iter_ledger, ledger_points, ledger_spans,
-    ledger_summary, read_ledger,
+    RunLedger, ledger_points, ledger_spans, ledger_summary, read_ledger,
 )
 from repro.obs.spans import SpanTracer, assemble_trees
 
@@ -419,11 +418,13 @@ class TestLedgerReaders:
         assert [r["key"] for r in s["running"]] == ["k3"]
         assert not s["end"]
 
-    def test_iter_ledger_skips_corrupt_lines(self, tmp_path):
+    def test_read_ledger_skips_corrupt_lines(self, tmp_path):
         path = _synthetic_ledger(tmp_path / "l.jsonl")
+        whole = read_ledger(path)
         with open(path, "a") as fh:
-            fh.write('{"rec": "point", "key": "half')
-        records = list(iter_ledger(path))
+            fh.write('\n[1, 2]\n{"rec": "point", "key": "half')
+        records = read_ledger(path)
+        assert records == whole
         assert all(isinstance(r, dict) and "rec" in r for r in records)
 
     def test_old_resumed_records_count_but_are_not_hits(self, tmp_path):
