@@ -330,9 +330,16 @@ class Scheduler:
         return self.job(job_id)
 
     def jobs(self) -> List[Dict]:
+        """Every job's snapshot, in submission order (the order
+        ``_jobs`` is filled in)."""
         with self._lock:
-            return [j.snapshot() for j in
-                    sorted(self._jobs.values(), key=lambda j: j.seq)]
+            return [j.snapshot() for j in self._jobs.values()]
+
+    def job_count(self) -> int:
+        """How many jobs this scheduler holds, without building a
+        snapshot of any."""
+        with self._lock:
+            return len(self._jobs)
 
     def results(self, job_id: str) -> Optional[List[Dict]]:
         """Per-point records (payload included), submission order."""

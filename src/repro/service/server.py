@@ -125,7 +125,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/health":
             self._json({"ok": True, "id": self.sched.id,
                         "workers": self.sched.workers,
-                        "jobs": len(self.sched.jobs())})
+                        "jobs": self.sched.job_count()})
         elif path == "/v1/jobs":
             self._json({"jobs": self.sched.jobs()})
         elif path.startswith("/v1/jobs/"):

@@ -434,8 +434,8 @@ class TestSchedulerWorkers:
 
 
 class TestOpenJobIndex:
-    """The pump walks only queued and running jobs, however many
-    finished jobs the scheduler keeps for queries."""
+    """Neither the pump nor ``GET /health`` walks the finished jobs,
+    however many of them the scheduler keeps for queries."""
 
     def test_pump_and_finishing_point_touch_no_finished_job(
             self, cache, monkeypatch):
@@ -474,6 +474,24 @@ class TestOpenJobIndex:
             assert sched.results(fresh)[0]["payload"] == {"ratio": 2.0}
         finally:
             sched.stop()
+
+
+    def test_health_counts_jobs_without_a_snapshot(self, cache,
+                                                   monkeypatch):
+        cached = Point.ratio(BENCH)
+        active_store().store(cached.cache_key(), {"ratio": 1.0})
+        with Scheduler(workers=1) as sched, \
+                ServiceServer(sched, port=0) as server:
+            done = [sched.submit([cached]) for _ in range(100)]
+            assert [j["id"] for j in sched.jobs()] == done
+            snapshots = []
+            real = Job.snapshot
+            monkeypatch.setattr(
+                Job, "snapshot",
+                lambda job: snapshots.append(job.id) or real(job))
+            health = ServiceClient(server.url, timeout=30).health()
+        assert health["jobs"] == 100
+        assert snapshots == []
 
 
 class _ReapLog:
