@@ -1,6 +1,7 @@
 """Documentation health: links resolve, doctest examples run, the
-CLI reference's flag rows match the parser, and no prose cites a
-``file.py:NNN`` or ``file.yml:NNN`` line anchor.
+CLI reference's flag rows match the parser, no prose cites a
+``file.py:NNN`` or ``file.yml:NNN`` line anchor, and every key entry
+point in the architecture map exists.
 
 Thin pytest wrapper over ``tools/check_docs.py`` (the same checks the
 CI ``lint`` job runs through ``tools/ci_checks.py``), plus coverage of
@@ -57,6 +58,9 @@ class TestRepoDocs:
         errors = [e for f in check_docs.doc_files(REPO)
                   for e in check_docs.check_line_anchors(f)]
         assert errors == []
+
+    def test_architecture_entry_points_resolve(self):
+        assert check_docs.check_entry_points(REPO) == []
 
 
 class TestCheckerCatchesBreakage:
@@ -121,6 +125,33 @@ class TestCheckerCatchesBreakage:
                 in errors)
         assert "cli.md: --no-cache is accepted but has no row" in errors
         assert not any("--ledger" in e or "--help" in e for e in errors)
+
+    def test_unresolved_entry_point_detected(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "architecture.md").write_text(
+            "| Package | Role | Key entry points |\n|---|---|---|\n"
+            "| `repro.obs` | tracing, `SimStats` | `Tracer`, "
+            "`build_tracer`, `SpanTracer.begin` |\n"
+            "| `repro.frontend` | predictor | `repro.frontend.branch`, "
+            "`repro.frontend.gone` |\n"
+            "| `repro.models` | wiring | "
+            "`build_machine(model, cfg, programs)`, "
+            "`build_machine.nope()` |\n")
+        errors = check_docs.check_entry_points(tmp_path)
+        assert errors == [
+            "architecture.md:3: entry point `build_tracer` of "
+            "repro.obs does not resolve",
+            "architecture.md:4: entry point `repro.frontend.gone` of "
+            "repro.frontend does not resolve",
+            "architecture.md:5: entry point `build_machine.nope()` of "
+            "repro.models does not resolve",
+        ]
+
+    def test_missing_package_table_detected(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "architecture.md").write_text("no table\n")
+        errors = check_docs.check_entry_points(tmp_path)
+        assert len(errors) == 1 and "no package table" in errors[0]
 
     def test_missing_index_detected(self, tmp_path):
         (tmp_path / "docs").mkdir()

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Documentation checker: dead links, orphan pages, fenced doctests,
-CLI flag rows, line-number anchors.
+CLI flag rows, line-number anchors, architecture entry points.
 
-Five checks over ``README.md``, ``ROADMAP.md`` and the
+Six checks over ``README.md``, ``ROADMAP.md`` and the
 ``docs/*.md`` pages, all enforced by ``tests/test_docs.py`` and the
 CI ``lint`` job:
 
@@ -25,6 +25,12 @@ CI ``lint`` job:
    outside fenced code blocks.  Line numbers go stale with any edit
    above them; prose names the symbol (or CI step) and its file
    instead.
+6. **Entry points** — every backticked name in the "Key entry
+   points" column of ``docs/architecture.md``'s package table
+   resolves: a ``repro.…`` name imports, and any other name is an
+   attribute of its row's package (call parentheses dropped, dotted
+   attributes followed), so a deleted or renamed entry point cannot
+   linger in the map.
 
 Stdlib only; run as ``python tools/check_docs.py`` from anywhere in
 the repo (exit status 1 on any failure).
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -51,6 +58,9 @@ FLAG_ROW_RE = re.compile(r"^\|\s*`(--[\w-]+)", re.MULTILINE)
 #: A line-number anchor into a Python or YAML file: ``engine.py:447``,
 #: ``ci.yml:260``.
 ANCHOR_RE = re.compile(r"[\w/.-]*\.(?:py|yml):\d+")
+#: A package-table row: ``| `repro.pkg` | role | entry points |``.
+PACKAGE_ROW_RE = re.compile(r"^\|\s*`(repro[\w.]*)`\s*\|.*\|(.*)\|\s*$",
+                            re.MULTILINE)
 
 
 def repo_root() -> Path:
@@ -183,6 +193,39 @@ def check_cli_flags(root: Path) -> List[str]:
                for flag in sorted(accepted - documented - {"--help"})])
 
 
+def resolves(package: str, name: str) -> bool:
+    """Whether entry point ``name`` of ``package``'s row exists."""
+    name = name.split("(", 1)[0]
+    try:
+        if name.startswith("repro."):
+            importlib.import_module(name)
+            return True
+        obj = importlib.import_module(package)
+        for attr in name.split("."):
+            obj = getattr(obj, attr)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def check_entry_points(root: Path) -> List[str]:
+    """Entry-point errors in ``docs/architecture.md``'s package table
+    (empty = clean)."""
+    text = (root / "docs" / "architecture.md").read_text()
+    rows = list(PACKAGE_ROW_RE.finditer(text))
+    if not rows:
+        return ["architecture.md: no package table rows found"]
+    errors = []
+    for row in rows:
+        package = row.group(1)
+        line = text.count("\n", 0, row.start()) + 1
+        errors += [f"architecture.md:{line}: entry point `{name}` of "
+                   f"{package} does not resolve"
+                   for name in re.findall(r"`([^`]+)`", row.group(2))
+                   if not resolves(package, name)]
+    return errors
+
+
 def main() -> int:
     root = repo_root()
     # Doc examples import repro; make src/ importable when the repo
@@ -200,7 +243,8 @@ def main() -> int:
 
     ok = True
     n_links = n_examples = 0
-    for err in check_orphans(root) + check_cli_flags(root):
+    for err in (check_orphans(root) + check_cli_flags(root)
+                + check_entry_points(root)):
         ok = False
         print(err, file=sys.stderr)
     for f in files:
