@@ -56,6 +56,7 @@ def _follow_trace(path, lo, hi, tid, idle_timeout) -> int:
         return 2
     printed = 0
     idle = 0.0
+    pending = ""
     with fh:
         while True:
             line = fh.readline()
@@ -68,13 +69,16 @@ def _follow_trace(path, lo, hi, tid, idle_timeout) -> int:
                 idle += 0.1
                 continue
             idle = 0.0
-            line = line.strip()
-            if not line:
+            # The writer flushes in buffer-sized chunks, so a read
+            # can end mid-line; hold it until the rest arrives.
+            pending += line
+            if not pending.endswith("\n"):
                 continue
+            line, pending = pending, ""
             try:
                 ev = json.loads(line)
             except ValueError:
-                continue  # partial line mid-write; next read retries
+                continue
             if tid is not None and ev.get("tid") != tid:
                 continue
             if not _in_cycle_range(ev, lo, hi):

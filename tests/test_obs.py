@@ -275,6 +275,33 @@ class TestCliTrace:
         assert sum(int(rows[k]) for k in rows if "." not in k) == \
             len(events) - 1
 
+    def test_follow_waits_for_the_rest_of_a_cut_line(
+            self, tmp_path, capsys, monkeypatch):
+        """A live trace is flushed in buffer-sized chunks, so
+        ``--follow`` meets lines whose end is not written yet; it
+        prints each such event once its line is whole."""
+        from repro.cli import main
+        lines = [json.dumps({"cycle": c, "tid": 0, "kind": k, "seq": 0})
+                 + "\n" for c, k in ((1, "fetch"), (2, "rename"),
+                                     (3, "issue"))]
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(lines[0] + lines[1][:20])
+        rest = [lines[1][20:] + lines[2]]
+
+        def sleep(seconds):
+            # The follower reached the end of the cut line: write the
+            # rest of it, as the next flush of a live run would.
+            if rest:
+                with open(trace, "a") as fh:
+                    fh.write(rest.pop())
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        assert main(["trace", str(trace), "--follow",
+                     "--idle-timeout", "0.3"]) == 0
+        shown = [row.split()[2] for row in
+                 capsys.readouterr().out.splitlines()]
+        assert shown == ["fetch", "rename", "issue"]
+
     def test_diag_bench_not_in_pool(self):
         from repro.workloads import ALL_BENCHMARKS, DIAG_BENCHMARKS
         assert "fib" in DIAG_BENCHMARKS
