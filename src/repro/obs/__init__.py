@@ -6,8 +6,8 @@ built with a live :class:`Tracer`, which streams every event to one
 JSONL file that :func:`read_jsonl` reads back — see
 ``docs/observability.md`` for the event schema and usage.  A run's
 counts live in its :class:`~repro.pipeline.stats.SimStats`; the
-tracer is the one event channel.  :mod:`repro.obs.profile` adds per-stage wall-clock
-attribution on top (``repro profile``).
+tracer is the one event channel.  :mod:`repro.obs.profile` adds
+per-stage wall-clock attribution on top (``repro profile``).
 
 The fleet-facing layer: :mod:`repro.obs.spans` records hierarchical
 phase spans that survive the parallel engine's process boundary,
